@@ -189,7 +189,7 @@ def _binned_average(config: EstimatorConfig, t: np.ndarray, cond: np.ndarray,
     accumulators.
 
     values has shape (n_samples, m); the reduction is a fixed-order bincount,
-    so results do not depend on worker scheduling.
+    so equal inputs give bit-identical results.
     """
     idx = config.flat_index(t, cond)
     sel = idx >= 0
@@ -254,39 +254,34 @@ def _difference_quotients(ensemble: PathEnsemble, config: EstimatorConfig,
 
 def _estimate(ensemble: PathEnsemble, config: EstimatorConfig,
               direction: str) -> BinnedVectorField:
+    """One-sided estimate under the config's causal filter; bins below
+    min_count stay NaN."""
     t, cond, inc, dtau = _difference_quotients(ensemble, config, direction)
     keep = None
     if config.causal_split != "off":
         keep = _causal_filter(ensemble, config, inc)
     count, mean, se, cond_mean = _binned_average(config, t, cond, inc / dtau, keep)
-    if not np.any(count >= config.min_count):
-        raise EstimationError(
-            f"no bins reached min_count={config.min_count}; "
-            f"largest bin holds {int(count.max()) if count.size else 0} samples")
     return BinnedVectorField(config=config, values=mean, se=se, count=count,
                              cond_mean=cond_mean)
+
+
+def _require_populated(field: BinnedVectorField) -> BinnedVectorField:
+    min_count = field.config.min_count
+    if not np.any(field.count >= min_count):
+        raise EstimationError(
+            f"no bins reached min_count={min_count}; largest bin holds "
+            f"{int(field.count.max()) if field.count.size else 0} samples")
+    return field
 
 
 def estimate_forward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedVectorField:
     """Per-bin mean of (x(t + lag dt) - x(t)) / (lag dt) given x(t) in the bin."""
-    return _estimate(ensemble, config, "forward")
+    return _require_populated(_estimate(ensemble, config, "forward"))
 
 
 def estimate_backward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedVectorField:
     """Per-bin mean of (x(t) - x(t - lag dt)) / (lag dt) given x(t) in the bin."""
-    return _estimate(ensemble, config, "backward")
-
-
-def _filtered_average(ensemble, config, direction):
-    """One-sided estimate under the config's causal filter; empty bins stay
-    NaN without raising (used by the two-term relativistic sums)."""
-    t, cond, inc, dtau = _difference_quotients(ensemble, config, direction)
-    keep = None
-    if config.causal_split != "off":
-        keep = _causal_filter(ensemble, config, inc)
-    count, mean, se, cond_mean = _binned_average(config, t, cond, inc / dtau, keep)
-    return BinnedVectorField(config=config, values=mean, se=se, count=count,
-                             cond_mean=cond_mean)
+    return _require_populated(_estimate(ensemble, config, "backward"))
 
 
 def relativistic_mean_derivatives(ensemble: PathEnsemble,
@@ -314,10 +309,10 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
         return BinnedVectorField(config=config, values=values, se=se,
                                  count=count, cond_mean=a.cond_mean)
 
-    forward = combine(_filtered_average(ensemble, tl, "forward"),
-                      _filtered_average(ensemble, sl, "backward"))
-    backward = combine(_filtered_average(ensemble, tl, "backward"),
-                       _filtered_average(ensemble, sl, "forward"))
+    forward = combine(_estimate(ensemble, tl, "forward"),
+                      _estimate(ensemble, sl, "backward"))
+    backward = combine(_estimate(ensemble, tl, "backward"),
+                       _estimate(ensemble, sl, "forward"))
     if not (np.any(forward.mask) or np.any(backward.mask)):
         raise EstimationError("no bins populated in both causal classes; "
                               "the split needs a coarser time step")

@@ -7,9 +7,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError, SimulationError
-from ..parallel import BLOCK_SIZE, map_blocks
 from ..stochastic import make_stream
 from .wavefunctions import PotentialField
+
+# paths per block; block b draws from make_stream(seed, b), so this size is
+# part of the stream key and fixes the sampled values
+BLOCK_SIZE = 4096
 
 
 def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int,
@@ -17,8 +20,8 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     """Estimate (exp(-tS) phi)(x) = E[exp(-int V(x+W_s) ds) phi(x+W_t)].
 
     The time integral uses the trapezoid rule along each Brownian path;
-    paths are drawn in fixed-size blocks with one counter stream per block,
-    so the result is independent of worker scheduling.  Returns (estimate,
+    paths are drawn in blocks of BLOCK_SIZE with one counter stream per
+    block, so the result depends only on the seed.  Returns (estimate,
     standard error).
     """
     if t <= 0 or dt <= 0:
@@ -31,14 +34,10 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     step = t / n_steps
     sq = np.sqrt(step)
 
-    sums = np.zeros(int(np.ceil(N / BLOCK_SIZE)))
-    sqsums = np.zeros_like(sums)
-    counts = np.zeros_like(sums, dtype=np.int64)
-
-    def run(lo, hi):
-        block = lo // BLOCK_SIZE
-        B = hi - lo
-        gen = make_stream(seed, block)
+    sums, sqsums = [], []
+    for lo in range(0, N, BLOCK_SIZE):
+        B = min(BLOCK_SIZE, N - lo)
+        gen = make_stream(seed, lo // BLOCK_SIZE)
         pos = np.broadcast_to(x, (B, dim)).copy()
         v_prev = V(pos)
         integral = np.zeros(B)
@@ -53,14 +52,8 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
         weights = np.exp(-integral) * np.asarray(phi(pos), dtype=float)
         if not np.all(np.isfinite(weights)):
             raise SimulationError("Feynman-Kac weight became non-finite")
-        sums[block] = np.sum(weights)
-        sqsums[block] = np.sum(weights**2)
-        counts[block] = B
-
-    map_blocks(run, N)
-    total = float(np.sum(sums))
-    total_sq = float(np.sum(sqsums))
-    n = int(np.sum(counts))
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    return mean, float(np.sqrt(var / n))
+        sums.append(np.sum(weights))
+        sqsums.append(np.sum(weights**2))
+    mean = float(np.sum(sums)) / N
+    var = max(float(np.sum(sqsums)) / N - mean**2, 0.0) * N / (N - 1)
+    return mean, float(np.sqrt(var / N))

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BoundaryError, InstabilityError, ParameterError
+from ..errors import InstabilityError, ParameterError
 from ..geometry import MetricChart, christoffel_batch, gradient_fd, laplace_beltrami
-from ..parallel import map_blocks
 from .ensemble import PathEnsemble
-from .rng import make_stream
+from .integrator import Integrator, initial_points
 
 FRAME_TOL = 1e-6
 FRAME_DRIFT_LIMIT = 1e-3
 RENORM_INTERVAL = 100
-MAX_BOUNDARY_RETRIES = 100
 
 
 @dataclass
@@ -134,56 +132,25 @@ def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
     and only the spatial block diffuses, so increments satisfy the
     diffusive-scaling diagnostics.
     """
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    if T <= 0 or dt <= 0:
-        raise ParameterError("T and dt must be positive")
-    K = int(round(T / dt))
-    if abs(K * dt - T) > 1e-9 * max(1.0, T):
-        raise ParameterError(f"T={T} is not an integer multiple of dt={dt}")
     n = chart.dimension
     n_time = chart.signature[0]
-    x0 = np.asarray(x0, dtype=float)
-    starts = np.broadcast_to(x0, (N, n)).copy() if x0.ndim == 1 else x0.copy()
-    chart.require_valid(starts)
-    times = np.arange(K + 1) * dt
-    paths = np.empty((N, K + 1, n))
-    sqdt = np.sqrt(dt)
+    core = Integrator("manifold-euler", T, dt, seed, n_noise=n, chart=chart)
 
-    def run(lo, hi):
-        gens = [make_stream(seed, p) for p in range(lo, hi)]
-        dW = np.stack([g.normal(0.0, sqdt, (K, n)) for g in gens])
-        x = starts[lo:hi].copy()
-        paths[lo:hi, 0] = x
-        for k in range(K):
-            drift, frame = _step_fields(chart, x, epsilon)
-            if w is not None:
-                drift = drift + np.asarray(w(times[k], x), dtype=float)
-            if n_time:
-                # coordinate time advances deterministically on Lorentz charts
-                drift = drift.copy()
-                drift[..., :n_time] = 1.0
-                frame = frame.copy()
-                frame[..., :n_time, :] = 0.0
-            step = drift * dt
-            prop = x + step + np.einsum("bij,bj->bi", frame, dW[:, k, :])
-            bad = ~np.asarray(chart.is_valid(prop), dtype=bool)
-            retries = 0
-            while np.any(bad):
-                retries += 1
-                if retries > MAX_BOUNDARY_RETRIES:
-                    p = int(np.argmax(bad))
-                    raise BoundaryError(
-                        f"path {lo + p} stuck at {x[p]} near the boundary of "
-                        f"chart '{chart.name}' (step {k + 1})")
-                for p in np.nonzero(bad)[0]:
-                    fresh = gens[p].normal(0.0, sqdt, (n,))
-                    prop[p] = x[p] + step[p] + frame[p] @ fresh
-                bad = ~np.asarray(chart.is_valid(prop), dtype=bool)
-            x = prop
-            paths[lo:hi, k + 1] = x
+    def chart_euler(k, dW, x):
+        drift, frame = _step_fields(chart, x, epsilon)
+        if w is not None:
+            drift = drift + core.drift(w, k, x)
+        if n_time:
+            # coordinate time advances deterministically on Lorentz charts
+            drift = drift.copy()
+            drift[..., :n_time] = 1.0
+            frame = frame.copy()
+            frame[..., :n_time, :] = 0.0
+        base = x + drift * dt
+        return (core.accept(base + np.einsum("bij,bj->bi", frame, dW),
+                            lambda p, z: base[p] + frame[p] @ z),)
 
-    map_blocks(run, N)
+    times, (paths,) = core.run(chart_euler, initial_points(x0, N, n, chart))
     return PathEnsemble(times, paths, seed=seed, chart_name=chart.name,
                         meta={"epsilon": epsilon, "integrator": "manifold-euler"})
 
@@ -280,68 +247,38 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
     defect = frame0.orthonormality_defect(chart)
     if defect > FRAME_TOL:
         raise ParameterError(f"frame0 is not g-orthonormal (defect {defect:.2e})")
-    if N < 1 or report_every < 1:
-        raise ParameterError("N and report_every must be >= 1")
-    K = int(round(T / dt))
-    if K < 1 or abs(K * dt - T) > 1e-9 * max(1.0, T):
-        raise ParameterError(f"T={T} is not an integer multiple of dt={dt}")
     n = chart.dimension
-    x0 = np.asarray(x0, dtype=float)
-    report_steps = list(range(report_every, K + 1, report_every))
-    if not report_steps or report_steps[-1] != K:
-        report_steps.append(K)
-    times = np.array([0.0] + [k * dt for k in report_steps])
-    base = np.empty((N, len(times), n))
-    frames = np.empty((N, len(times), n, n))
+    starts = initial_points(x0, N, n, chart)
     eta = chart.signature_matrix()
-    sqdt = np.sqrt(dt)
+    core = Integrator("frame-bundle-heun", T, dt, seed, n_noise=n, chart=chart)
 
-    def run(lo, hi):
-        B = hi - lo
-        gens = [make_stream(seed, p) for p in range(lo, hi)]
-        dW = np.stack([g.normal(0.0, sqdt, (K, n)) for g in gens])
-        x = np.broadcast_to(x0, (B, n)).copy()
-        e = np.broadcast_to(frame0.frame, (B, n, n)).copy()
-        base[lo:hi, 0] = x
-        frames[lo:hi, 0] = e
-        out = 1
-        for k in range(K):
-            # Heun step for dx = e o dW: predict, transport, correct.
-            dx0 = np.einsum("bij,bj->bi", e, dW[:, k, :])
-            bad = ~np.asarray(chart.is_valid(x + dx0), dtype=bool)
-            retries = 0
-            while np.any(bad):
-                retries += 1
-                if retries > MAX_BOUNDARY_RETRIES:
-                    p = int(np.argmax(bad))
-                    raise BoundaryError(f"frame path {lo + p} stuck at {x[p]} on "
-                                        f"chart '{chart.name}' (step {k + 1})")
-                for p in np.nonzero(bad)[0]:
-                    dW[p, k, :] = gens[p].normal(0.0, sqdt, (n,))
-                    dx0[p] = e[p] @ dW[p, k, :]
-                bad = ~np.asarray(chart.is_valid(x + dx0), dtype=bool)
-            e_pred = transport_matrix_isometric(chart, x, x + dx0) @ e
-            dx = 0.5 * (dx0 + np.einsum("bij,bj->bi", e_pred, dW[:, k, :]))
-            x_new = x + dx
-            invalid = ~np.asarray(chart.is_valid(x_new), dtype=bool)
-            x_new[invalid] = (x + dx0)[invalid]  # fall back to the predictor point
-            e = transport_matrix_isometric(chart, x, x_new) @ e
-            x = x_new
-            if (k + 1) % report_every == 0 or k + 1 == K:
-                g = chart.metric(x)
-                gram = np.einsum("bji,bjk,bkl->bil", e, g, e)
-                drift_now = float(np.max(np.abs(gram - eta)))
-                if drift_now > FRAME_DRIFT_LIMIT:
-                    raise InstabilityError(
-                        f"frame orthonormality drifted to {drift_now:.2e} before "
-                        f"renormalization; reduce dt (currently {dt})")
-                e = gram_schmidt(chart, x, e)
-                if out < len(report_steps) + 1 and k + 1 == report_steps[out - 1]:
-                    base[lo:hi, out] = x
-                    frames[lo:hi, out] = e
-                    out += 1
+    def frame_heun(k, dW, x, e):
+        # Heun step for dx = e o dW: predict, transport, correct.
+        dx0 = np.einsum("bij,bj->bi", e, dW)
 
-    map_blocks(run, N)
+        def redraw(p, z):
+            dx0[p] = e[p] @ z
+            return x[p] + dx0[p]
+
+        pred = core.accept(x + dx0, redraw)
+        e_pred = transport_matrix_isometric(chart, x, pred) @ e
+        x_new = x + 0.5 * (dx0 + np.einsum("bij,bj->bi", e_pred, dW))
+        invalid = ~np.asarray(chart.is_valid(x_new), dtype=bool)
+        x_new[invalid] = pred[invalid]  # fall back to the predictor point
+        return x_new, transport_matrix_isometric(chart, x, x_new) @ e
+
+    def renormalize(x, e):
+        gram = np.einsum("bji,bjk,bkl->bil", e, chart.metric(x), e)
+        drift_now = float(np.max(np.abs(gram - eta)))
+        if drift_now > FRAME_DRIFT_LIMIT:
+            raise InstabilityError(
+                f"frame orthonormality drifted to {drift_now:.2e} before "
+                f"renormalization; reduce dt (currently {dt})")
+        return x, gram_schmidt(chart, x, e)
+
+    frames0 = np.broadcast_to(frame0.frame, (len(starts), n, n))
+    times, (base, frames) = core.run(frame_heun, starts, frames0,
+                                     report_every=report_every, at_report=renormalize)
     return FrameBundleEnsemble(times, base, frames, seed=seed, chart_name=chart.name)
 
 

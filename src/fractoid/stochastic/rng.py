@@ -1,8 +1,8 @@
 """Counter-based random number streams.
 
 Philox is counter-based and splittable: the pair (seed, stream) addresses an
-independent stream, so per-path streams reproduce bit-identically no matter
-how paths are scheduled across workers.
+independent stream, so a per-path stream reproduces bit-identically however
+the paths are grouped into blocks.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ParameterError, SimulationError
-from ..parallel import map_blocks
+from ..errors import ParameterError
 from .ensemble import PathEnsemble
-from .rng import make_stream
+from .integrator import Integrator, initial_points
 
 
 @dataclass(frozen=True)
@@ -34,61 +33,18 @@ class ItoProcessSpec:
             raise ParameterError("dimension must be >= 1")
 
 
-def _grid(T: float, dt: float) -> int:
-    if T <= 0 or dt <= 0:
-        raise ParameterError("T and dt must be positive")
-    n = int(round(T / dt))
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, T):
-        raise ParameterError(f"T={T} is not an integer multiple of dt={dt}")
-    return n
-
-
-def _initial_points(x0, n_paths: int, dim: int) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.ndim == 1:
-        if x0.shape[0] != dim:
-            raise ParameterError(f"x0 has dimension {x0.shape[0]}, expected {dim}")
-        return np.broadcast_to(x0, (n_paths, dim)).copy()
-    if x0.shape != (n_paths, dim):
-        raise ParameterError(f"x0 must be ({n_paths}, {dim}), got {x0.shape}")
-    return x0.copy()
-
-
-def _check_finite(x: np.ndarray, start: int, step: int, what: str) -> None:
-    bad = ~np.isfinite(x).all(axis=-1)
-    if np.any(bad):
-        p = int(np.argmax(bad))
-        raise SimulationError(f"{what} produced non-finite state on path {start + p} "
-                              f"at step {step}")
-
-
 def simulate_ito(spec: ItoProcessSpec, x0, T: float, dt: float, N: int,
                  seed: int) -> PathEnsemble:
     """Euler-Maruyama paths of an Ito diffusion with constant scalar noise."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
-    K = _grid(T, dt)
     dim = spec.dimension
-    times = np.arange(K + 1) * dt
-    paths = np.empty((N, K + 1, dim))
-    starts = _initial_points(x0, N, dim)
+    core = Integrator("euler-maruyama", T, dt, seed, n_noise=dim)
     eps = spec.diffusion_const
-    sqdt = np.sqrt(dt)
 
-    def run(lo, hi):
-        x = starts[lo:hi].copy()
-        paths[lo:hi, 0] = x
-        dW = np.stack([make_stream(seed, p).normal(0.0, sqdt, (K, dim))
-                       for p in range(lo, hi)])
-        for k in range(K):
-            b = np.asarray(spec.drift(times[k], x), dtype=float)
-            if b.shape != x.shape:
-                raise SimulationError(f"drift returned shape {b.shape}, expected {x.shape}")
-            x = x + b * dt + eps * dW[:, k, :]
-            _check_finite(x, lo, k + 1, "drift")
-            paths[lo:hi, k + 1] = x
+    def euler(k, dW, x):
+        b = core.drift(spec.drift, k, x)
+        return (core.accept(x + b * dt + eps * dW),)
 
-    map_blocks(run, N)
+    times, (paths,) = core.run(euler, initial_points(x0, N, dim))
     return PathEnsemble(times, paths, seed=seed, chart_name=f"euclidean:{dim}",
                         meta={"epsilon": eps, "integrator": "euler-maruyama"})
 
@@ -96,39 +52,26 @@ def simulate_ito(spec: ItoProcessSpec, x0, T: float, dt: float, N: int,
 def simulate_stratonovich(drift, diffusion_field, x0, T: float, dt: float,
                           N: int, seed: int, dimension: int | None = None) -> PathEnsemble:
     """Heun (midpoint-corrected) integration of dx = f dt + G o dW."""
-    if N < 1:
-        raise ParameterError("N must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dim = dimension or (x0.shape[-1] if x0.ndim else 1)
-    K = _grid(T, dt)
-    times = np.arange(K + 1) * dt
-    starts = _initial_points(x0, N, dim)
+    dim = dimension or x0.shape[-1]
+    starts = initial_points(x0, N, dim)
     probe = np.asarray(diffusion_field(0.0, starts[:1]), dtype=float)
     if probe.ndim != 3 or probe.shape[1] != dim:
         raise ParameterError("diffusion_field must return (B, dim, m) matrices")
-    m = probe.shape[2]
-    paths = np.empty((N, K + 1, dim))
-    sqdt = np.sqrt(dt)
+    core = Integrator("stratonovich-heun", T, dt, seed, n_noise=probe.shape[2])
 
-    def run(lo, hi):
-        x = starts[lo:hi].copy()
-        paths[lo:hi, 0] = x
-        dW = np.stack([make_stream(seed, p).normal(0.0, sqdt, (K, m))
-                       for p in range(lo, hi)])
-        for k in range(K):
-            t0, t1 = times[k], times[k + 1]
-            f0 = np.asarray(drift(t0, x), dtype=float)
-            G0 = np.asarray(diffusion_field(t0, x), dtype=float)
-            noise0 = np.einsum("bim,bm->bi", G0, dW[:, k, :])
-            xp = x + f0 * dt + noise0
-            f1 = np.asarray(drift(t1, xp), dtype=float)
-            G1 = np.asarray(diffusion_field(t1, xp), dtype=float)
-            noise1 = np.einsum("bim,bm->bi", G1, dW[:, k, :])
-            x = x + 0.5 * (f0 + f1) * dt + 0.5 * (noise0 + noise1)
-            _check_finite(x, lo, k + 1, "stratonovich step")
-            paths[lo:hi, k + 1] = x
+    def heun(k, dW, x):
+        t0, t1 = core.times[k], core.times[k + 1]
+        f0 = core.drift(drift, k, x)
+        G0 = np.asarray(diffusion_field(t0, x), dtype=float)
+        noise0 = np.einsum("bim,bm->bi", G0, dW)
+        xp = x + f0 * dt + noise0
+        f1 = core.drift(drift, k + 1, xp)
+        G1 = np.asarray(diffusion_field(t1, xp), dtype=float)
+        noise1 = np.einsum("bim,bm->bi", G1, dW)
+        return (core.accept(x + 0.5 * (f0 + f1) * dt + 0.5 * (noise0 + noise1)),)
 
-    map_blocks(run, N)
+    times, (paths,) = core.run(heun, starts)
     return PathEnsemble(times, paths, seed=seed, chart_name=f"euclidean:{dim}",
                         meta={"integrator": "stratonovich-heun"})
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fractoid.errors import ParameterError
+from fractoid.errors import ParameterError, SimulationError
 from fractoid.geometry import get_chart, laplace_beltrami
 from fractoid.stochastic import (
     FrameState,
@@ -156,6 +156,19 @@ def test_frame_bundle_rejects_bad_frame():
         frame_bundle_simulate(chart, [1.0, 0.0],
                               FrameState(np.array([1.0, 0.0]), np.eye(2) * 2.0),
                               T=0.1, dt=0.01, N=2, seed=SEED)
+
+
+def test_bad_start_or_drift_shape_raise_library_errors():
+    chart = get_chart("sphere2")
+    x0 = np.array([1.0, 0.0])
+    fs = FrameState(x0, orthonormal_frame(chart, x0))
+    for start in ([1.0, 0.0, 0.0], np.ones((2, 2))):
+        with pytest.raises(ParameterError, match="x0"):
+            frame_bundle_simulate(chart, start, fs, T=0.1, dt=0.01, N=3, seed=SEED)
+    for width in (1, 3):
+        with pytest.raises(SimulationError, match="drift returned shape"):
+            simulate_manifold_diffusion(chart, lambda t, x: np.zeros((len(x), width)),
+                                        x0, T=0.1, dt=0.01, N=3, seed=SEED)
 
 
 def test_gram_schmidt_restores_orthonormality():

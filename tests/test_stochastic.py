@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from fractoid.errors import ParameterError, SimulationError
+from fractoid.geometry import get_chart
 from fractoid.stochastic import (
+    FrameState,
     ItoProcessSpec,
     PathEnsemble,
     decompose_semimartingale,
     fractal_scaling,
+    frame_bundle_simulate,
     simulate_ito,
+    simulate_manifold_diffusion,
     simulate_stratonovich,
     wiener_increments,
 )
@@ -63,22 +67,33 @@ def test_ito_quadratic_variation_tight():
     assert abs(qv / (0.7**2 * 1.0) - 1.0) < 0.01
 
 
-def test_ito_determinism_across_workers(monkeypatch):
-    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0, dimension=2)
-    monkeypatch.setenv("FRACTOID_THREADS", "1")
-    a = simulate_ito(spec, np.zeros(2), T=0.5, dt=0.01, N=6000, seed=SEED)
-    monkeypatch.setenv("FRACTOID_THREADS", "4")
-    b = simulate_ito(spec, np.zeros(2), T=0.5, dt=0.01, N=6000, seed=SEED)
-    assert np.array_equal(a.paths, b.paths)
-
-
 def test_ito_nonfinite_drift_names_path_and_step():
-    def bad(t, x):
-        return np.where(t > 0.05, np.full_like(x, np.inf), np.zeros_like(x))
+    def drift(fill):
+        return lambda t, x: np.where(t > 0.05, np.full_like(x, fill), np.zeros_like(x))
 
-    spec = ItoProcessSpec(drift=bad, diffusion_const=0.0, dimension=1)
-    with pytest.raises(SimulationError, match="path 0 at step"):
-        simulate_ito(spec, 0.0, T=0.2, dt=0.01, N=2, seed=SEED)
+    spec = ItoProcessSpec(drift=drift(np.inf), diffusion_const=0.0, dimension=1)
+    zero_field = lambda t, x: np.zeros(x.shape + (1,))
+    sphere = get_chart("sphere2")
+    x0 = np.array([1.5, 0.0])
+    runs = {
+        "ito": lambda: simulate_ito(spec, 0.0, T=0.2, dt=0.01, N=2, seed=SEED),
+        "stratonovich": lambda: simulate_stratonovich(
+            drift(np.nan), zero_field, 0.0, T=0.2, dt=0.01, N=2, seed=SEED),
+        # a NaN position is outside the sphere's valid region, but the
+        # failure is the non-finite state, not the boundary
+        "sphere": lambda: simulate_manifold_diffusion(
+            sphere, drift(np.nan), x0, T=0.2, dt=0.01, N=2, seed=SEED),
+        "euclidean": lambda: simulate_manifold_diffusion(
+            get_chart("euclidean:2"), drift(np.nan), np.zeros(2), T=0.2, dt=0.01,
+            N=2, seed=SEED),
+        "frame bundle": lambda: frame_bundle_simulate(
+            sphere, x0, FrameState(x0, np.full((2, 2), np.nan)), T=0.2, dt=0.01,
+            N=2, seed=SEED),
+    }
+    for name, run in runs.items():
+        with pytest.raises(SimulationError, match="path 0 at step") as info:
+            run()
+        assert type(info.value) is SimulationError, name
 
 
 def test_stratonovich_zero_diffusion_matches_ito():
