@@ -1,13 +1,17 @@
 """Bit-exact regression pins for every sampler that draws from counter
-streams.
+streams, and for the chart geometry those samplers run on.
 
 Each case hashes the raw float64 bytes of a small run.  The digests were
 recorded with numpy 2.4 on x86-64 and must not change when the integrators
-are refactored: streams are keyed by (seed, path) or, for Feynman-Kac, by
-(seed, block), and a boundary retry redraws from the path's own stream.
-A numpy upgrade that changes its normal sampler or its vectorised math
-kernels would change them legitimately; `python tests/test_pinned_digests.py`
-with src/ on PYTHONPATH prints the current digests.
+or the chart representation are refactored: streams are keyed by
+(seed, path) or, for Feynman-Kac, by (seed, block), and a boundary retry
+redraws from the path's own stream.  The geometry cases pin Christoffel
+symbols (analytic and finite-difference metric derivatives) and the
+isometric frame transport, whose bits also depend on how the BLAS build
+solves diagonal systems.  A numpy upgrade that changes its normal sampler
+or its vectorised math kernels would change them legitimately;
+`python tests/test_pinned_digests.py` with src/ on PYTHONPATH prints the
+current digests.
 """
 
 import hashlib
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from fractoid import whitenoise as wn
-from fractoid.geometry import get_chart
+from fractoid.geometry import chart_from_json, christoffel_batch, get_chart
 from fractoid.nelson import feynman_kac_semigroup
 from fractoid.stochastic import (
     FrameState,
@@ -27,8 +31,20 @@ from fractoid.stochastic import (
     simulate_manifold_diffusion,
     simulate_stratonovich,
 )
+from fractoid.stochastic.manifold import transport_matrix_isometric
 
 SEED = 2718
+
+# a JSON chart has no analytic metric derivative: finite differences
+CONE = {"name": "cone", "dimension": 2, "signature": [0, 2],
+        "diagonal_entries": ["1", "0.25*x0^2 + 0.1"]}
+
+
+def _points(lo, hi, n=64):
+    """n fixed points, uniform in the box [lo, hi)."""
+    rng = np.random.default_rng(SEED)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return lo + (hi - lo) * rng.random((n, len(lo)))
 
 
 def _ito():
@@ -67,6 +83,33 @@ def _frame_bundle():
     return np.concatenate([fb.base_paths.ravel(), fb.frames.ravel()])
 
 
+def _christoffel():
+    cases = [("polar2", [0.2, -3.0], [4.0, 3.0]),
+             ("hyperbolic2", [0.1, -3.0], [2.5, 3.0]),
+             ("sphere2", [0.1, -3.0], [3.0, 3.0]),
+             ("minkowski:1+3", [-2.0] * 4, [2.0] * 4)]
+    out = [christoffel_batch(get_chart(name), _points(lo, hi)).ravel()
+           for name, lo, hi in cases]
+    out.append(christoffel_batch(chart_from_json(CONE),
+                                 _points([0.2, -3.0], [3.0, 3.0])).ravel())
+    return np.concatenate(out)
+
+
+def _transport():
+    out = []
+    for name, lo, hi in (("sphere2", [0.3, -3.0], [2.8, 3.0]),
+                         ("hyperbolic2", [0.3, -3.0], [2.0, 3.0])):
+        x_from = _points(lo, hi)
+        x_to = x_from + 0.05 * np.random.default_rng(SEED + 1).normal(size=x_from.shape)
+        out.append(transport_matrix_isometric(get_chart(name), x_from, x_to).ravel())
+    return np.concatenate(out)
+
+
+def _manifold_json():
+    return simulate_manifold_diffusion(chart_from_json(CONE), None, [1.0, 0.0],
+                                       T=0.1, dt=0.002, N=100, seed=SEED).paths
+
+
 def _feynman_kac():
     # N > 4096: two blocks, each with its own (seed, block) stream
     est = feynman_kac_semigroup(lambda x: 0.5 * np.sum(x**2, axis=-1),
@@ -88,6 +131,9 @@ CASES = {
     "manifold_sphere_near_pole": _sphere_near_pole,
     "manifold_minkowski": _minkowski,
     "frame_bundle_sphere": _frame_bundle,
+    "christoffel_charts": _christoffel,
+    "transport_isometric": _transport,
+    "manifold_json_chart": _manifold_json,
     "feynman_kac": _feynman_kac,
     "covariance_check": _covariance_check,
 }
@@ -102,6 +148,10 @@ DIGESTS = {
     "frame_bundle_sphere": "0dab543473fda0bac7ee5531aafdb54ffe3470ed3bcca36023f8717a5b7eabc9",
     "feynman_kac": "cbaa4526d24897a58697140399a09ee21bc61d096b48c7cc99e071f0068b5ca4",
     "covariance_check": "395bd1b111d306f38bc5ef7ca6daf58e0b83170635c0dd259c0630790b3d3dff",
+    # recorded before charts carried their metric as a diagonal
+    "christoffel_charts": "b5ab9d6ccc4673b48fbbecd3ef80e757c7e7cd70a603d5e07b5dd04b5158e320",
+    "transport_isometric": "a083a692e1ab5b822d98bb08758bb368612f368a596477b691897c6062ae5054",
+    "manifold_json_chart": "6466fc5d42f00b87a2c96c6b6ab75b33384e55467468c2ccb2ae09c082efc1b6",
 }
 
 
