@@ -137,7 +137,7 @@ class _Recorder:
 def _strip_analytic(chart: MetricChart) -> MetricChart:
     """The same chart with the analytic metric derivative removed, so every
     derivative goes through finite differences (the oracle path)."""
-    return replace(chart, metric_derivative=None)
+    return replace(chart, diag_derivative=None)
 
 
 def divergence_form_laplacian(chart: MetricChart, f, x, h: float = 1e-4) -> float:

@@ -22,9 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import MetricChart, christoffel_batch, ricci_operator
+from .geometry import (
+    MetricChart,
+    christoffel_batch,
+    diag_derivative,
+    laplacian_fd,
+    ricci_operator,
+    richardson_derivative,
+)
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
-from .meanderiv.covariant import chart_is_flat
 from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5
@@ -95,8 +101,7 @@ def energy_functional(chart: MetricChart, curve: PathCurve) -> float:
     """Trapezoid quadrature of int g_ij(x) xdot^i xdot^j dt."""
     pts = chart.require_valid(curve.points)
     v = curve.velocities()
-    g = chart.metric(pts)
-    speed2 = np.einsum("ki,kij,kj->k", v, g, v)
+    speed2 = np.einsum("ki,ki,ki->k", v, chart.diag(pts), v)
     return float(np.trapezoid(speed2, curve.times))
 
 
@@ -152,17 +157,12 @@ def euler_lagrange_residual(chart: MetricChart, curve: PathCurve,
     dt = curve.dt
     m = lagrangian.mass
     v = (pts[2:] - pts[:-2]) / (2.0 * dt)            # nodes 1..K-1
-    g = chart.metric(pts[1:-1])
-    p = m * np.einsum("kij,kj->ki", g, v)            # dL/dxdot at 1..K-1
+    p = m * (chart.diag(pts[1:-1]) * v)              # dL/dxdot at 1..K-1
     dpdt = (p[2:] - p[:-2]) / (2.0 * dt)             # nodes 2..K-2
     inner = pts[2:-2]
     v_in = v[1:-1]
-    if chart.metric_derivative is not None:
-        dg = chart.metric_derivative(inner)
-    else:
-        from .geometry import metric_derivative_fd
-        dg = metric_derivative_fd(chart, inner)
-    dLdx = 0.5 * m * np.einsum("skij,si,sj->sk", dg, v_in, v_in)
+    dg = diag_derivative(chart, inner)               # (s, k, i) = d_k g_ii
+    dLdx = 0.5 * m * np.einsum("ski,si,si->sk", dg, v_in, v_in)
     if lagrangian.potential is not None:
         h = 1e-6
         grad = np.empty_like(inner)
@@ -215,11 +215,10 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart, w,
     flat_vals = fwd.values.reshape(-1, dim)
     flat_se = fwd.se.reshape(-1, dim)
     ok = idx >= 0
-    g = chart.metric(cond.reshape(-1, dim))
-    gdiag = g[:, np.arange(dim), np.arange(dim)]
+    gdiag = chart.diag(cond.reshape(-1, dim))
     vals = np.where(ok[:, None], flat_vals[np.maximum(idx, 0)], np.nan)
     ses = np.where(ok[:, None], flat_se[np.maximum(idx, 0)], np.nan)
-    norm2 = np.einsum("si,sij,sj->s", np.nan_to_num(vals), g, np.nan_to_num(vals))
+    norm2 = np.einsum("si,si,si->s", np.nan_to_num(vals), gdiag, np.nan_to_num(vals))
     # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
     corr = np.sum(gdiag * np.nan_to_num(ses) ** 2, axis=1)
     integrand = np.where(np.isfinite(vals).all(axis=1), norm2 - corr, np.nan)
@@ -238,16 +237,6 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart, w,
     grad = 2.0 * np.abs(np.nan_to_num(fwd.values[mask]))
     var_bins = np.sum((weights[mask, None] * grad * fwd.se[mask]) ** 2) * duration**2
     return est, float(np.sqrt(se_paths**2 + var_bins))
-
-
-def _richardson_grad(f, x, comp, h):
-    """5-point (Richardson) derivative of f along coordinate comp."""
-    def d(step):
-        xp = x.copy(); xp[comp] += step
-        xm = x.copy(); xm[comp] -= step
-        return (f(xp) - f(xm)) / (2.0 * step)
-
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
 @dataclass
@@ -277,7 +266,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     if probe_times is None:
         probe_times = np.linspace(ensemble.times[1], ensemble.times[-2], 3)
 
-    flat = chart_is_flat(chart)
+    flat = chart.is_flat
     worst = 0.0
     for t in probe_times:
         for x in probes:
@@ -285,19 +274,15 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
                 continue
             x = np.asarray(x, dtype=float)
             wx = np.asarray(w(t, x[None]), dtype=float)[0]
-            jac = np.stack([_richardson_grad(lambda p: np.asarray(w(t, p[None]))[0],
-                                             x, a, RESIDUAL_FD_STEP * max(1.0, abs(x[a])))
+            w_t = lambda p: np.asarray(w(t, p[None]))[0]
+            jac = np.stack([richardson_derivative(w_t, x, a,
+                                                  RESIDUAL_FD_STEP * max(1.0, abs(x[a])))
                             for a in range(dim)], axis=-1)
             adv = jac @ wx
-            dt_w = _richardson_grad(lambda tt: np.asarray(w(tt[0], x[None]))[0],
-                                    np.array([t]), 0, RESIDUAL_FD_STEP * max(1.0, abs(t)))
-            lap = np.zeros(dim)
-            for a in range(dim):
-                h = 1e-3 * max(1.0, abs(x[a]))
-                xp = x.copy(); xp[a] += h
-                xm = x.copy(); xm[a] -= h
-                lap += (np.asarray(w(t, xp[None]))[0] - 2.0 * wx
-                        + np.asarray(w(t, xm[None]))[0]) / h**2
+            dt_w = richardson_derivative(lambda tt: np.asarray(w(tt[0], x[None]))[0],
+                                         np.array([t]), 0,
+                                         RESIDUAL_FD_STEP * max(1.0, abs(t)))
+            lap = laplacian_fd(w_t, x, RESIDUAL_FD_STEP)
             ric = np.zeros(dim)
             if not flat:
                 gamma = christoffel_batch(chart, x)

@@ -1,10 +1,11 @@
 """Christoffel symbols, curvature, Laplace-Beltrami, torsion, Leibniz rule.
 
-All derivatives fall back to central finite differences when no analytic
-form is available.  Step sizes follow the package convention: first
-derivatives use h = 1e-5 * max(1, |x_i|), second derivatives
-h = 1e-4 * max(1, |x_i|).  Ricci uses Richardson-extrapolated differences
-of the connection so that its symmetry survives roundoff.
+This is the package's one finite-difference toolkit.  All derivatives fall
+back to central finite differences when no analytic form is available.
+Step sizes follow the package convention: first derivatives use
+h = 1e-5 * max(1, |x_i|), second derivatives h = 1e-4 * max(1, |x_i|).
+Ricci uses Richardson-extrapolated differences of the connection so that
+its symmetry survives roundoff.
 """
 
 from __future__ import annotations
@@ -50,40 +51,40 @@ def _steps(x, scale):
     return scale * np.maximum(1.0, np.abs(x))
 
 
-def metric_derivative_fd(chart: MetricChart, x, step=FD_STEP_FIRST) -> np.ndarray:
-    """d g_ij / d x^k by central differences; shape (..., k, i, j)."""
+def diag_derivative(chart: MetricChart, x) -> np.ndarray:
+    """d g_ii / d x^k with shape (..., k, i): zero on flat charts, the
+    chart's analytic form when it has one, else central differences."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, step)
-    shifted = []
-    for k in range(chart.dimension):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., k] += h[..., k]
-        xm[..., k] -= h[..., k]
-        gp = chart.metric(xp)
-        gm = chart.metric(xm)
-        shifted.append((gp - gm) / (2.0 * h[..., k])[..., None, None])
-    return np.stack(shifted, axis=-3)
+    n = chart.dimension
+    if chart.is_flat:
+        return np.zeros(x.shape[:-1] + (n, n))
+    if chart.diag_derivative is not None:
+        return chart.diag_derivative(x)
+    return np.swapaxes(vector_jacobian_fd(chart.diag, x), -1, -2)
 
 
 def christoffel_batch(chart: MetricChart, x) -> np.ndarray:
-    """Levi-Civita Gamma^k_{ij} for a batch of points; shape (..., k, i, j)."""
+    """Levi-Civita Gamma^k_{ij} for a batch of points; shape (..., k, i, j).
+
+    For a diagonal metric
+    Gamma^k_ij = (1/2) g^kk (delta_jk d_i g_kk + delta_ik d_j g_kk - delta_ij d_k g_ii).
+    """
     x = np.asarray(x, dtype=float)
-    g = chart.metric(x)
-    det = np.linalg.det(g)
-    if np.any(np.abs(det) <= DET_FLOOR):
+    n = chart.dimension
+    if chart.is_flat:
+        return np.zeros(x.shape + (n, n))
+    d = chart.diag(x)
+    if np.any(np.abs(np.prod(d, axis=-1)) <= DET_FLOOR):
         raise SingularMetricError(
             f"metric of chart '{chart.name}' degenerate at a requested point"
         )
-    ginv = np.linalg.inv(g)
-    if chart.metric_derivative is not None:
-        dg = chart.metric_derivative(x)
-    else:
-        dg = metric_derivative_fd(chart, x)
-    # dg[..., k, i, j] = d_k g_ij; build term[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    term = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
-    return gamma
+    dg = diag_derivative(chart, x)              # dg[..., k, i] = d_k g_ii
+    own = np.swapaxes(dg, -1, -2)               # own[..., k, i] = d_i g_kk
+    eye = np.eye(n, dtype=bool)
+    term = (np.where(eye[:, None, :], own[..., :, :, None], 0.0)
+            + np.where(eye[:, :, None], own[..., :, None, :], 0.0)
+            - np.where(eye[None], dg[..., :, :, None], 0.0))
+    return 0.5 * ((1.0 / d)[..., :, None, None] * term)
 
 
 def christoffel(chart: MetricChart, x) -> ConnectionCoefficients:
@@ -106,22 +107,10 @@ def ricci(chart: MetricChart, x) -> np.ndarray:
     of the result near roundoff.
     """
     x = chart.require_valid(x)
-    n = chart.dimension
     h = _steps(x, FD_STEP_SECOND)
-
-    def dgamma(k):
-        def diff(step):
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += step
-            xm[k] -= step
-            return (christoffel_batch(chart, xp) - christoffel_batch(chart, xm)) / (2.0 * step)
-
-        d1 = diff(h[k])
-        d2 = diff(h[k] / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    dG = np.stack([dgamma(k) for k in range(n)])  # dG[m, r, a, b] = d_m Gamma^r_{ab}
+    gamma = levi_civita_field(chart)
+    # dG[m, r, a, b] = d_m Gamma^r_{ab}
+    dG = np.stack([richardson_derivative(gamma, x, m, h[m]) for m in range(chart.dimension)])
     G = christoffel_batch(chart, x)
     # R^r_{s m n} = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
     riemann = (
@@ -136,6 +125,19 @@ def ricci(chart: MetricChart, x) -> np.ndarray:
 def ricci_operator(chart: MetricChart, x) -> np.ndarray:
     """Ricci as a (1,1)-tensor: Ric^i_j = g^{ik} Ric_{kj}."""
     return chart.metric_inverse_at(x) @ ricci(chart, x)
+
+
+def richardson_derivative(f, x, k: int, h: float) -> np.ndarray:
+    """Richardson-extrapolated central difference of f along coordinate k,
+    (4 D(h/2) - D(h)) / 3 with D(s) = (f(x + s e_k) - f(x - s e_k)) / 2s."""
+    def central(step):
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += step
+        xm[k] -= step
+        return (f(xp) - f(xm)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def gradient_fd(f, x, step=FD_STEP_FIRST) -> np.ndarray:
@@ -190,7 +192,11 @@ def laplace_beltrami(chart: MetricChart, f, x) -> float:
 
 
 def vector_jacobian_fd(X, x, step=FD_STEP_FIRST) -> np.ndarray:
-    """J[k, j] = d X^k / d x^j by central differences."""
+    """J[..., k, j] = d X^k / d x^j by central differences.
+
+    x is one point (n,), for which X may have any value shape, or a batch
+    (..., n) for which X returns (..., m).
+    """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     h = _steps(x, step)
@@ -198,10 +204,29 @@ def vector_jacobian_fd(X, x, step=FD_STEP_FIRST) -> np.ndarray:
     for j in range(n):
         xp = x.copy()
         xm = x.copy()
+        xp[..., j] += h[..., j]
+        xm[..., j] -= h[..., j]
+        hj = h[..., j, None] if x.ndim > 1 else h[j]
+        cols.append((np.asarray(X(xp), dtype=float) - np.asarray(X(xm), dtype=float))
+                    / (2.0 * hj))
+    return np.stack(cols, axis=-1)
+
+
+def laplacian_fd(F, x, step=FD_STEP_SECOND) -> np.ndarray:
+    """Componentwise flat Laplacian sum_j d^2 F / dx_j^2 of a vector field
+    at a point, by central second differences."""
+    x = np.asarray(x, dtype=float)
+    h = _steps(x, step)
+    f0 = np.asarray(F(x), dtype=float)
+    out = np.zeros_like(f0)
+    for j in range(x.shape[-1]):
+        xp = x.copy()
+        xm = x.copy()
         xp[j] += h[j]
         xm[j] -= h[j]
-        cols.append((np.asarray(X(xp), dtype=float) - np.asarray(X(xm), dtype=float)) / (2.0 * h[j]))
-    return np.stack(cols, axis=-1)
+        out += (np.asarray(F(xp), dtype=float) - 2.0 * f0
+                + np.asarray(F(xm), dtype=float)) / h[j] ** 2
+    return out
 
 
 def covariant_derivative(connection_field, X, v, x) -> np.ndarray:

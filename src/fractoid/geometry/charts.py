@@ -1,12 +1,22 @@
-"""Coordinate charts with signature-aware metric fields.
+"""Coordinate charts with diagonal, signature-aware metric fields.
 
-A chart packages the metric tensor as a plain function of the coordinate
-point, together with the signature, an optional analytic derivative and a
-validity predicate.  Charts are immutable and safe to share across workers.
+Every chart's metric is diagonal in its coordinates.  A chart carries the
+diagonal as a plain function of the coordinate point, together with the
+signature, an optional analytic derivative of the diagonal, a validity
+predicate and a flatness flag.  Charts are immutable.
 
-Metric callables are vectorized: they accept points of shape ``(..., n)``
-and return ``(..., n, n)`` arrays.  The derivative callable returns
-``(..., n, n, n)`` with ``deriv[..., k, i, j] = d g_ij / d x^k``.
+Callables are vectorized over points of shape ``(..., n)``:
+
+* ``diag(x)`` returns ``(..., n)`` with ``diag[..., i] = g_ii``;
+* ``diag_derivative(x)`` returns ``(..., n, n)`` with
+  ``deriv[..., k, i] = d g_ii / d x^k``.  ``None`` means the derivative is
+  taken by central differences of ``diag``
+  (:func:`fractoid.geometry.calculus.diag_derivative`).
+
+``metric(x)`` builds the dense ``(..., n, n)`` matrix on demand.
+``is_flat`` marks the constant-metric charts, whose connection vanishes
+and whose parallel transport is the identity.  Only the ``euclidean:n`` and
+``minkowski:1+3`` constructors set it; a JSON chart never does.
 
 Registered chart names: ``euclidean:n`` (any n >= 1), ``polar2``,
 ``sphere2``, ``hyperbolic2``, ``minkowski:1+3``.  Custom diagonal metrics
@@ -34,34 +44,44 @@ POLAR_MIN_RADIUS = 1e-3
 HYPERBOLIC_MIN_THETA = 0.05
 
 
+def diag_matrix(d: np.ndarray) -> np.ndarray:
+    """(..., n, n) matrices with the (..., n) entries of d on the diagonal."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 @dataclass(frozen=True)
 class MetricChart:
-    """A single coordinate chart with a metric field.
+    """A single coordinate chart with a diagonal metric field.
 
     signature is the pair (n_minus, n_plus): the count of negative and
-    positive eigenvalues of the metric.  Lorentzian charts use (1, d) with
-    the time coordinate first, i.e. the (-, +, +, +) convention.
+    positive diagonal entries.  Lorentzian charts use (1, d) with the time
+    coordinate first, i.e. the (-, +, +, +) convention.
     """
 
     name: str
     dimension: int
     signature: tuple[int, int]
-    metric: Callable[[np.ndarray], np.ndarray]
-    metric_derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    diag: Callable[[np.ndarray], np.ndarray]
+    diag_derivative: Callable[[np.ndarray], np.ndarray] | None = None
     valid: Callable[[np.ndarray], np.ndarray] = field(default=lambda x: np.ones(np.shape(x)[:-1], dtype=bool))
+    is_flat: bool = False
 
-    def metric_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.metric(x)
+    def metric(self, x) -> np.ndarray:
+        """The dense metric g_ij at points of shape (..., n)."""
+        return diag_matrix(self.diag(np.asarray(x, dtype=float)))
+
+    metric_at = metric
 
     def metric_inverse_at(self, x) -> np.ndarray:
-        g = self.metric_at(x)
-        det = np.linalg.det(g)
-        if np.any(np.abs(det) <= DET_FLOOR):
+        d = self.diag(np.asarray(x, dtype=float))
+        if np.any(np.abs(np.prod(d, axis=-1)) <= DET_FLOOR):
             raise SingularMetricError(
                 f"metric of chart '{self.name}' is degenerate (|det| <= {DET_FLOOR:g})"
             )
-        return np.linalg.inv(g)
+        return diag_matrix(1.0 / d)
 
     def is_valid(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -85,118 +105,54 @@ class MetricChart:
         return np.diag(np.concatenate([-np.ones(p), np.ones(q)]))
 
 
-def _diag_metric(diag_fn):
-    def metric(x):
-        d = diag_fn(x)
-        out = np.zeros(d.shape + (d.shape[-1],))
-        idx = np.arange(d.shape[-1])
-        out[..., idx, idx] = d
+def _flat(name: str, entries: list[float]) -> MetricChart:
+    """A constant diagonal metric; negative entries lead."""
+    d = np.asarray(entries, dtype=float)
+    n = len(d)
+    n_minus = int(np.sum(d < 0))
+    return MetricChart(
+        name=name,
+        dimension=n,
+        signature=(n_minus, n - n_minus),
+        diag=lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (n,)).copy(),
+        is_flat=True,
+    )
+
+
+def _warped2(name: str, warp, warp_derivative, valid) -> MetricChart:
+    """Coordinates (u, phi) with g = diag(1, warp(u)); warp_derivative is
+    d warp / du."""
+    def diag(x):
+        u = x[..., 0]
+        return np.stack([np.ones_like(u), warp(u)], axis=-1)
+
+    def deriv(x):
+        out = np.zeros(np.shape(x)[:-1] + (2, 2))
+        out[..., 0, 1] = warp_derivative(x[..., 0])
         return out
 
-    return metric
-
-
-def _euclidean(n: int) -> MetricChart:
-    eye = np.eye(n)
-
-    def metric(x):
-        return np.broadcast_to(eye, np.shape(x)[:-1] + (n, n)).copy()
-
-    def deriv(x):
-        return np.zeros(np.shape(x)[:-1] + (n, n, n))
-
-    return MetricChart(
-        name=f"euclidean:{n}",
-        dimension=n,
-        signature=(0, n),
-        metric=metric,
-        metric_derivative=deriv,
-    )
-
-
-def _minkowski13() -> MetricChart:
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-    def metric(x):
-        return np.broadcast_to(eta, np.shape(x)[:-1] + (4, 4)).copy()
-
-    def deriv(x):
-        return np.zeros(np.shape(x)[:-1] + (4, 4, 4))
-
-    return MetricChart(
-        name="minkowski:1+3",
-        dimension=4,
-        signature=(1, 3),
-        metric=metric,
-        metric_derivative=deriv,
-    )
+    return MetricChart(name=name, dimension=2, signature=(0, 2), diag=diag,
+                       diag_derivative=deriv, valid=valid)
 
 
 def _polar2() -> MetricChart:
     # coordinates (r, phi); g = diag(1, r^2)
-    def diag(x):
-        r = x[..., 0]
-        return np.stack([np.ones_like(r), r**2], axis=-1)
-
-    def deriv(x):
-        r = x[..., 0]
-        out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = 2.0 * r
-        return out
-
-    return MetricChart(
-        name="polar2",
-        dimension=2,
-        signature=(0, 2),
-        metric=_diag_metric(diag),
-        metric_derivative=deriv,
-        valid=lambda x: x[..., 0] >= POLAR_MIN_RADIUS,
-    )
+    return _warped2("polar2", lambda r: r**2, lambda r: 2.0 * r,
+                    lambda x: x[..., 0] >= POLAR_MIN_RADIUS)
 
 
 def _sphere2() -> MetricChart:
     # coordinates (theta, phi) on the unit sphere; g = diag(1, sin^2 theta)
-    def diag(x):
-        th = x[..., 0]
-        return np.stack([np.ones_like(th), np.sin(th) ** 2], axis=-1)
-
-    def deriv(x):
-        th = x[..., 0]
-        out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = np.sin(2.0 * th)
-        return out
-
-    return MetricChart(
-        name="sphere2",
-        dimension=2,
-        signature=(0, 2),
-        metric=_diag_metric(diag),
-        metric_derivative=deriv,
-        valid=lambda x: (x[..., 0] >= SPHERE_POLE_MARGIN)
-        & (x[..., 0] <= math.pi - SPHERE_POLE_MARGIN),
-    )
+    return _warped2("sphere2", lambda th: np.sin(th) ** 2, lambda th: np.sin(2.0 * th),
+                    lambda x: (x[..., 0] >= SPHERE_POLE_MARGIN)
+                    & (x[..., 0] <= math.pi - SPHERE_POLE_MARGIN))
 
 
 def _hyperbolic2() -> MetricChart:
     # coordinates (theta, phi); g = diag(1, sinh^2 theta)
-    def diag(x):
-        th = x[..., 0]
-        return np.stack([np.ones_like(th), np.sinh(th) ** 2], axis=-1)
-
-    def deriv(x):
-        th = x[..., 0]
-        out = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = np.sinh(2.0 * th)
-        return out
-
-    return MetricChart(
-        name="hyperbolic2",
-        dimension=2,
-        signature=(0, 2),
-        metric=_diag_metric(diag),
-        metric_derivative=deriv,
-        valid=lambda x: x[..., 0] >= HYPERBOLIC_MIN_THETA,
-    )
+    return _warped2("hyperbolic2", lambda th: np.sinh(th) ** 2,
+                    lambda th: np.sinh(2.0 * th),
+                    lambda x: x[..., 0] >= HYPERBOLIC_MIN_THETA)
 
 
 _CUSTOM: dict[str, MetricChart] = {}
@@ -221,7 +177,7 @@ def get_chart(name: str) -> MetricChart:
     if name == "hyperbolic2":
         return _hyperbolic2()
     if name == "minkowski:1+3":
-        return _minkowski13()
+        return _flat("minkowski:1+3", [-1.0, 1.0, 1.0, 1.0])
     if name.startswith("euclidean:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -229,7 +185,7 @@ def get_chart(name: str) -> MetricChart:
             raise ConfigError(f"bad euclidean chart name '{name}'") from None
         if n < 1:
             raise ConfigError(f"euclidean dimension must be >= 1, got {n}")
-        return _euclidean(n)
+        return _flat(f"euclidean:{n}", [1.0] * n)
     raise ConfigError(
         f"unknown chart '{name}'; available: {', '.join(available_charts())}"
     )
@@ -324,9 +280,4 @@ def chart_from_json(spec) -> MetricChart:
     def diag(x):
         return np.stack([f(x) for f in fns], axis=-1)
 
-    return MetricChart(
-        name=str(spec["name"]),
-        dimension=n,
-        signature=sig,
-        metric=_diag_metric(diag),
-    )
+    return MetricChart(name=str(spec["name"]), dimension=n, signature=sig, diag=diag)

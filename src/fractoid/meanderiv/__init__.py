@@ -6,7 +6,7 @@ from .acceleration import (
     mean_acceleration,
     ricci_correction,
 )
-from .covariant import CovariantMeanDerivative, chart_is_flat, covariant_mean_derivative
+from .covariant import CovariantMeanDerivative, covariant_mean_derivative
 from .estimators import (
     BinnedMatrixField,
     BinnedVectorField,
@@ -30,7 +30,6 @@ __all__ = [
     "EstimatorConfig",
     "MeanDerivativeField",
     "acceleration_decomposed",
-    "chart_is_flat",
     "covariant_mean_derivative",
     "estimate_backward",
     "estimate_forward",

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..geometry import MetricChart, christoffel_batch, ricci_operator
+from ..geometry.charts import diag_matrix
 from .estimators import EstimatorConfig, MeanDerivativeField
 
 
@@ -200,9 +201,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
     w1, w2 = field.current, field.osmotic
     centers = _centers_mesh(cfg)
     region = np.broadcast_to(chart.is_valid(centers), cfg.shape[1:])
-    flat = chart.metric_derivative is not None and \
-        float(np.max(np.abs(chart.metric_derivative(centers[region])))) == 0.0 \
-        if np.any(region) else True
+    flat = chart.is_flat
 
     gamma = None
     ginv = None
@@ -213,7 +212,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
         ginv = np.full(pts.shape[:1] + (cfg.dimension,) * 2, np.nan)
         if np.any(inside):
             gamma[inside] = christoffel_batch(chart, pts[inside])
-            ginv[inside] = np.linalg.inv(chart.metric(pts[inside]))
+            ginv[inside] = diag_matrix(1.0 / chart.diag(pts[inside]))
         gamma = np.broadcast_to(gamma.reshape(cfg.shape[1:] + (cfg.dimension,) * 3),
                                 cfg.shape + (cfg.dimension,) * 3)
         ginv = np.broadcast_to(ginv.reshape(cfg.shape[1:] + (cfg.dimension,) * 2),

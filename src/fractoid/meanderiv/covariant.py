@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..geometry import MetricChart, christoffel_batch
+from ..geometry import MetricChart, christoffel_batch, laplacian_fd, vector_jacobian_fd
+from ..geometry.calculus import FD_STEP_FIRST, FD_STEP_SECOND
 from ..stochastic import PathEnsemble
 from ..stochastic.manifold import transport_steps
 from .estimators import (
@@ -30,15 +31,6 @@ from .estimators import (
     estimate_backward,
     estimate_forward,
 )
-
-FD_STEP = 1e-5
-FD_STEP2 = 1e-4
-
-
-def chart_is_flat(chart: MetricChart) -> bool:
-    """Constant-metric charts where parallel transport is the identity."""
-    return chart.name.startswith("euclidean:") or chart.name == "minkowski:1+3"
-
 
 @dataclass
 class CovariantMeanDerivative:
@@ -52,41 +44,20 @@ def _eval_field(X, t, pts) -> np.ndarray:
     return np.asarray(X(t, pts), dtype=float)
 
 
-def _field_time_derivative(X, t, x, dt=FD_STEP):
+def _field_time_derivative(X, t, x, dt=FD_STEP_FIRST):
     xp = _eval_field(X, t + dt, x[None])[0]
     xm = _eval_field(X, t - dt, x[None])[0]
     return (xp - xm) / (2.0 * dt)
 
 
-def _field_jacobian(X, t, x):
-    """jac[k, j] = d X^k / d x^j by central differences."""
-    n = x.shape[-1]
-    cols = []
-    for j in range(n):
-        h = FD_STEP * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        cols.append((_eval_field(X, t, xp[None])[0]
-                     - _eval_field(X, t, xm[None])[0]) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
-def _field_flat_laplacian(X, t, x):
-    n = x.shape[-1]
-    out = np.zeros(n)
-    f0 = _eval_field(X, t, x[None])[0]
-    for j in range(n):
-        h = FD_STEP2 * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        out += (_eval_field(X, t, xp[None])[0] - 2.0 * f0
-                + _eval_field(X, t, xm[None])[0]) / h**2
-    return out
+def _at(X, t):
+    """X(t, .) as a function of one point."""
+    return lambda p: _eval_field(X, t, p[None])[0]
 
 
 def _covariant_jacobian(chart, X, t, p):
     """V[k, b] = (nabla_b X)^k = d_b X^k + Gamma^k_{cb} X^c at a point."""
-    jac = _field_jacobian(X, t, p)
+    jac = vector_jacobian_fd(_at(X, t), p)
     gam = christoffel_batch(chart, p)
     return jac + np.einsum("kcb,c->kb", gam, _eval_field(X, t, p[None])[0])
 
@@ -97,15 +68,12 @@ def _rough_laplacian_point(chart: MetricChart, X, t: float, x: np.ndarray) -> np
     ginv = chart.metric_inverse_at(x)
     gam = christoffel_batch(chart, x)
     V0 = _covariant_jacobian(chart, X, t, x)
+    # dV[k, b, a] = d_a V[k, b]
+    dV = vector_jacobian_fd(lambda p: _covariant_jacobian(chart, X, t, p), x, FD_STEP_SECOND)
     out = np.zeros(n)
     for a in range(n):
-        h = FD_STEP2 * max(1.0, abs(x[a]))
-        xp = x.copy(); xp[a] += h
-        xm = x.copy(); xm[a] -= h
-        dV = (_covariant_jacobian(chart, X, t, xp)
-              - _covariant_jacobian(chart, X, t, xm)) / (2.0 * h)
         for b in range(n):
-            out += ginv[a, b] * (dV[:, b] - V0 @ gam[:, a, b] + gam[:, a, :] @ V0[:, b])
+            out += ginv[a, b] * (dV[:, b, a] - V0 @ gam[:, a, b] + gam[:, a, :] @ V0[:, b])
     return out
 
 
@@ -127,7 +95,7 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     paths = ensemble.paths
     times = ensemble.times
     n, dim = ensemble.n_paths, ensemble.dimension
-    flat = chart_is_flat(chart)
+    flat = chart.is_flat
 
     if direction == "forward":
         cond = paths[:, :-lag, :]
@@ -192,9 +160,9 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
             continue
         t = float(config.t_centers[idx[0]])
         beta = drift.values[idx]
-        adv = _field_jacobian(X, t, x) @ beta
+        adv = vector_jacobian_fd(_at(X, t), x) @ beta
         if flat:
-            lap = _field_flat_laplacian(X, t, x)
+            lap = laplacian_fd(_at(X, t), x)
         else:
             gam = christoffel_batch(chart, x)
             adv = adv + np.einsum("kij,i,j->k", gam, _eval_field(X, t, x[None])[0], beta)

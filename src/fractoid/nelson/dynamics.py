@@ -14,7 +14,6 @@ from ..meanderiv import (
     quadratic_variation_matrix,
     ricci_correction,
 )
-from ..meanderiv.covariant import chart_is_flat
 from ..stochastic import PathEnsemble
 
 RELATIVE_FLOOR = 1e-8
@@ -50,7 +49,7 @@ def newton_nelson_residual(ensemble: PathEnsemble, force, mass: float,
     field = estimate_velocity_fields(ensemble, config)
     accel = mean_acceleration(field, epsilon)
     mask = accel.mask
-    if include_ricci and not chart_is_flat(chart):
+    if include_ricci and not chart.is_flat:
         ric_term = ricci_correction(chart, field, hbar_over_m=epsilon**2)
     else:
         ric_term = np.zeros_like(field.osmotic)
@@ -111,7 +110,7 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
         return QuadraticVariationLaw(False, "deterministic ensemble (epsilon = 0)",
                                      qv.values, target, qv.se, qv.count)
 
-    if chart is None or chart_is_flat(chart):
+    if chart is None or chart.is_flat:
         target = np.broadcast_to(hbar_over_m * np.eye(dim), qv.values.shape).copy()
         diag = np.arange(dim)
         vals = qv.values[mask]

@@ -109,6 +109,14 @@ class Integrator:
                     j += 1
         return np.array(report) * self.dt, out
 
+    def check_finite(self, values: np.ndarray, what: str = "state") -> None:
+        """Raise SimulationError naming the first path of the block whose
+        (B, ...) values in the current step are not all finite."""
+        bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=-1)
+        if np.any(bad):
+            raise SimulationError(f"{self.name} produced non-finite {what} on path "
+                                  f"{self._lo + int(np.argmax(bad))} at step {self._k + 1}")
+
     def accept(self, cand: np.ndarray, redraw=None) -> np.ndarray:
         """Check the current step's candidate positions; return them accepted.
 
@@ -118,11 +126,8 @@ class Integrator:
         its candidate; past MAX_BOUNDARY_RETRIES rounds a BoundaryError
         names the path.
         """
+        self.check_finite(cand)
         step = self._k + 1
-        bad = ~np.isfinite(cand).all(axis=-1)
-        if np.any(bad):
-            raise SimulationError(f"{self.name} produced non-finite state on path "
-                                  f"{self._lo + int(np.argmax(bad))} at step {step}")
         if self.chart is None:
             return cand
         bad = ~np.asarray(self.chart.is_valid(cand), dtype=bool)

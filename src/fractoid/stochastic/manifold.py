@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InstabilityError, ParameterError
-from ..geometry import MetricChart, christoffel_batch, gradient_fd, laplace_beltrami
+from ..geometry import (
+    MetricChart,
+    christoffel_batch,
+    diag_derivative,
+    gradient_fd,
+    laplace_beltrami,
+)
+from ..geometry.charts import diag_matrix
 from .ensemble import PathEnsemble
 from .integrator import Integrator, initial_points
 
@@ -56,67 +63,29 @@ class FrameBundleEnsemble:
         return float(np.max(np.abs(gram - eta)))
 
 
-def _is_diagonal(g: np.ndarray) -> bool:
-    off = g - g * np.eye(g.shape[-1])
-    return bool(np.max(np.abs(off)) == 0.0)
-
-
-def _inverse(g: np.ndarray) -> np.ndarray:
-    if _is_diagonal(g):
-        out = np.zeros_like(g)
-        idx = np.arange(g.shape[-1])
-        out[..., idx, idx] = 1.0 / g[..., idx, idx]
-        return out
-    return np.linalg.inv(g)
+def _frame_diag(chart: MetricChart, x) -> np.ndarray:
+    """|g_ii|^{-1/2}, the diagonal of the orthonormal frame at x."""
+    return 1.0 / np.sqrt(np.abs(chart.diag(np.asarray(x, dtype=float))))
 
 
 def orthonormal_frame(chart: MetricChart, x) -> np.ndarray:
-    """Symmetric square root of g^{-1}: columns form a g-orthonormal frame.
-
-    For indefinite signatures the eigenvalue magnitudes are used, which
-    reproduces the signature matrix exactly on diagonal metrics.
-    """
-    g = chart.metric(np.asarray(x, dtype=float))
-    idx = np.arange(g.shape[-1])
-    if _is_diagonal(g):
-        out = np.zeros_like(g)
-        out[..., idx, idx] = 1.0 / np.sqrt(np.abs(g[..., idx, idx]))
-        return out
-    vals, vecs = np.linalg.eigh(g)
-    inv_sqrt = 1.0 / np.sqrt(np.abs(vals))
-    return np.einsum("...ij,...j,...kj->...ik", vecs, inv_sqrt, vecs)
-
-
-def _geometric_drift(chart: MetricChart, x: np.ndarray, epsilon: float) -> np.ndarray:
-    """-(eps^2/2) g^{ij} Gamma^k_{ij} evaluated on a batch of points."""
-    gamma = christoffel_batch(chart, x)
-    ginv = _inverse(chart.metric(x))
-    return -0.5 * epsilon**2 * np.einsum("...kij,...ij->...k", gamma, ginv)
+    """diag(|g_ii|^{-1/2}): columns form a g-orthonormal frame, which
+    reproduces the signature matrix exactly."""
+    return diag_matrix(_frame_diag(chart, x))
 
 
 def _step_fields(chart: MetricChart, x: np.ndarray, epsilon: float):
-    """Geometric drift and scaled frame for one integrator step.
-
-    Diagonal metrics (all registered charts) take an elementwise fast path;
-    anything else falls back to the generic batched tensor algebra.
-    """
-    g = chart.metric(x)
-    n = g.shape[-1]
-    idx = np.arange(n)
-    if chart.metric_derivative is not None and _is_diagonal(g):
-        dg = chart.metric_derivative(x)
-        gd = g[..., idx, idx]
-        ginv_d = 1.0 / gd
-        dgd = dg[..., :, idx, idx]                      # (..., k, i) = d_k g_ii
-        own = dgd[..., idx, idx]                        # d_k g_kk
-        trace = np.einsum("...i,...ki->...k", ginv_d, dgd)
-        contraction = 0.5 * ginv_d * (2.0 * ginv_d * own - trace)
-        drift = -0.5 * epsilon**2 * contraction
-        frame = np.zeros_like(g)
-        frame[..., idx, idx] = epsilon / np.sqrt(np.abs(gd))
-        return drift, frame
-    drift = _geometric_drift(chart, x, epsilon)
-    return drift, epsilon * orthonormal_frame(chart, x)
+    """Geometric drift -(eps^2/2) g^{ij} Gamma^k_{ij} and the scaled frame
+    eps g^{-1/2} for one integrator step, elementwise on the diagonal."""
+    gd = chart.diag(x)
+    dgd = diag_derivative(chart, x)                     # (..., k, i) = d_k g_ii
+    idx = np.arange(gd.shape[-1])
+    ginv_d = 1.0 / gd
+    own = dgd[..., idx, idx]                            # d_k g_kk
+    trace = np.einsum("...i,...ki->...k", ginv_d, dgd)
+    contraction = 0.5 * ginv_d * (2.0 * ginv_d * own - trace)
+    drift = -0.5 * epsilon**2 * contraction
+    return drift, diag_matrix(epsilon / np.sqrt(np.abs(gd)))
 
 
 def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
@@ -191,25 +160,31 @@ def transport_steps(chart: MetricChart, x_from: np.ndarray, x_to: np.ndarray,
 
 
 def transport_matrix_isometric(chart: MetricChart, x_from: np.ndarray,
-                               x_to: np.ndarray) -> np.ndarray:
+                               x_to: np.ndarray, check=None) -> np.ndarray:
     """Batched transport matrices that preserve g-norms exactly.
 
     The midpoint map is conjugated into the orthonormal gauge and polar-
     projected onto the nearest rotation, so P^T g(x_to) P = g(x_from) holds
     to machine precision while the transport itself stays second order.
     Riemannian signatures only (the rotation projection is Euclidean).
+
+    The gauge is the diagonal frame s = |g_ii|^{-1/2}, so conjugating by it
+    scales rows and columns.  Its inverse multiplies by the reciprocals
+    1/s, which reproduces LAPACK's diagonal solves bit for bit.  check, if
+    given, sees the (B, n, n) gauge matrices before the projection.
     """
     mids = 0.5 * (x_from + x_to)
     gammas = christoffel_batch(chart, mids)
     A = np.einsum("...kij,...j->...ki", gammas, x_to - x_from)
     eye = np.eye(chart.dimension)
     T = np.linalg.solve(eye + 0.5 * A, eye - 0.5 * A)
-    y_from = orthonormal_frame(chart, x_from)
-    y_to = orthonormal_frame(chart, x_to)
-    M = np.linalg.solve(y_to, T @ y_from)
+    s_from = _frame_diag(chart, x_from)
+    s_to = _frame_diag(chart, x_to)
+    M = (1.0 / s_to)[..., :, None] * (T * s_from[..., None, :])
+    if check is not None:
+        check(M)
     u, _, vt = np.linalg.svd(M)
-    rot = u @ vt
-    return y_to @ rot @ np.linalg.inv(y_from)
+    return (s_to[..., :, None] * (u @ vt)) * (1.0 / s_from)[..., None, :]
 
 
 def gram_schmidt(chart: MetricChart, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -245,12 +220,16 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
     suggestion to reduce dt.
     """
     defect = frame0.orthonormality_defect(chart)
-    if defect > FRAME_TOL:
+    if not defect <= FRAME_TOL:  # a NaN defect fails too
         raise ParameterError(f"frame0 is not g-orthonormal (defect {defect:.2e})")
     n = chart.dimension
     starts = initial_points(x0, N, n, chart)
     eta = chart.signature_matrix()
     core = Integrator("frame-bundle-heun", T, dt, seed, n_noise=n, chart=chart)
+
+    def transport(x_from, x_to):
+        return transport_matrix_isometric(
+            chart, x_from, x_to, check=lambda M: core.check_finite(M, "transport"))
 
     def frame_heun(k, dW, x, e):
         # Heun step for dx = e o dW: predict, transport, correct.
@@ -261,11 +240,11 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
             return x[p] + dx0[p]
 
         pred = core.accept(x + dx0, redraw)
-        e_pred = transport_matrix_isometric(chart, x, pred) @ e
+        e_pred = transport(x, pred) @ e
         x_new = x + 0.5 * (dx0 + np.einsum("bij,bj->bi", e_pred, dW))
         invalid = ~np.asarray(chart.is_valid(x_new), dtype=bool)
         x_new[invalid] = pred[invalid]  # fall back to the predictor point
-        return x_new, transport_matrix_isometric(chart, x, x_new) @ e
+        return x_new, transport(x, x_new) @ e
 
     def renormalize(x, e):
         gram = np.einsum("bji,bjk,bkl->bil", e, chart.metric(x), e)

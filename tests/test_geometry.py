@@ -57,6 +57,21 @@ def test_registry_names():
         assert sum(chart.signature) == dim
 
 
+def test_only_constant_metric_charts_are_flat():
+    flat = {"euclidean:1": True, "euclidean:3": True, "minkowski:1+3": True,
+            "polar2": False, "sphere2": False, "hyperbolic2": False}
+    for name, expected in flat.items():
+        chart = get_chart(name)
+        assert chart.is_flat is expected, name
+        gamma = christoffel_batch(chart, np.full(chart.dimension, 0.7))
+        assert bool(np.max(np.abs(gamma)) == 0.0) is expected, name
+    # a constant JSON metric is not declared flat; its connection is still zero
+    const = chart_from_json({"name": "euclidean:2", "dimension": 2, "signature": [0, 2],
+                             "diagonal_entries": ["1", "1"]})
+    assert not const.is_flat
+    assert np.max(np.abs(christoffel_batch(const, np.array([0.3, 0.2])))) == 0.0
+
+
 def test_unknown_chart_lists_alternatives():
     with pytest.raises(ConfigError, match="sphere2"):
         get_chart("sphere3")
@@ -136,7 +151,7 @@ def test_christoffel_analytic_vs_fd_paths():
     from dataclasses import replace
     for name in ("polar2", "sphere2", "hyperbolic2"):
         chart = get_chart(name)
-        stripped = replace(chart, metric_derivative=None)
+        stripped = replace(chart, diag_derivative=None)
         for x in ([0.8, 0.4], [1.7, 2.0]):
             a = christoffel_batch(chart, np.asarray(x))
             b = christoffel_batch(stripped, np.asarray(x))

@@ -158,6 +158,15 @@ def test_frame_bundle_rejects_bad_frame():
                               T=0.1, dt=0.01, N=2, seed=SEED)
 
 
+def test_frame_bundle_rejects_nan_frame():
+    # a NaN defect compares false against any tolerance; it must still fail
+    chart = get_chart("sphere2")
+    x0 = np.array([1.0, 0.0])
+    with pytest.raises(ParameterError, match="frame0"):
+        frame_bundle_simulate(chart, x0, FrameState(x0, np.full((2, 2), np.nan)),
+                              T=0.1, dt=0.01, N=2, seed=SEED)
+
+
 def test_bad_start_or_drift_shape_raise_library_errors():
     chart = get_chart("sphere2")
     x0 = np.array([1.0, 0.0])

@@ -311,6 +311,24 @@ def test_acceleration_decomposed_linear_field_exact():
     assert np.allclose(a2.values[m][:, 0], expect, atol=1e-12)
 
 
+def test_acceleration_decomposed_outside_chart_fully_masked():
+    # every bin center lies below the sphere's pole margin: no bin may take
+    # the flat formula and report a value
+    from fractoid.meanderiv.estimators import MeanDerivativeField
+    cfg = EstimatorConfig.regular((0.0, 1.0), 1, [(0.0, 0.04), (0.0, 1.0)], [6, 5],
+                                  dim=2, min_count=2)
+    xc = cfg.x_centers[0][None, :, None, None]
+    shape = cfg.shape + (2,)
+    w2 = np.broadcast_to(-0.5 * xc, shape).copy()
+    zeros = np.zeros(shape)
+    fld = MeanDerivativeField(cfg, zeros, zeros, zeros, zeros, zeros.copy(),
+                              w2, zeros, np.full(cfg.shape, 10))
+    with pytest.warns(UserWarning, match="excluded"):
+        acc = acceleration_decomposed(fld, get_chart("sphere2"), epsilon=1.0)
+    assert not np.any(acc.mask)
+    assert np.all(np.isnan(acc.values))
+
+
 def test_isolated_bins_excluded_with_warning(ou_ensemble):
     fld = estimate_velocity_fields(ou_ensemble, _flat_cfg(n_x=8, min_count=500))
     with pytest.warns(UserWarning, match="excluded"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractoid.errors import ParameterError, SimulationError
-from fractoid.geometry import get_chart
+from fractoid.geometry import MetricChart, get_chart
 from fractoid.stochastic import (
     FrameState,
     ItoProcessSpec,
@@ -75,6 +75,14 @@ def test_ito_nonfinite_drift_names_path_and_step():
     zero_field = lambda t, x: np.zeros(x.shape + (1,))
     sphere = get_chart("sphere2")
     x0 = np.array([1.5, 0.0])
+
+    def nan_derivative(x):
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[x[..., 0] > 0.05] = np.nan
+        return out
+
+    nan_connection = MetricChart("nan-connection", 2, (0, 2), diag=np.ones_like,
+                                 diag_derivative=nan_derivative)
     runs = {
         "ito": lambda: simulate_ito(spec, 0.0, T=0.2, dt=0.01, N=2, seed=SEED),
         "stratonovich": lambda: simulate_stratonovich(
@@ -86,9 +94,11 @@ def test_ito_nonfinite_drift_names_path_and_step():
         "euclidean": lambda: simulate_manifold_diffusion(
             get_chart("euclidean:2"), drift(np.nan), np.zeros(2), T=0.2, dt=0.01,
             N=2, seed=SEED),
+        # the connection turns NaN once the path crosses x0 = 0.05; the
+        # transport must fail as a SimulationError before the SVD sees it
         "frame bundle": lambda: frame_bundle_simulate(
-            sphere, x0, FrameState(x0, np.full((2, 2), np.nan)), T=0.2, dt=0.01,
-            N=2, seed=SEED),
+            nan_connection, np.zeros(2), FrameState(np.zeros(2), np.eye(2)), T=0.5,
+            dt=0.01, N=1, seed=SEED),
     }
     for name, run in runs.items():
         with pytest.raises(SimulationError, match="path 0 at step") as info:
