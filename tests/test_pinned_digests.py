@@ -1,5 +1,6 @@
 """Bit-exact regression pins for every sampler that draws from counter
-streams, and for the chart geometry those samplers run on.
+streams, for the chart geometry those samplers run on, and for the bin
+estimators that condition on the sampled paths.
 
 Each case hashes the raw float64 bytes of a small run.  The digests were
 recorded with numpy 2.4 on x86-64 and must not change when the integrators
@@ -8,7 +9,10 @@ or the chart representation are refactored: streams are keyed by
 redraws from the path's own stream.  The geometry cases pin Christoffel
 symbols (analytic and finite-difference metric derivatives) and the
 isometric frame transport, whose bits also depend on how the BLAS build
-solves diagonal systems.  A numpy upgrade that changes its normal sampler
+solves diagonal systems.  Each estimator case pins its per-bin counts,
+values and conditioning means in one digest and its standard errors in a
+second, so a change to the variance reduction alone shows in the latter.
+A numpy upgrade that changes its normal sampler
 or its vectorised math kernels would change them legitimately;
 `python tests/test_pinned_digests.py` with src/ on PYTHONPATH prints the
 current digests.
@@ -20,12 +24,21 @@ import numpy as np
 import pytest
 
 from fractoid import whitenoise as wn
+from fractoid.geodesic import stochastic_energy
 from fractoid.geometry import chart_from_json, christoffel_batch, get_chart
+from fractoid.meanderiv import (
+    EstimatorConfig,
+    covariant_mean_derivative,
+    estimate_velocity_fields,
+    quadratic_variation_matrix,
+    relativistic_mean_derivatives,
+)
 from fractoid.nelson import feynman_kac_semigroup
 from fractoid.stochastic import (
     FrameState,
     ItoProcessSpec,
     frame_bundle_simulate,
+    make_stream,
     orthonormal_frame,
     simulate_ito,
     simulate_manifold_diffusion,
@@ -125,6 +138,120 @@ def _covariance_check():
     return np.array(wn.covariance_check(lat, bump, box, 300, SEED))
 
 
+# --- estimators: each case returns (count + values + cond_mean, se) ---------
+
+def _bins(*arrays):
+    """Raveled float64 concatenation with every NaN made the same NaN, so
+    the digest does not depend on how an empty bin's NaN was produced."""
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+    return np.where(np.isnan(flat), np.nan, flat)
+
+
+_ENSEMBLES = {}
+
+
+def _ensemble(name):
+    if name not in _ENSEMBLES:
+        if name == "ou":
+            spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0,
+                                  dimension=1)
+            x0 = make_stream(SEED, 1 << 32).normal(0.0, np.sqrt(0.5), (3000, 1))
+            ens = simulate_ito(spec, x0, T=0.4, dt=0.01, N=3000, seed=SEED)
+        elif name == "ou2":
+            spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.7,
+                                  dimension=2)
+            x0 = make_stream(SEED, 1 << 32).normal(0.0, 0.5, (2000, 2))
+            ens = simulate_ito(spec, x0, T=0.2, dt=0.01, N=2000, seed=SEED)
+        elif name == "minkowski":
+            # coarse steps so both causal classes are populated
+            ens = simulate_manifold_diffusion(get_chart("minkowski:1+3"), None,
+                                              np.zeros(4), T=4.0, dt=0.5, N=800,
+                                              seed=SEED)
+        else:
+            ens = simulate_manifold_diffusion(get_chart("sphere2"), None, [1.35, 0.0],
+                                              T=0.1, dt=0.005, N=600, seed=SEED)
+        _ENSEMBLES[name] = ens
+    return _ENSEMBLES[name]
+
+
+def _ou_cfg(lag=1):
+    return EstimatorConfig.regular((0.0, 0.4), 4, (-1.5, 1.5), 6, min_count=20,
+                                   lag=lag)
+
+
+def _sphere_cfg(lag=1):
+    return EstimatorConfig.regular((0.0, 0.1), 2, [(1.25, 1.45), (-0.3, 0.3)],
+                                   [2, 1], dim=2, min_count=20, lag=lag)
+
+
+def _binned(f):
+    return _bins(f.count, f.values, f.cond_mean), _bins(f.se)
+
+
+def _velocity(lag):
+    f = estimate_velocity_fields(_ensemble("ou"), _ou_cfg(lag))
+    return (_bins(f.count, f.forward, f.backward, f.current, f.osmotic, f.cond_mean),
+            _bins(f.forward_se, f.backward_se, f.velocity_se))
+
+
+def _quadratic_variation():
+    cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-1.0, 1.0), 3, dim=2, min_count=20)
+    parts = [_binned(quadratic_variation_matrix(_ensemble("ou2"), cfg, direction=d))
+             for d in ("forward", "backward")]
+    return _bins(*(p[0] for p in parts)), _bins(*(p[1] for p in parts))
+
+
+def _relativistic():
+    cfg = EstimatorConfig(time_edges=[0.0, 2.0, 4.0],
+                          space_edges=(np.linspace(0.0, 4.0, 3),
+                                       *[np.linspace(-4.0, 4.0, 2)] * 3),
+                          min_count=10)
+    parts = [_binned(f) for f in relativistic_mean_derivatives(_ensemble("minkowski"), cfg)]
+    return _bins(*(p[0] for p in parts)), _bins(*(p[1] for p in parts))
+
+
+def _covariant(out):
+    (mc, mc_se), (dr, dr_se) = _binned(out.monte_carlo), _binned(out.drift)
+    return _bins(mc, out.analytic, dr), _bins(mc_se, dr_se)
+
+
+def _covariant_euclidean():
+    X = lambda t, x: np.sin(x) + t
+    parts = [_covariant(covariant_mean_derivative(get_chart("euclidean:1"), _ensemble("ou"),
+                                                  X, _ou_cfg(), direction=d))
+             for d in ("forward", "backward")]
+    return _bins(*(p[0] for p in parts)), _bins(*(p[1] for p in parts))
+
+
+def _covariant_sphere():
+    X = lambda t, x: np.stack([np.ones_like(x[..., 0]), 0.5 * x[..., 0]], axis=-1)
+    ens = _ensemble("sphere2")
+    parts = [_covariant(covariant_mean_derivative(get_chart("sphere2"), ens, X,
+                                                  _sphere_cfg(lag=2), direction=d))
+             for d in ("forward", "backward")]
+    return _bins(*(p[0] for p in parts)), _bins(*(p[1] for p in parts))
+
+
+def _stochastic_energy():
+    # both values mix bin values with bin standard errors
+    energies = [stochastic_energy(_ensemble("ou"), get_chart("euclidean:1"), None,
+                                  _ou_cfg()),
+                stochastic_energy(_ensemble("sphere2"), get_chart("sphere2"), None,
+                                  _sphere_cfg())]
+    return _bins([]), _bins(energies)
+
+
+ESTIMATOR_CASES = {
+    "velocity_fields_lag1": lambda: _velocity(1),
+    "velocity_fields_lag2": lambda: _velocity(2),
+    "quadratic_variation_2d": _quadratic_variation,
+    "relativistic_minkowski": _relativistic,
+    "covariant_euclidean": _covariant_euclidean,
+    "covariant_sphere": _covariant_sphere,
+    "stochastic_energy": _stochastic_energy,
+}
+
+
 CASES = {
     "simulate_ito": _ito,
     "simulate_stratonovich": _stratonovich,
@@ -155,6 +282,33 @@ DIGESTS = {
 }
 
 
+# (count + values + cond_mean, se) per estimator case, recorded before the
+# estimators shared one bin index
+ESTIMATOR_DIGESTS = {
+    "covariant_euclidean":
+        ("fbc0fa516b6f2c3bba64b31ce39647b0e86b0c599d9904c26ccb7c333e41725d",
+         "a60d2c20c578b3aaa704b0c87f23ea58168f2bb30d283f56df962e47d3852d0d"),
+    "covariant_sphere":
+        ("3a252a7049cc507e14770eac076fe5a3d1e31b1608a99058e3e96961d3521903",
+         "6b923b2fe14af7980834f7e99f92babb9f90b841990f36090fd6d31eed22b4be"),
+    "quadratic_variation_2d":
+        ("a486467ce0a03221c1825222ab5f9f6763fe0e20ad3d646cf56c873ad5e3c353",
+         "b3c9acc98e7f95571bcd5eaad03bc857febd8fb134e0f35045fb0797dc65e9fa"),
+    "relativistic_minkowski":
+        ("029e49e81ff7d4375fbbaef50db1c694e5e3770c291f52b589d7352a02b45648",
+         "523878c1275acbd540d246cc42686b2fea99daa3e856dd511c80e204030901b0"),
+    "stochastic_energy":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "a9299cf1645443e47fb3cad7d8f407013baf8fbd12eb4b3caa21a7eefbc0fae5"),
+    "velocity_fields_lag1":
+        ("857f1844525e83ef206f63b21467d47d9f603ff0d1c3f6e2c97e840b303dc341",
+         "baf06098794f1182f937133877074b3074e5ce83bd59a9b2988b13f4d97e5b3c"),
+    "velocity_fields_lag2":
+        ("dc6cd66ce0223828825a37a13c40ec16a23c2841503047a52ec4f86abdaa1368",
+         "4b49df859c96bf3013c8ff234ecaf0d003b45d19bfadc18cdccf2c2541689715"),
+}
+
+
 def digest(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()
                           ).hexdigest()
@@ -165,6 +319,14 @@ def test_pinned_digest(name):
     assert digest(CASES[name]()) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
+def test_pinned_estimator_digest(name):
+    bins, se = ESTIMATOR_CASES[name]()
+    assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(name, digest(CASES[name]()))
+    for name in sorted(ESTIMATOR_CASES):
+        print(name, tuple(digest(part) for part in ESTIMATOR_CASES[name]()))
