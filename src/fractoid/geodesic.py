@@ -30,7 +30,7 @@ from .geometry import (
     ricci_operator,
     richardson_derivative,
 )
-from .meanderiv import EstimatorConfig, covariant_mean_derivative
+from .meanderiv import EstimatorConfig, LaggedSamples, covariant_mean_derivative
 from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5
@@ -202,22 +202,13 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart, w,
     estimator variance subtracted so the plug-in square is unbiased.
     Returns (estimate, standard error over paths).
     """
-    from .meanderiv import estimate_forward
-
-    fwd = estimate_forward(ensemble, config)
-    paths = ensemble.paths
-    times = ensemble.times
-    lag = config.lag
+    samples = LaggedSamples(ensemble, config)
+    fwd = samples.mean_derivative("forward")
+    near, _ = samples.ends("forward")
     n, dim = ensemble.n_paths, ensemble.dimension
-    cond = paths[:, :-lag, :]
-    t = np.broadcast_to(times[:-lag], (n, cond.shape[1])).reshape(-1)
-    idx = config.flat_index(t, cond.reshape(-1, dim))
-    flat_vals = fwd.values.reshape(-1, dim)
-    flat_se = fwd.se.reshape(-1, dim)
-    ok = idx >= 0
-    gdiag = chart.diag(cond.reshape(-1, dim))
-    vals = np.where(ok[:, None], flat_vals[np.maximum(idx, 0)], np.nan)
-    ses = np.where(ok[:, None], flat_se[np.maximum(idx, 0)], np.nan)
+    gdiag = chart.diag(ensemble.paths[:, near].reshape(-1, dim))
+    vals = samples.at_samples("forward", fwd.values).reshape(-1, dim)
+    ses = samples.at_samples("forward", fwd.se).reshape(-1, dim)
     norm2 = np.einsum("si,si,si->s", np.nan_to_num(vals), gdiag, np.nan_to_num(vals))
     # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
     corr = np.sum(gdiag * np.nan_to_num(ses) ** 2, axis=1)

@@ -8,9 +8,9 @@ from .acceleration import (
 )
 from .covariant import CovariantMeanDerivative, covariant_mean_derivative
 from .estimators import (
-    BinnedMatrixField,
-    BinnedVectorField,
+    BinnedField,
     EstimatorConfig,
+    LaggedSamples,
     MeanDerivativeField,
     estimate_backward,
     estimate_forward,
@@ -24,10 +24,10 @@ from .estimators import (
 
 __all__ = [
     "AccelerationField",
-    "BinnedMatrixField",
-    "BinnedVectorField",
+    "BinnedField",
     "CovariantMeanDerivative",
     "EstimatorConfig",
+    "LaggedSamples",
     "MeanDerivativeField",
     "acceleration_decomposed",
     "covariant_mean_derivative",

@@ -103,29 +103,16 @@ def _second_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
     return der, valid
 
 
-def _axis_coords(field: MeanDerivativeField, a: int) -> np.ndarray | None:
-    """Per-bin abscissa along spatial axis a: the conditional mean where
-    known, the bin center otherwise."""
-    cfg = field.config
-    centers = cfg.x_centers[a]
-    shape = [1] * (1 + cfg.dimension)
-    shape[1 + a] = len(centers)
-    grid = np.broadcast_to(centers.reshape(shape), cfg.shape).copy()
-    if field.cond_mean is not None:
-        known = np.isfinite(field.cond_mean[..., a])
-        grid[known] = field.cond_mean[..., a][known]
-    return grid
-
-
 def _grad_fields(values: np.ndarray, good: np.ndarray, config: EstimatorConfig,
-                 coords: list[np.ndarray] | None = None):
-    """Spatial gradient d_a w^c per bin; returns (grads list, joint validity)."""
+                 points: np.ndarray):
+    """Spatial gradient d_a w^c per bin on the per-bin abscissas points
+    (shape + (dim,)); returns (grads list, joint validity)."""
     steps = config.x_steps
     grads = []
     valid = good.copy()
     for a in range(config.dimension):
         der, ok = _central_diff(values, good, axis=1 + a, step=steps[a],
-                                coords=None if coords is None else coords[a])
+                                coords=points[..., a])
         grads.append(der)
         valid &= ok
     return grads, valid
@@ -146,11 +133,6 @@ def _time_derivative(values: np.ndarray, good: np.ndarray, config: EstimatorConf
     return _central_diff(values, good, axis=0, step=_time_step(config))
 
 
-def _centers_mesh(config: EstimatorConfig) -> np.ndarray:
-    grids = np.meshgrid(*config.x_centers, indexing="ij")
-    return np.stack(grids, axis=-1)
-
-
 def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> AccelerationField:
     """Composed acceleration on the bin grid (flat-chart formula).
 
@@ -161,15 +143,15 @@ def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> Acceleratio
     cfg = field.config
     good = field.mask
     w1, w2 = field.current, field.osmotic
-    coords = [_axis_coords(field, a) for a in range(cfg.dimension)]
+    points = cfg.evaluation_points(field.cond_mean)
     dt_w1, ok_t = _time_derivative(w1, good, cfg)
-    g1, ok1 = _grad_fields(w1, good, cfg, coords)
-    g2, ok2 = _grad_fields(w2, good, cfg, coords)
+    g1, ok1 = _grad_fields(w1, good, cfg, points)
+    g2, ok2 = _grad_fields(w2, good, cfg, points)
     lap_w2 = np.zeros_like(w2)
     ok_lap = good.copy()
     for a in range(cfg.dimension):
         der2, okd = _second_diff(w2, good, axis=1 + a, step=cfg.x_steps[a],
-                                 coords=coords[a])
+                                 coords=points[..., a])
         lap_w2 += np.where(np.isnan(der2), 0.0, der2)
         ok_lap &= okd
     values = dt_w1 + _advection(w1, g1) - _advection(w2, g2) - 0.5 * epsilon**2 * lap_w2
@@ -182,9 +164,9 @@ def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> Acceleratio
     return AccelerationField(config=cfg, values=values, mask=mask, method="composition")
 
 
-def _covariant_grad(values, good, config, gamma, coords=None):
+def _covariant_grad(values, good, config, gamma, points):
     """First covariant derivative V[..., a, c] = d_a w^c + Gamma^c_{ab} w^b."""
-    grads, valid = _grad_fields(values, good, config, coords)
+    grads, valid = _grad_fields(values, good, config, points)
     V = np.stack(grads, axis=-2)                   # (..., a, c)
     if gamma is not None:
         V = V + np.einsum("...cab,...b->...ac", gamma, np.nan_to_num(values))
@@ -199,7 +181,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
         raise ParameterError("chart dimension does not match the bin grid")
     good = field.mask
     w1, w2 = field.current, field.osmotic
-    centers = _centers_mesh(cfg)
+    centers = cfg.center_mesh
     region = np.broadcast_to(chart.is_valid(centers), cfg.shape[1:])
     flat = chart.is_flat
 
@@ -218,10 +200,10 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
         ginv = np.broadcast_to(ginv.reshape(cfg.shape[1:] + (cfg.dimension,) * 2),
                                cfg.shape + (cfg.dimension,) * 2)
 
-    coords = [_axis_coords(field, a) for a in range(cfg.dimension)]
+    points = cfg.evaluation_points(field.cond_mean)
     dt_w1, ok_t = _time_derivative(w1, good, cfg)
-    V1, ok1 = _covariant_grad(w1, good, cfg, gamma, coords)
-    V2, ok2 = _covariant_grad(w2, good, cfg, gamma, coords)
+    V1, ok1 = _covariant_grad(w1, good, cfg, gamma, points)
+    V2, ok2 = _covariant_grad(w2, good, cfg, gamma, points)
     adv1 = np.einsum("...a,...ac->...c", np.nan_to_num(w1), V1)
     adv2 = np.einsum("...a,...ac->...c", np.nan_to_num(w2), V2)
 
@@ -230,7 +212,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
         ok_lap = good.copy()
         for a in range(cfg.dimension):
             der2, okd = _second_diff(w2, good, axis=1 + a, step=cfg.x_steps[a],
-                                     coords=coords[a])
+                                     coords=points[..., a])
             lap_w2 += np.where(np.isnan(der2), 0.0, der2)
             ok_lap &= okd
     else:
@@ -264,7 +246,7 @@ def ricci_correction(chart: MetricChart, field: MeanDerivativeField,
                      hbar_over_m: float) -> np.ndarray:
     """(hbar/2m) Ric o w2 per populated bin (Ricci as a (1,1)-tensor)."""
     cfg = field.config
-    centers = _centers_mesh(cfg)
+    centers = cfg.center_mesh
     out = np.full(cfg.shape + (cfg.dimension,), np.nan)
     ric_cache: dict[tuple, np.ndarray] = {}
     it = np.ndindex(*cfg.shape)

@@ -19,25 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
 from ..geometry import MetricChart, christoffel_batch, laplacian_fd, vector_jacobian_fd
 from ..geometry.calculus import FD_STEP_FIRST, FD_STEP_SECOND
 from ..stochastic import PathEnsemble
 from ..stochastic.manifold import transport_steps
-from .estimators import (
-    BinnedVectorField,
-    EstimatorConfig,
-    _binned_average,
-    estimate_backward,
-    estimate_forward,
-)
+from .estimators import BinnedField, EstimatorConfig, LaggedSamples
 
 @dataclass
 class CovariantMeanDerivative:
     direction: str
-    monte_carlo: BinnedVectorField
+    monte_carlo: BinnedField
     analytic: np.ndarray          # bin shape + (dim,), NaN off-mask
-    drift: BinnedVectorField      # estimated drift feeding the analytic form
+    drift: BinnedField            # estimated drift feeding the analytic form
 
 
 def _eval_field(X, t, pts) -> np.ndarray:
@@ -86,27 +79,17 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     X(t, x) must be vectorized over points (x of shape (B, n)).  epsilon
     defaults to the ensemble's recorded diffusion constant.
     """
-    if direction not in ("forward", "backward"):
-        raise ParameterError(f"direction must be forward or backward, got '{direction}'")
     if epsilon is None:
         epsilon = float(ensemble.meta.get("epsilon", 1.0))
+    samples = LaggedSamples(ensemble, config)
+    near_end, far_end = samples.ends(direction)
     lag = config.lag
-    dtau = lag * ensemble.dt
     paths = ensemble.paths
-    times = ensemble.times
     n, dim = ensemble.n_paths, ensemble.dimension
     flat = chart.is_flat
 
-    if direction == "forward":
-        cond = paths[:, :-lag, :]
-        far = paths[:, lag:, :]
-        t_cond = times[:-lag]
-        t_far = times[lag:]
-    else:
-        cond = paths[:, lag:, :]
-        far = paths[:, :-lag, :]
-        t_cond = times[lag:]
-        t_far = times[:-lag]
+    cond, far = paths[:, near_end], paths[:, far_end]
+    t_cond, t_far = ensemble.times[near_end], ensemble.times[far_end]
     k_use = cond.shape[1]
 
     vec = np.empty((n, k_use, dim))
@@ -133,28 +116,19 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     for j in range(k_use):
         here[:, j, :] = _eval_field(X, float(t_cond[j]), cond[:, j, :])
 
+    dtau = samples.dtau
     quot = (vec - here) / dtau if direction == "forward" else (here - vec) / dtau
-
-    t_flat = np.broadcast_to(t_cond, (n, k_use)).reshape(-1)
-    count, mean, se, cond_mean = _binned_average(config, t_flat, cond.reshape(-1, dim),
-                                                 quot.reshape(-1, dim))
-    mc = BinnedVectorField(config=config, values=mean, se=se, count=count,
-                           cond_mean=cond_mean)
-
-    drift = (estimate_forward if direction == "forward" else estimate_backward)(
-        ensemble, config)
+    mc = samples.average(direction, quot)
+    drift = samples.mean_derivative(direction)
 
     analytic = np.full(config.shape + (dim,), np.nan)
     sign = 1.0 if direction == "forward" else -1.0
-    centers = np.stack(np.meshgrid(*config.x_centers, indexing="ij"), axis=-1)
+    points = config.evaluation_points(mc.cond_mean)
     dropped = 0
     for idx in np.ndindex(*config.shape):
         if not (mc.mask[idx] and drift.mask[idx]):
             continue
-        # evaluate at the conditional mean (the bin is the conditioning event)
-        x = np.array(mc.cond_mean[idx], dtype=float)
-        if not np.all(np.isfinite(x)):
-            x = np.array(centers[idx[1:]], dtype=float)
+        x = points[idx]
         if not np.all(chart.is_valid(x)):
             dropped += 1
             continue

@@ -4,12 +4,20 @@ The conditional expectation given the present state is realized as the
 average over all path samples whose position at time t falls in a
 rectangular (t, x) bin.  Bins below min_count report NaN ("empty"), never
 zero, so downstream finite differences cannot silently use them.
+
+Each ensemble is binned once.  :class:`LaggedSamples` holds the bin of
+every sample (:meth:`EstimatorConfig.bin_index`) and one array of
+increments x(t + lag dt) - x(t).  An increment's forward quotient is
+conditioned on its early end and its backward quotient on its late end, so
+both directions, the causal split and the quadratic variation read the
+same two arrays, and one accumulator reduces them per bin.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +89,20 @@ class EstimatorConfig:
         return tuple(0.5 * (e[:-1] + e[1:]) for e in self.space_edges)
 
     @property
+    def center_mesh(self) -> np.ndarray:
+        """Spatial bin centers, shape n_space_bins + (dim,)."""
+        return np.stack(np.meshgrid(*self.x_centers, indexing="ij"), axis=-1)
+
+    def evaluation_points(self, cond_mean: np.ndarray | None) -> np.ndarray:
+        """Where to evaluate a per-bin target, shape + (dim,): the conditional
+        mean where the bin has one, the geometric bin center otherwise."""
+        pts = np.broadcast_to(self.center_mesh, self.shape + (self.dimension,)).copy()
+        if cond_mean is not None:
+            known = np.isfinite(cond_mean).all(axis=-1)
+            pts[known] = cond_mean[known]
+        return pts
+
+    @property
     def x_steps(self) -> tuple[float, ...]:
         steps = []
         for e in self.space_edges:
@@ -98,30 +120,35 @@ class EstimatorConfig:
         return all(np.array_equal(a, b)
                    for a, b in zip(self.space_edges, other.space_edges))
 
-    def flat_index(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Flattened bin index per sample, -1 for out-of-grid."""
-        it = np.searchsorted(self.time_edges, t, side="right") - 1
+    def bin_index(self, times: np.ndarray, paths: np.ndarray) -> np.ndarray:
+        """(N, K+1) flattened bin of every sample of paths (N, K+1, dim)
+        taken at times (K+1,), -1 outside the grid.  Bins are half-open
+        [lo, hi); the time bin is found once per step."""
+        it = np.searchsorted(self.time_edges, times, side="right") - 1
         ok = (it >= 0) & (it < self.n_time_bins)
         idx = it.astype(np.int64)
         for a, edges in enumerate(self.space_edges):
-            ia = np.searchsorted(edges, x[..., a], side="right") - 1
-            ok &= (ia >= 0) & (ia < len(edges) - 1)
-            idx = idx * (len(edges) - 1) + np.where(ia < 0, 0, ia)
+            n = len(edges) - 1
+            ia = np.searchsorted(edges, paths[..., a], side="right") - 1
+            ok = ok & (ia >= 0) & (ia < n)
+            idx = idx * n + np.maximum(ia, 0)
         return np.where(ok, idx, -1)
 
 
 @dataclass
-class BinnedVectorField:
-    """Per-bin vector estimates with counts and standard errors.
+class BinnedField:
+    """Per-bin estimates with counts and standard errors.
 
-    cond_mean is the mean conditioning point per bin; analytic targets
-    should be evaluated there rather than at the geometric bin center
-    (the bin is the conditioning event).
+    values and se have shape config.shape + the value shape: (dim,) for a
+    mean derivative, (dim, dim) for a quadratic variation.  cond_mean is
+    the mean conditioning point per bin; analytic targets should be
+    evaluated there rather than at the geometric bin center (the bin is
+    the conditioning event).
     """
 
     config: EstimatorConfig
-    values: np.ndarray                 # shape + (dim,), NaN on empty bins
-    se: np.ndarray                     # shape + (dim,)
+    values: np.ndarray                 # NaN on empty bins
+    se: np.ndarray
     count: np.ndarray                  # shape
     cond_mean: np.ndarray | None = None   # shape + (dim,)
 
@@ -131,19 +158,6 @@ class BinnedVectorField:
 
     def n_populated(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-
-@dataclass
-class BinnedMatrixField:
-    config: EstimatorConfig
-    values: np.ndarray                 # shape + (dim, dim)
-    se: np.ndarray
-    count: np.ndarray
-    cond_mean: np.ndarray | None = None
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.count >= self.config.min_count
 
 
 @dataclass
@@ -170,37 +184,41 @@ class MeanDerivativeField:
         return self.count >= self.config.min_count
 
 
-def _causal_filter(ensemble: PathEnsemble, config: EstimatorConfig,
-                   increments: np.ndarray) -> np.ndarray:
-    """Mask increments by the sign of their Minkowski norm."""
+def _increments(ensemble: PathEnsemble, lag: int) -> np.ndarray:
+    """(N, K+1-lag, dim) increments x(t + lag dt) - x(t)."""
+    if ensemble.n_steps < lag:
+        raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
+    return ensemble.paths[:, lag:, :] - ensemble.paths[:, :-lag, :]
+
+
+def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray,
+                     what: str) -> np.ndarray:
     chart = get_chart(ensemble.chart_name)
     if not chart.is_lorentzian:
-        raise ParameterError("causal_split requires a Lorentzian chart")
+        raise ParameterError(f"{what} requires a Lorentzian chart")
     eta = np.diag(chart.signature_matrix())
-    norm2 = np.einsum("...i,i,...i->...", increments, eta, increments)
-    if config.causal_split == "timelike":
-        return norm2 <= 0
-    return norm2 >= 0
+    return np.einsum("...i,i,...i->...", increments, eta, increments)
 
 
-def _binned_average(config: EstimatorConfig, t: np.ndarray, cond: np.ndarray,
-                    values: np.ndarray, keep: np.ndarray | None = None):
-    """Reduce samples into per-bin (count, mean, se, conditioning-mean)
-    accumulators.
+def _accumulate(config: EstimatorConfig, index: np.ndarray, values: np.ndarray,
+                points: np.ndarray, keep: np.ndarray | None = None) -> BinnedField:
+    """Per-bin count, mean, standard error and conditioning mean.
 
-    values has shape (n_samples, m); the reduction is a fixed-order bincount,
-    so equal inputs give bit-identical results.
+    index (N, M) bins the samples, values (N, M, ...) holds their values
+    and points (N, M, dim) their conditioning points; keep, when given,
+    drops samples.  The sums are fixed-order bincounts, so equal inputs
+    give bit-identical results.
     """
-    idx = config.flat_index(t, cond)
-    sel = idx >= 0
+    sel = index >= 0
     if keep is not None:
         sel &= keep
-    idx = idx[sel]
-    vals = values[sel]
-    pts = cond[sel]
+    idx = index[sel]
+    vshape = values.shape[2:]
+    m = int(np.prod(vshape))
+    vals = values[sel].reshape(len(idx), m)
+    pts = points[sel]
     n_bins = int(np.prod(config.shape))
     count = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    m = vals.shape[1]
     mean = np.full((n_bins, m), np.nan)
     se = np.full((n_bins, m), np.nan)
     nz = count > 0
@@ -222,50 +240,13 @@ def _binned_average(config: EstimatorConfig, t: np.ndarray, cond: np.ndarray,
     mean[empty] = np.nan
     se[empty] = np.nan
     cond_mean[empty] = np.nan
-    return count.reshape(config.shape), \
-        mean.reshape(config.shape + (m,)), se.reshape(config.shape + (m,)), \
-        cond_mean.reshape(config.shape + (dim,))
+    return BinnedField(config=config, values=mean.reshape(config.shape + vshape),
+                       se=se.reshape(config.shape + vshape),
+                       count=count.reshape(config.shape),
+                       cond_mean=cond_mean.reshape(config.shape + (dim,)))
 
 
-def _difference_quotients(ensemble: PathEnsemble, config: EstimatorConfig,
-                          direction: str):
-    """Flattened (t, conditioning point, increment quotient) sample arrays."""
-    lag = config.lag
-    if ensemble.n_steps < lag:
-        raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
-    dtau = lag * ensemble.dt
-    paths = ensemble.paths
-    if direction == "forward":
-        cond = paths[:, :-lag, :]
-        inc = paths[:, lag:, :] - cond
-        t = ensemble.times[:-lag]
-    elif direction == "backward":
-        cond = paths[:, lag:, :]
-        inc = cond - paths[:, :-lag, :]
-        t = ensemble.times[lag:]
-    else:
-        raise ParameterError(f"direction must be forward or backward, got '{direction}'")
-    n, k, dim = inc.shape
-    t_flat = np.broadcast_to(t, (n, k)).reshape(-1)
-    cond_flat = cond.reshape(-1, dim)
-    inc_flat = inc.reshape(-1, dim)
-    return t_flat, cond_flat, inc_flat, dtau
-
-
-def _estimate(ensemble: PathEnsemble, config: EstimatorConfig,
-              direction: str) -> BinnedVectorField:
-    """One-sided estimate under the config's causal filter; bins below
-    min_count stay NaN."""
-    t, cond, inc, dtau = _difference_quotients(ensemble, config, direction)
-    keep = None
-    if config.causal_split != "off":
-        keep = _causal_filter(ensemble, config, inc)
-    count, mean, se, cond_mean = _binned_average(config, t, cond, inc / dtau, keep)
-    return BinnedVectorField(config=config, values=mean, se=se, count=count,
-                             cond_mean=cond_mean)
-
-
-def _require_populated(field: BinnedVectorField) -> BinnedVectorField:
+def _require_populated(field: BinnedField) -> BinnedField:
     min_count = field.config.min_count
     if not np.any(field.count >= min_count):
         raise EstimationError(
@@ -274,19 +255,88 @@ def _require_populated(field: BinnedVectorField) -> BinnedVectorField:
     return field
 
 
-def estimate_forward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedVectorField:
+class LaggedSamples:
+    """One ensemble binned once under a config.
+
+    index[p, k] is the bin of sample (p, k), -1 outside the grid, and
+    increments[p, k] = x_p(t_k + lag dt) - x_p(t_k).  An increment's
+    forward quotient is conditioned on its early end (step k), its
+    backward quotient on its late end (step k + lag).
+    """
+
+    def __init__(self, ensemble: PathEnsemble, config: EstimatorConfig):
+        if ensemble.dimension != config.dimension:
+            raise ParameterError(f"ensemble dimension {ensemble.dimension} does not "
+                                 f"match the {config.dimension}-d bin grid")
+        self.ensemble = ensemble
+        self.config = config
+        self.increments = _increments(ensemble, config.lag)
+        self.dtau = config.lag * ensemble.dt
+        self.index = config.bin_index(ensemble.times, ensemble.paths)
+
+    def ends(self, direction: str) -> tuple[slice, slice]:
+        """Step slices of a direction's (conditioning, displaced) ends."""
+        early, late = slice(None, -self.config.lag), slice(self.config.lag, None)
+        if direction == "forward":
+            return early, late
+        if direction == "backward":
+            return late, early
+        raise ParameterError(f"direction must be forward or backward, got '{direction}'")
+
+    @cached_property
+    def quotients(self) -> np.ndarray:
+        """The difference quotients increments / (lag dt) of both directions."""
+        return self.increments / self.dtau
+
+    @cached_property
+    def _causal_norm2(self) -> np.ndarray:
+        return _minkowski_norm2(self.ensemble, self.increments, "causal_split")
+
+    def causal(self, split: str) -> np.ndarray | None:
+        """Which increments a causal split keeps (None keeps all)."""
+        if split == "off":
+            return None
+        if split == "timelike":
+            return self._causal_norm2 <= 0
+        return self._causal_norm2 >= 0
+
+    def average(self, direction: str, values: np.ndarray,
+                keep: np.ndarray | None = None) -> BinnedField:
+        """Per-bin average of per-increment values (N, K+1-lag, ...) over
+        the bins of the direction's conditioning end."""
+        near, _ = self.ends(direction)
+        return _accumulate(self.config, self.index[:, near], values,
+                           self.ensemble.paths[:, near], keep)
+
+    def mean_derivative(self, direction: str) -> BinnedField:
+        """The one-sided quotient average under the config's causal split;
+        raises EstimationError when no bin reaches min_count."""
+        return _require_populated(self.average(
+            direction, self.quotients, self.causal(self.config.causal_split)))
+
+    def at_samples(self, direction: str, values: np.ndarray) -> np.ndarray:
+        """Per-bin values (shape + ...) read back at each conditioning
+        sample of a direction, (N, K+1-lag, ...), NaN outside the grid."""
+        near, _ = self.ends(direction)
+        idx = self.index[:, near]
+        flat = values.reshape((-1,) + values.shape[len(self.config.shape):])
+        inside = (idx >= 0).reshape(idx.shape + (1,) * (flat.ndim - 1))
+        return np.where(inside, flat[np.maximum(idx, 0)], np.nan)
+
+
+def estimate_forward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedField:
     """Per-bin mean of (x(t + lag dt) - x(t)) / (lag dt) given x(t) in the bin."""
-    return _require_populated(_estimate(ensemble, config, "forward"))
+    return LaggedSamples(ensemble, config).mean_derivative("forward")
 
 
-def estimate_backward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedVectorField:
+def estimate_backward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedField:
     """Per-bin mean of (x(t) - x(t - lag dt)) / (lag dt) given x(t) in the bin."""
-    return _require_populated(_estimate(ensemble, config, "backward"))
+    return LaggedSamples(ensemble, config).mean_derivative("backward")
 
 
 def relativistic_mean_derivatives(ensemble: PathEnsemble,
                                   config: EstimatorConfig
-                                  ) -> tuple[BinnedVectorField, BinnedVectorField]:
+                                  ) -> tuple[BinnedField, BinnedField]:
     """Two-term causal sums on a Lorentzian chart.
 
     The forward derivative adds the timelike-conditioned forward quotient to
@@ -294,25 +344,23 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
     mirrors the conditioning.  A bin is populated only when both of its
     terms reach min_count.
     """
-    from dataclasses import replace as _rep
+    samples = LaggedSamples(ensemble, config)
+    timelike, spacelike = samples.causal("timelike"), samples.causal("spacelike")
 
-    tl = _rep(config, causal_split="timelike")
-    sl = _rep(config, causal_split="spacelike")
-
-    def combine(a: BinnedVectorField, b: BinnedVectorField) -> BinnedVectorField:
+    def combine(first: str, second: str) -> BinnedField:
+        a = samples.average(first, samples.quotients, timelike)
+        b = samples.average(second, samples.quotients, spacelike)
         count = np.minimum(a.count, b.count)
         values = a.values + b.values
         se = np.sqrt(a.se**2 + b.se**2)
         empty = count < config.min_count
         values[empty] = np.nan
         se[empty] = np.nan
-        return BinnedVectorField(config=config, values=values, se=se,
-                                 count=count, cond_mean=a.cond_mean)
+        return BinnedField(config=config, values=values, se=se,
+                           count=count, cond_mean=a.cond_mean)
 
-    forward = combine(_estimate(ensemble, tl, "forward"),
-                      _estimate(ensemble, sl, "backward"))
-    backward = combine(_estimate(ensemble, tl, "backward"),
-                       _estimate(ensemble, sl, "forward"))
+    forward = combine("forward", "backward")
+    backward = combine("backward", "forward")
     if not (np.any(forward.mask) or np.any(backward.mask)):
         raise EstimationError("no bins populated in both causal classes; "
                               "the split needs a coarser time step")
@@ -323,17 +371,11 @@ def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     """Diagnostic: fraction of forward increments with non-negative
     Minkowski norm; tends to 1 as dt -> 0 (diffusive scaling dominates c dt).
     """
-    chart = get_chart(ensemble.chart_name)
-    if not chart.is_lorentzian:
-        raise ParameterError("spacelike_fraction requires a Lorentzian chart")
-    inc = ensemble.paths[:, lag:, :] - ensemble.paths[:, :-lag, :]
-    eta = np.diag(chart.signature_matrix())
-    norm2 = np.einsum("...i,i,...i->...", inc, eta, inc)
+    norm2 = _minkowski_norm2(ensemble, _increments(ensemble, lag), "spacelike_fraction")
     return float(np.mean(norm2 >= 0))
 
 
-def velocity_fields(forward: BinnedVectorField,
-                    backward: BinnedVectorField) -> MeanDerivativeField:
+def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivativeField:
     """current = (D+ + D-)/2, osmotic = (D+ - D-)/2, exact bin arithmetic."""
     if not forward.config.same_grid(backward.config):
         raise ParameterError("forward and backward estimates use different grids")
@@ -355,24 +397,21 @@ def velocity_fields(forward: BinnedVectorField,
 
 def estimate_velocity_fields(ensemble: PathEnsemble,
                              config: EstimatorConfig) -> MeanDerivativeField:
-    """Convenience pipeline: forward + backward + derived fields."""
-    return velocity_fields(estimate_forward(ensemble, config),
-                           estimate_backward(ensemble, config))
+    """Convenience pipeline: forward + backward + derived fields, from one
+    binning of the ensemble."""
+    samples = LaggedSamples(ensemble, config)
+    return velocity_fields(samples.mean_derivative("forward"),
+                           samples.mean_derivative("backward"))
 
 
 def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,
-                               direction: str = "forward") -> BinnedMatrixField:
-    """Per-bin mean of the increment outer product over the time step."""
-    t, cond, inc, dtau = _difference_quotients(ensemble, config, direction)
-    dim = inc.shape[1]
-    outer = (inc[:, :, None] * inc[:, None, :]).reshape(-1, dim * dim) / dtau
-    count, mean, se, cond_mean = _binned_average(config, t, cond, outer)
-    if not np.any(count >= config.min_count):
-        raise EstimationError(f"no bins reached min_count={config.min_count}")
-    return BinnedMatrixField(config=config,
-                             values=mean.reshape(config.shape + (dim, dim)),
-                             se=se.reshape(config.shape + (dim, dim)),
-                             count=count, cond_mean=cond_mean)
+                               direction: str = "forward") -> BinnedField:
+    """Per-bin mean of the increment outer product over the time step;
+    values have shape config.shape + (dim, dim)."""
+    samples = LaggedSamples(ensemble, config)
+    inc = samples.increments
+    return _require_populated(samples.average(
+        direction, inc[..., :, None] * inc[..., None, :] / samples.dtau))
 
 
 # --- persistence -----------------------------------------------------------

@@ -54,12 +54,7 @@ def newton_nelson_residual(ensemble: PathEnsemble, force, mass: float,
     else:
         ric_term = np.zeros_like(field.osmotic)
 
-    centers = np.stack(np.meshgrid(*config.x_centers, indexing="ij"), axis=-1)
-    centers_full = np.broadcast_to(centers, config.shape + (config.dimension,))
-    pts = centers_full[mask].copy()
-    if field.cond_mean is not None:
-        known = np.isfinite(field.cond_mean[mask]).all(axis=-1)
-        pts[known] = field.cond_mean[mask][known]
+    pts = config.evaluation_points(field.cond_mean)[mask]
     targ = np.asarray(force(pts), dtype=float) / mass + np.nan_to_num(ric_term[mask])
     acc = accel.values[mask]
     resid = np.linalg.norm(acc - targ, axis=-1)
@@ -124,7 +119,7 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
             "diagonals outside tolerance" if not diag_ok else "off-diagonals beyond 3 sigma")
         return QuadraticVariationLaw(passed, reason, qv.values, target, qv.se, qv.count)
 
-    centers = np.stack(np.meshgrid(*config.x_centers, indexing="ij"), axis=-1)
+    centers = config.center_mesh
     target = np.full(qv.values.shape, np.nan)
     ok = True
     for idx in np.ndindex(*config.shape):
