@@ -224,13 +224,15 @@ def _accumulate(config: EstimatorConfig, index: np.ndarray, values: np.ndarray,
     nz = count > 0
     for c in range(m):
         s1 = np.bincount(idx, weights=vals[:, c], minlength=n_bins)
-        s2 = np.bincount(idx, weights=vals[:, c] ** 2, minlength=n_bins)
         mu = np.where(nz, s1 / np.maximum(count, 1), np.nan)
-        var = np.where(count > 1,
-                       (s2 - np.maximum(count, 1) * mu**2) / np.maximum(count - 1, 1),
-                       np.nan)
+        # second pass about the bin mean: s2 - n mu^2 cancels catastrophically
+        # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
+        dev = mu[idx]
+        np.subtract(vals[:, c], dev, out=dev)
+        s2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=n_bins)
+        var = np.where(count > 1, s2 / np.maximum(count - 1, 1), np.nan)
         mean[:, c] = mu
-        se[:, c] = np.sqrt(np.maximum(var, 0.0) / np.maximum(count, 1))
+        se[:, c] = np.sqrt(var / np.maximum(count, 1))
     dim = pts.shape[1]
     cond_mean = np.full((n_bins, dim), np.nan)
     for a in range(dim):

@@ -149,6 +149,23 @@ def test_standard_error_scaling(wiener_ensemble):
     assert abs(np.median(ratio) - np.sqrt(2.0)) < 0.1 * np.sqrt(2.0)
 
 
+def test_standard_error_stable_under_large_offsets():
+    # s2 - n mu^2 cancels catastrophically once the mean dwarfs the spread:
+    # a drift of 1e6 in the second coordinate moved its se by 0.6% here
+    rng = np.random.default_rng(SEED)
+    times = np.arange(51) * 0.01
+    walk = np.zeros((2000, 51, 2))
+    walk[:, 1:] = np.cumsum(rng.normal(0.0, 0.01, (2000, 50, 2)), axis=1)
+    cfg = EstimatorConfig.regular((0.0, 0.5), 5, [(-0.2, 0.2), (-1.0, 1e6)], [4, 1],
+                                  dim=2, min_count=20)
+    base = estimate_forward(PathEnsemble(times, walk, seed=0), cfg)
+    walk[..., 1] += 1e6 * times
+    shifted = estimate_forward(PathEnsemble(times, walk, seed=0), cfg)
+    m = base.mask
+    assert np.array_equal(shifted.count, base.count) and m.sum() >= 10
+    assert np.allclose(shifted.se[m], base.se[m], rtol=1e-6, atol=0.0)
+
+
 def test_no_populated_bins_raises(wiener_ensemble):
     cfg = EstimatorConfig.regular((0.0, 1.0), 1, (5.0, 6.0), 4, min_count=200)
     with pytest.raises(EstimationError):
