@@ -120,7 +120,11 @@ def _default_start(chart) -> np.ndarray:
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
-    ens = PathEnsemble.read_csv(args.ensemble)
+    try:
+        ens = PathEnsemble.read_csv(args.ensemble)
+    except OSError as exc:
+        raise ConfigError(f"cannot read ensemble '{exc.filename or args.ensemble}': "
+                          f"{exc.strerror or exc}") from exc
     est = EstimatorConfig.regular(
         (0.0, ens.t_final), cfg.est_t_bins,
         (cfg.est_x_min, cfg.est_x_max), cfg.est_x_bins, dim=ens.dimension,
@@ -207,7 +211,7 @@ def cmd_report(args) -> int:
             fh.write("%s,%s,%.17g,%.17g,%.17g,%s\n" % r)
     plot = out / "plot.csv"
     with open(plot, "w", encoding="utf8") as fh:
-        fh.write("x,value,stderr\n")
+        fh.write("x,value,tolerance\n")
         for r in rows:
             fh.write("%s,%.17g,%.17g\n" % (f"{r[0]}/{r[1]}", r[2], r[4]))
     print(f"wrote {merged} and {plot} ({len(rows)} checks)")

@@ -109,10 +109,22 @@ class PathEnsemble:
         with open(mpath, encoding="utf8") as fh:
             manifest = json.load(fh)
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if raw.shape[0] == 0 or raw.shape[1] < 4:
+            raise ParameterError(f"{path} holds no path samples")
         pid = raw[:, 0].astype(int)
         step = raw[:, 1].astype(int)
+        if pid.min() < 0 or step.min() < 0:
+            raise ParameterError(f"{path} has a negative path_id or step")
         n = pid.max() + 1
         k1 = step.max() + 1
+        if n != manifest.get("N", n):
+            raise ParameterError(f"{path} holds {n} paths, its manifest says {manifest['N']}")
+        # every (path, step) row exactly once, or np.empty leaks into the paths
+        seen = np.bincount(pid * k1 + step, minlength=n * k1)
+        if np.any(seen != 1):
+            bad = int(np.flatnonzero(seen != 1)[0])
+            raise ParameterError(f"{path}: row (path {bad // k1}, step {bad % k1}) "
+                                 f"appears {seen[bad]} times, expected once")
         dim = raw.shape[1] - 3
         times = np.empty(k1)
         times[step[pid == 0]] = raw[pid == 0, 2]

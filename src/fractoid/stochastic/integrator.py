@@ -24,7 +24,8 @@ MAX_BOUNDARY_RETRIES = 100
 
 def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:
     """(n_paths, dim) start points from one shared point or one per path;
-    on a chart every start must lie in the valid region."""
+    on a chart every start must lie in the valid region, where the metric
+    diagonal must have the chart's signature (negative entries first)."""
     if n_paths < 1:
         raise ParameterError("N must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -36,6 +37,12 @@ def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:
         raise ParameterError(f"x0 must be ({n_paths}, {dim}), got {x0.shape}")
     if chart is not None:
         chart.require_valid(x0)
+        d = chart.diag(x0)
+        negative = np.arange(dim) < chart.signature[0]
+        if not np.all(np.where(negative, d < 0, d > 0)):
+            raise ParameterError(f"chart '{chart.name}': the metric diagonal at x0 does "
+                                 f"not have the signature {chart.signature} "
+                                 "(negative entries first)")
     return x0
 
 

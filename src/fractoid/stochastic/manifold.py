@@ -219,11 +219,11 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
     exceeds FRAME_DRIFT_LIMIT before a renormalization the run aborts with a
     suggestion to reduce dt.
     """
+    n = chart.dimension
+    starts = initial_points(x0, N, n, chart)
     defect = frame0.orthonormality_defect(chart)
     if not defect <= FRAME_TOL:  # a NaN defect fails too
         raise ParameterError(f"frame0 is not g-orthonormal (defect {defect:.2e})")
-    n = chart.dimension
-    starts = initial_points(x0, N, n, chart)
     eta = chart.signature_matrix()
     core = Integrator("frame-bundle-heun", T, dt, seed, n_noise=n, chart=chart)
 

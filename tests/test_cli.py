@@ -97,6 +97,15 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert header.startswith("t,x0,count,D+_0")
 
 
+def test_estimate_missing_ensemble_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main(["estimate", "--ensemble", str(missing), "--out", str(tmp_path),
+                 "--seed", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "missing" in err
+
+
 def test_verify_dirac_algebra(tmp_path, capsys):
     code = main(["verify", "--suite", "dirac-algebra", "--seed", "11",
                  "--out", str(tmp_path)])
@@ -147,6 +156,18 @@ def test_simulate_custom_json_chart(tmp_path):
     assert manifest["chart"] == "cone"
 
 
+def test_simulate_json_chart_signature_mismatch_exit_2(tmp_path, capsys):
+    chart_file = tmp_path / "flat.json"
+    chart_file.write_text(json.dumps({
+        "name": "mislabelled", "dimension": 2, "signature": [1, 1],
+        "diagonal_entries": ["1", "1"]}))
+    code = main(["simulate", "--seed", "3", "--set", f"chart={chart_file}",
+                 "--set", "n_paths=4", "--set", "t_final=0.1",
+                 "--set", "x0=[1.0,0.5]", "--out", str(tmp_path)])
+    assert code == 2
+    assert "mislabelled" in capsys.readouterr().err
+
+
 def test_noise_and_dirac_commands(tmp_path):
     assert main(["noise", "--seed", "4", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "whitenoise.bin").exists()
@@ -168,7 +189,7 @@ def test_report_merging(tmp_path, capsys):
     assert merged[0] == "suite,check,value,target,tolerance,status"
     suites = [line.split(",")[0] for line in merged[1:]]
     assert suites == sorted(suites)
-    assert (tmp_path / "plot.csv").read_text().startswith("x,value,stderr")
+    assert (tmp_path / "plot.csv").read_text().startswith("x,value,tolerance")
 
 
 def test_report_single_identity_merge(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from fractoid.errors import ParameterError, SimulationError
-from fractoid.geometry import get_chart, laplace_beltrami
+from fractoid.geometry import chart_from_json, get_chart, laplace_beltrami
 from fractoid.stochastic import (
     FrameState,
     ItoProcessSpec,
@@ -178,6 +178,19 @@ def test_bad_start_or_drift_shape_raise_library_errors():
         with pytest.raises(SimulationError, match="drift returned shape"):
             simulate_manifold_diffusion(chart, lambda t, x: np.zeros((len(x), width)),
                                         x0, T=0.1, dt=0.01, N=3, seed=SEED)
+
+
+def test_start_rejects_metric_against_signature():
+    # a Lorentzian label on a Euclidean metric would make x0 coordinate time
+    chart = chart_from_json({"name": "mislabelled", "dimension": 2, "signature": [1, 1],
+                             "diagonal_entries": ["1", "1"]})
+    with pytest.raises(ParameterError, match="mislabelled"):
+        simulate_manifold_diffusion(chart, None, [0.0, 0.0], T=0.1, dt=0.01, N=3,
+                                    seed=SEED)
+    x0 = np.zeros(2)
+    with pytest.raises(ParameterError, match="mislabelled"):
+        frame_bundle_simulate(chart, x0, FrameState(x0, np.eye(2)), T=0.1, dt=0.01,
+                              N=3, seed=SEED)
 
 
 def test_gram_schmidt_restores_orthonormality():

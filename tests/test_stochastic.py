@@ -233,6 +233,19 @@ def test_ensemble_csv_roundtrip(tmp_path):
     assert back.meta["drift_name"] == "ou"
 
 
+@pytest.mark.parametrize("edit", ["delete", "duplicate"])
+def test_ensemble_csv_rejects_missing_or_duplicate_rows(tmp_path, edit):
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.5, dimension=1)
+    path = tmp_path / "ens.csv"
+    simulate_ito(spec, 0.0, T=0.05, dt=0.01, N=3, seed=SEED).write_csv(path)
+    lines = path.read_text().splitlines()
+    row = lines[8]                      # path 1, step 1
+    lines[8:9] = [] if edit == "delete" else [row, row]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=r"path 1, step 1"):
+        PathEnsemble.read_csv(path)
+
+
 def test_ensemble_npz_roundtrip(tmp_path):
     spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
                           diffusion_const=1.0, dimension=1)
