@@ -122,9 +122,8 @@ def cmd_estimate(args) -> int:
     cfg.validate()
     try:
         ens = PathEnsemble.read_csv(args.ensemble)
-    except OSError as exc:
-        raise ConfigError(f"cannot read ensemble '{exc.filename or args.ensemble}': "
-                          f"{exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:   # missing, unreadable or malformed
+        raise ConfigError(f"cannot read ensemble '{args.ensemble}': {exc}") from exc
     est = EstimatorConfig.regular(
         (0.0, ens.t_final), cfg.est_t_bins,
         (cfg.est_x_min, cfg.est_x_max), cfg.est_x_bins, dim=ens.dimension,

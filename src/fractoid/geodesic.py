@@ -30,7 +30,8 @@ from .geometry import (
     ricci_operator,
     richardson_derivative,
 )
-from .meanderiv import EstimatorConfig, LaggedSamples, covariant_mean_derivative
+from .meanderiv import EstimatorConfig, covariant_mean_derivative
+from .meanderiv.estimators import LaggedSamples
 from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5

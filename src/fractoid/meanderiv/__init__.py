@@ -10,7 +10,6 @@ from .covariant import CovariantMeanDerivative, covariant_mean_derivative
 from .estimators import (
     BinnedField,
     EstimatorConfig,
-    LaggedSamples,
     MeanDerivativeField,
     estimate_backward,
     estimate_forward,
@@ -27,7 +26,6 @@ __all__ = [
     "BinnedField",
     "CovariantMeanDerivative",
     "EstimatorConfig",
-    "LaggedSamples",
     "MeanDerivativeField",
     "acceleration_decomposed",
     "covariant_mean_derivative",

@@ -97,19 +97,13 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
         vec[:, j, :] = _eval_field(X, float(t_far[j]), far[:, j, :])
 
     if not flat:
-        # step-by-step transport of the far-end vectors to the conditioning time
+        # step-by-step transport of the far-end vectors to the conditioning
+        # time: down from step k+lag to k (forward), up from k-lag to k
         v = vec.reshape(-1, dim)
-        if direction == "forward":
-            seq = range(lag, 0, -1)     # from step k+lag down to k
-            frm = lambda s: paths[:, s:s + k_use, :]
-            to = lambda s: paths[:, s - 1:s - 1 + k_use, :]
-        else:
-            seq = range(lag)            # from step k-lag up to k
-            frm = lambda s: paths[:, s:s + k_use, :]
-            to = lambda s: paths[:, s + 1:s + 1 + k_use, :]
-        for s in seq:
-            v = transport_steps(chart, frm(s).reshape(-1, dim),
-                                to(s).reshape(-1, dim), v)
+        toward = -1 if direction == "forward" else 1
+        for s in (range(lag, 0, -1) if direction == "forward" else range(lag)):
+            v = transport_steps(chart, paths[:, s:s + k_use].reshape(-1, dim),
+                                paths[:, s + toward:s + toward + k_use].reshape(-1, dim), v)
         vec = v.reshape(n, k_use, dim)
 
     here = np.empty((n, k_use, dim))

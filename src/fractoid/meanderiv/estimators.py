@@ -135,8 +135,16 @@ class EstimatorConfig:
         return np.where(ok, idx, -1)
 
 
+class _Binned:
+    """A bin is populated when it holds at least min_count samples."""
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.count >= self.config.min_count
+
+
 @dataclass
-class BinnedField:
+class BinnedField(_Binned):
     """Per-bin estimates with counts and standard errors.
 
     values and se have shape config.shape + the value shape: (dim,) for a
@@ -152,16 +160,12 @@ class BinnedField:
     count: np.ndarray                  # shape
     cond_mean: np.ndarray | None = None   # shape + (dim,)
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self.count >= self.config.min_count
-
     def n_populated(self) -> int:
         return int(np.count_nonzero(self.mask))
 
 
 @dataclass
-class MeanDerivativeField:
+class MeanDerivativeField(_Binned):
     """Forward/backward estimates plus the derived current/osmotic fields.
 
     current = (forward + backward) / 2 and osmotic = (forward - backward) / 2
@@ -179,10 +183,6 @@ class MeanDerivativeField:
     count: np.ndarray
     cond_mean: np.ndarray | None = None
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self.count >= self.config.min_count
-
 
 def _increments(ensemble: PathEnsemble, lag: int) -> np.ndarray:
     """(N, K+1-lag, dim) increments x(t + lag dt) - x(t)."""
@@ -191,11 +191,10 @@ def _increments(ensemble: PathEnsemble, lag: int) -> np.ndarray:
     return ensemble.paths[:, lag:, :] - ensemble.paths[:, :-lag, :]
 
 
-def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray,
-                     what: str) -> np.ndarray:
+def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray) -> np.ndarray:
     chart = get_chart(ensemble.chart_name)
     if not chart.is_lorentzian:
-        raise ParameterError(f"{what} requires a Lorentzian chart")
+        raise ParameterError("causal classes require a Lorentzian chart")
     eta = np.diag(chart.signature_matrix())
     return np.einsum("...i,i,...i->...", increments, eta, increments)
 
@@ -292,7 +291,7 @@ class LaggedSamples:
 
     @cached_property
     def _causal_norm2(self) -> np.ndarray:
-        return _minkowski_norm2(self.ensemble, self.increments, "causal_split")
+        return _minkowski_norm2(self.ensemble, self.increments)
 
     def causal(self, split: str) -> np.ndarray | None:
         """Which increments a causal split keeps (None keeps all)."""
@@ -373,8 +372,7 @@ def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     """Diagnostic: fraction of forward increments with non-negative
     Minkowski norm; tends to 1 as dt -> 0 (diffusive scaling dominates c dt).
     """
-    norm2 = _minkowski_norm2(ensemble, _increments(ensemble, lag), "spacelike_fraction")
-    return float(np.mean(norm2 >= 0))
+    return float(np.mean(_minkowski_norm2(ensemble, _increments(ensemble, lag)) >= 0))
 
 
 def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivativeField:

@@ -97,13 +97,18 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert header.startswith("t,x0,count,D+_0")
 
 
-def test_estimate_missing_ensemble_exit_2(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    code = main(["estimate", "--ensemble", str(missing), "--out", str(tmp_path),
+@pytest.mark.parametrize("damage", ["missing", "corrupt manifest"])
+def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
+    path = tmp_path / "ensemble.csv"
+    if damage == "corrupt manifest":
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "3",
+                     "--set", "n_paths=4", "--set", "t_final=0.1"]) == 0
+        (tmp_path / "ensemble.manifest.json").write_text("not json")
+    code = main(["estimate", "--ensemble", str(path), "--out", str(tmp_path),
                  "--seed", "3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "missing" in err
+    assert "configuration error" in err and str(path) in err
 
 
 def test_verify_dirac_algebra(tmp_path, capsys):
