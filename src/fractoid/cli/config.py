@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +65,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown suite '{self.suite}'; available: "
                               + ", ".join(KNOWN_SUITES))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def resolve_chart(name: str):
     """Registry name, or a path to a custom diagonal-metric JSON description."""
@@ -92,16 +89,6 @@ def make_drift(name: str, omega: float = 1.0):
             raise ConfigError(f"bad constant drift '{name}'") from None
         return lambda t, x: np.broadcast_to(vec, x.shape)
     raise ConfigError(f"unknown drift '{name}'; available: zero, ou, const:v0[,v1,..]")
-
-
-def _coerce(field_type, raw: str):
-    if field_type in ("int", int):
-        return int(raw)
-    if field_type in ("float", float):
-        return float(raw)
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    return raw
 
 
 def load_config(path: str | None, overrides: list[str] | None = None,

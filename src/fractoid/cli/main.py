@@ -11,7 +11,6 @@ Exit codes: 0 pass, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 from ..dirac import build_gammas, clifford_relation_check
 from ..errors import ConfigError, FractoidError, ParameterError
 from ..meanderiv import EstimatorConfig, estimate_velocity_fields, write_field_csv
+from ..persistence import read_manifest, write_table
 from ..stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -122,7 +122,7 @@ def cmd_estimate(args) -> int:
     cfg.validate()
     try:
         ens = PathEnsemble.read_csv(args.ensemble)
-    except (OSError, ValueError) as exc:   # missing, unreadable or malformed
+    except (OSError, ValueError, ParameterError) as exc:   # missing or malformed
         raise ConfigError(f"cannot read ensemble '{args.ensemble}': {exc}") from exc
     est = EstimatorConfig.regular(
         (0.0, ens.t_final), cfg.est_t_bins,
@@ -190,7 +190,7 @@ def cmd_report(args) -> int:
     rows = []
     seen: dict[str, str] = {}
     for f in files:
-        payload = json.loads(f.read_text(encoding="utf8"))
+        payload = read_manifest(f, ("suite", "checks"))
         for chk in payload["checks"]:
             key = f"{payload['suite']}/{chk['name']}"
             if key in seen:
@@ -203,16 +203,12 @@ def cmd_report(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    merged = out / "merged.csv"
-    with open(merged, "w", encoding="utf8") as fh:
-        fh.write("suite,check,value,target,tolerance,status\n")
-        for r in rows:
-            fh.write("%s,%s,%.17g,%.17g,%.17g,%s\n" % r)
-    plot = out / "plot.csv"
-    with open(plot, "w", encoding="utf8") as fh:
-        fh.write("x,value,tolerance\n")
-        for r in rows:
-            fh.write("%s,%.17g,%.17g\n" % (f"{r[0]}/{r[1]}", r[2], r[4]))
+    columns = [[r[j] for r in rows] for j in range(6)]
+    merged, plot = out / "merged.csv", out / "plot.csv"
+    write_table(merged, ["suite", "check", "value", "target", "tolerance", "status"],
+                columns)
+    write_table(plot, ["x", "value", "tolerance"],
+                [[f"{r[0]}/{r[1]}" for r in rows], columns[2], columns[4]])
     print(f"wrote {merged} and {plot} ({len(rows)} checks)")
     return EXIT_OK
 

@@ -55,9 +55,10 @@ def _axis_slices(values: np.ndarray, axis: int):
     return ax(slice(1, -1)), ax(slice(2, None)), ax(slice(None, -2))
 
 
-def _central_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
-                  coords: np.ndarray | None = None):
-    """Masked central difference along a bin axis.
+def _bin_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
+              coords: np.ndarray | None = None, second: bool = False):
+    """Masked central first (or, with second=True, second) difference along
+    a bin axis.
 
     With coords given (one abscissa per bin along this axis, e.g. the
     conditional means), the three-point nonuniform formula is used; bins
@@ -69,53 +70,43 @@ def _central_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
         return der, valid
     mid, up, down = _axis_slices(values, axis)
     gmid, gup, gdown = _axis_slices(good, axis)
-    gm = good[gmid] & good[gup] & good[gdown]
-    if coords is None:
+    if coords is None and second:
+        der[mid] = (values[up] - 2.0 * values[mid] + values[down]) / step**2
+    elif coords is None:
         der[mid] = (values[up] - values[down]) / (2.0 * step)
     else:
         cmid, cup, cdown = _axis_slices(coords, axis)
         hp = (coords[cup] - coords[cmid])[..., None]
         hm = (coords[cmid] - coords[cdown])[..., None]
-        der[mid] = (hm**2 * values[up] - hp**2 * values[down]
-                    + (hp**2 - hm**2) * values[mid]) / (hp * hm * (hp + hm))
-    valid[gmid] = gm
-    return der, valid
-
-
-def _second_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
-                 coords: np.ndarray | None = None):
-    der = np.full_like(values, np.nan)
-    valid = np.zeros(good.shape, dtype=bool)
-    if values.shape[axis] < 3:
-        return der, valid
-    mid, up, down = _axis_slices(values, axis)
-    gmid, gup, gdown = _axis_slices(good, axis)
-    gm = good[gmid] & good[gup] & good[gdown]
-    if coords is None:
-        der[mid] = (values[up] - 2.0 * values[mid] + values[down]) / step**2
-    else:
-        cmid, cup, cdown = _axis_slices(coords, axis)
-        hp = (coords[cup] - coords[cmid])[..., None]
-        hm = (coords[cmid] - coords[cdown])[..., None]
-        der[mid] = 2.0 * (hm * values[up] + hp * values[down]
-                          - (hp + hm) * values[mid]) / (hp * hm * (hp + hm))
-    valid[gmid] = gm
+        if second:
+            num = 2.0 * (hm * values[up] + hp * values[down] - (hp + hm) * values[mid])
+        else:
+            num = hm**2 * values[up] - hp**2 * values[down] + (hp**2 - hm**2) * values[mid]
+        der[mid] = num / (hp * hm * (hp + hm))
+    valid[gmid] = good[gmid] & good[gup] & good[gdown]
     return der, valid
 
 
 def _grad_fields(values: np.ndarray, good: np.ndarray, config: EstimatorConfig,
-                 points: np.ndarray):
-    """Spatial gradient d_a w^c per bin on the per-bin abscissas points
-    (shape + (dim,)); returns (grads list, joint validity)."""
+                 points: np.ndarray, second: bool = False):
+    """Spatial derivatives d_a w^c (or, with second=True, d_a d_a w^c) per
+    bin on the per-bin abscissas points (shape + (dim,)); returns
+    (derivative list, joint validity)."""
     steps = config.x_steps
     grads = []
     valid = good.copy()
     for a in range(config.dimension):
-        der, ok = _central_diff(values, good, axis=1 + a, step=steps[a],
-                                coords=points[..., a])
+        der, ok = _bin_diff(values, good, axis=1 + a, step=steps[a],
+                            coords=points[..., a], second=second)
         grads.append(der)
         valid &= ok
     return grads, valid
+
+
+def _laplacian(values, good, config, points):
+    """Flat Laplacian per bin, invalid terms summed as zero; with validity."""
+    der2, valid = _grad_fields(values, good, config, points, second=True)
+    return sum(np.where(np.isnan(d), 0.0, d) for d in der2), valid
 
 
 def _advection(w: np.ndarray, grads: list[np.ndarray]) -> np.ndarray:
@@ -130,7 +121,7 @@ def _time_derivative(values: np.ndarray, good: np.ndarray, config: EstimatorConf
     if config.n_time_bins == 1:
         # Single time bin: stationary grid, the time term is zero.
         return np.zeros_like(values), good.copy()
-    return _central_diff(values, good, axis=0, step=_time_step(config))
+    return _bin_diff(values, good, axis=0, step=_time_step(config))
 
 
 def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> AccelerationField:
@@ -147,13 +138,7 @@ def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> Acceleratio
     dt_w1, ok_t = _time_derivative(w1, good, cfg)
     g1, ok1 = _grad_fields(w1, good, cfg, points)
     g2, ok2 = _grad_fields(w2, good, cfg, points)
-    lap_w2 = np.zeros_like(w2)
-    ok_lap = good.copy()
-    for a in range(cfg.dimension):
-        der2, okd = _second_diff(w2, good, axis=1 + a, step=cfg.x_steps[a],
-                                 coords=points[..., a])
-        lap_w2 += np.where(np.isnan(der2), 0.0, der2)
-        ok_lap &= okd
+    lap_w2, ok_lap = _laplacian(w2, good, cfg, points)
     values = dt_w1 + _advection(w1, g1) - _advection(w2, g2) - 0.5 * epsilon**2 * lap_w2
     mask = good & ok_t & ok1 & ok2 & ok_lap
     dropped = int(np.count_nonzero(good & ~mask))
@@ -208,19 +193,13 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
     adv2 = np.einsum("...a,...ac->...c", np.nan_to_num(w2), V2)
 
     if flat:
-        lap_w2 = np.zeros_like(w2)
-        ok_lap = good.copy()
-        for a in range(cfg.dimension):
-            der2, okd = _second_diff(w2, good, axis=1 + a, step=cfg.x_steps[a],
-                                     coords=points[..., a])
-            lap_w2 += np.where(np.isnan(der2), 0.0, der2)
-            ok_lap &= okd
+        lap_w2, ok_lap = _laplacian(w2, good, cfg, points)
     else:
         # Rough Laplacian: g^{ab} (d_a V_b^c - Gamma^e_{ab} V_e^c + Gamma^c_{ae} V_b^e)
         ok_lap = ok2.copy()
         dV = []
         for a in range(cfg.dimension):
-            der, okd = _central_diff(V2, ok2, axis=1 + a, step=cfg.x_steps[a])
+            der, okd = _bin_diff(V2, ok2, axis=1 + a, step=cfg.x_steps[a])
             dV.append(der)
             ok_lap &= okd
         dV = np.stack(dV, axis=-3)                  # (..., a, b, c)

@@ -15,15 +15,14 @@ same two arrays, and one accumulator reduces them per bin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
+from ..persistence import manifest_for, write_manifest, write_table
 from ..stochastic import PathEnsemble
 
 
@@ -418,33 +417,20 @@ def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,
 
 def write_field_csv(field: MeanDerivativeField, path, manifest_path=None) -> None:
     """CSV export: t,x0..,count,D+_0..,D-_0..,w1_0..,w2_0..,se_0.. plus manifest."""
-    path = Path(path)
     cfg = field.config
     dim = cfg.dimension
-    header = (["t"] + [f"x{i}" for i in range(dim)] + ["count"]
-              + [f"D+_{i}" for i in range(dim)] + [f"D-_{i}" for i in range(dim)]
-              + [f"w1_{i}" for i in range(dim)] + [f"w2_{i}" for i in range(dim)]
-              + [f"se_{i}" for i in range(dim)])
     centers = np.meshgrid(cfg.t_centers, *cfg.x_centers, indexing="ij")
-    flat = [c.reshape(-1) for c in centers]
-    n_bins = flat[0].shape[0]
-    cols = flat + [field.count.reshape(-1)]
-    for arr in (field.forward, field.backward, field.current, field.osmotic,
-                field.velocity_se):
-        cols += [arr.reshape(n_bins, dim)[:, i] for i in range(dim)]
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%d" % v if isinstance(v, (int, np.integer))
-                              else "%.17g" % v for v in row) + "\n")
-    mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-    manifest = {
+    header = ["t"] + [f"x{i}" for i in range(dim)] + ["count"]
+    columns = [c.reshape(-1) for c in centers] + [field.count.reshape(-1)]
+    for name, arr in (("D+", field.forward), ("D-", field.backward), ("w1", field.current),
+                      ("w2", field.osmotic), ("se", field.velocity_se)):
+        header += [f"{name}_{i}" for i in range(dim)]
+        columns += list(arr.reshape(-1, dim).T)
+    write_table(path, header, columns)
+    write_manifest(manifest_for(path, manifest_path), {
         "time_edges": cfg.time_edges.tolist(),
         "space_edges": [e.tolist() for e in cfg.space_edges],
         "min_count": cfg.min_count,
         "lag": cfg.lag,
         "causal_split": cfg.causal_split,
-    }
-    with open(mpath, "w", encoding="utf8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

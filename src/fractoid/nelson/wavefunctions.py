@@ -7,20 +7,21 @@ gradient of psi divided by psi, which avoids phase-unwrapping artifacts.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ConfigError, ParameterError
+from ..persistence import (manifest_for, read_manifest, read_table, write_manifest,
+                           write_table)
 
 NODAL_FLOOR = 1e-12
 EPSILON_CONSISTENCY_TOL = 1e-12
+GRID_COORD_TOL = 1e-6   # in grid steps: the manifest rebuilds axes by linspace
 
 
 @dataclass
@@ -68,32 +69,30 @@ class WaveFunctionGrid:
     # --- persistence: CSV `x0..,re,im` + JSON manifest -------------------
 
     def write_csv(self, path, manifest_path=None) -> None:
-        path = Path(path)
-        pts = self.mesh().reshape(-1, self.dimension)
+        dim = self.dimension
         vals = self.values.reshape(-1)
-        header = ",".join(f"x{i}" for i in range(self.dimension)) + ",re,im"
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(header + "\n")
-            for row, v in zip(pts, vals):
-                fh.write(",".join("%.17g" % c for c in row)
-                         + ",%.17g,%.17g\n" % (v.real, v.imag))
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        manifest = {"hbar": self.hbar, "mass": self.mass,
-                    "grid": [[float(a[0]), float(a[-1]), len(a)] for a in self.axes]}
-        with open(mpath, "w", encoding="utf8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_table(path, [f"x{i}" for i in range(dim)] + ["re", "im"],
+                    [*self.mesh().reshape(-1, dim).T, vals.real, vals.imag])
+        write_manifest(manifest_for(path, manifest_path),
+                       {"hbar": self.hbar, "mass": self.mass,
+                        "grid": [[float(a[0]), float(a[-1]), len(a)] for a in self.axes]})
 
     @classmethod
     def read_csv(cls, path, manifest_path=None) -> "WaveFunctionGrid":
-        path = Path(path)
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        with open(mpath, encoding="utf8") as fh:
-            manifest = json.load(fh)
+        """Rows must follow the manifest grid in C order: a missing row or a
+        coordinate off its node by GRID_COORD_TOL steps is a ParameterError."""
+        manifest = read_manifest(manifest_for(path, manifest_path),
+                                 ("hbar", "mass", "grid"))
         axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        values = (raw[:, -2] + 1j * raw[:, -1]).reshape(tuple(len(a) for a in axes))
-        return cls(axes=axes, values=values,
+        raw = read_table(path, len(axes) + 2)
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        steps = np.array([(a[-1] - a[0]) / max(len(a) - 1, 1) for a in axes])
+        if len(raw) != len(mesh) or np.any(np.abs(raw[:, :-2] - mesh)
+                                           > GRID_COORD_TOL * steps):
+            raise ParameterError(f"{path}: the rows do not follow the manifest grid "
+                                 f"{manifest['grid']} node by node")
+        return cls(axes=axes, values=(raw[:, -2] + 1j * raw[:, -1]).reshape(
+                       tuple(len(a) for a in axes)),
                    hbar=float(manifest["hbar"]), mass=float(manifest["mass"]))
 
 

@@ -1,19 +1,23 @@
 """PathEnsemble: N discretized sample paths on a uniform time grid.
 
-Persistence: CSV with header ``path_id,step,t,x0,...,x{n-1}`` plus a JSON
-manifest, and an optional binary (.npz) column format that round-trips
-bit-exactly.
+Persistence goes through :mod:`fractoid.persistence`: a CSV table
+``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step), plus a JSON
+manifest holding chart, seed, dt, T, N and the meta entries.  The reader
+rejects a manifest without chart, seed or N, a path count other than N, and
+a missing or repeated (path, step) row.  ``write_npz``/``read_npz`` keep a
+binary column format that round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import ParameterError
+from ..persistence import (manifest_for, read_manifest, read_table, write_manifest,
+                           write_table)
 
 GRID_UNIFORMITY_TOL = 1e-12
 
@@ -84,41 +88,26 @@ class PathEnsemble:
         return out
 
     def write_csv(self, path, manifest_path=None) -> None:
-        path = Path(path)
-        dim = self.dimension
-        header = "path_id,step,t," + ",".join(f"x{i}" for i in range(dim))
-        n, k1 = self.paths.shape[:2]
-        pid = np.repeat(np.arange(n), k1)
-        step = np.tile(np.arange(k1), n)
-        t = np.tile(self.times, n)
-        cols = [pid, step, t] + [self.paths[:, :, i].ravel() for i in range(dim)]
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write("%d,%d," % (row[0], row[1])
-                         + ",".join("%.17g" % v for v in row[2:]) + "\n")
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        with open(mpath, "w", encoding="utf8") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        n, k1, dim = self.paths.shape
+        write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
+                    [np.repeat(np.arange(n), k1), np.tile(np.arange(k1), n),
+                     np.tile(self.times, n), *self.paths.reshape(-1, dim).T])
+        write_manifest(manifest_for(path, manifest_path), self.manifest())
 
     @classmethod
     def read_csv(cls, path, manifest_path=None) -> "PathEnsemble":
-        path = Path(path)
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        with open(mpath, encoding="utf8") as fh:
-            manifest = json.load(fh)
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if raw.shape[0] == 0 or raw.shape[1] < 4:
-            raise ParameterError(f"{path} holds no path samples")
-        pid = raw[:, 0].astype(int)
-        step = raw[:, 1].astype(int)
+        manifest = read_manifest(manifest_for(path, manifest_path),
+                                 ("chart", "seed", "N"))
+        raw = read_table(path)
+        if raw.shape[1] < 4:
+            raise ParameterError(f"{path} holds no path coordinates")
+        pid, step = raw[:, :2].astype(int).T
         if pid.min() < 0 or step.min() < 0:
             raise ParameterError(f"{path} has a negative path_id or step")
-        n = pid.max() + 1
-        k1 = step.max() + 1
-        if n != manifest.get("N", n):
-            raise ParameterError(f"{path} holds {n} paths, its manifest says {manifest['N']}")
+        n, k1 = pid.max() + 1, step.max() + 1
+        if n != manifest["N"]:
+            raise ParameterError(f"{path} holds {n} paths, its manifest says "
+                                 f"{manifest['N']}")
         # every (path, step) row exactly once, or np.empty leaks into the paths
         seen = np.bincount(pid * k1 + step, minlength=n * k1)
         if np.any(seen != 1):

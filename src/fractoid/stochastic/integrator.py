@@ -36,7 +36,10 @@ def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:
     elif x0.shape != (n_paths, dim):
         raise ParameterError(f"x0 must be ({n_paths}, {dim}), got {x0.shape}")
     if chart is not None:
-        chart.require_valid(x0)
+        outside = ~np.asarray(chart.is_valid(x0), dtype=bool)
+        if np.any(outside):
+            raise ParameterError(f"chart '{chart.name}': start {x0[outside][0].tolist()} "
+                                 "lies outside the valid region")
         d = chart.diag(x0)
         negative = np.arange(dim) < chart.signature[0]
         if not np.all(np.where(negative, d < 0, d > 0)):

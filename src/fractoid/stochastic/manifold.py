@@ -41,9 +41,7 @@ class FrameState:
     frame: np.ndarray
 
     def orthonormality_defect(self, chart: MetricChart) -> float:
-        g = chart.metric_at(self.base_point)
-        eta = chart.signature_matrix()
-        return float(np.max(np.abs(self.frame.T @ g @ self.frame - eta)))
+        return frame_defect(chart, self.base_point, self.frame)
 
 
 @dataclass
@@ -57,10 +55,14 @@ class FrameBundleEnsemble:
     chart_name: str
 
     def max_orthonormality_defect(self, chart: MetricChart) -> float:
-        g = chart.metric(self.base_paths)
-        eta = chart.signature_matrix()
-        gram = np.einsum("...ji,...jk,...kl->...il", self.frames, g, self.frames)
-        return float(np.max(np.abs(gram - eta)))
+        return frame_defect(chart, self.base_paths, self.frames)
+
+
+def frame_defect(chart: MetricChart, x, e) -> float:
+    """max |e^T g e - eta| over frames e (..., n, n) at base points x (..., n)."""
+    g = chart.diag(np.asarray(x, dtype=float))
+    gram = np.einsum("...ji,...j,...jl->...il", e, g, e)
+    return float(np.max(np.abs(gram - chart.signature_matrix())))
 
 
 def _frame_diag(chart: MetricChart, x) -> np.ndarray:
@@ -193,16 +195,16 @@ def gram_schmidt(chart: MetricChart, x: np.ndarray, frame: np.ndarray) -> np.nda
     Signed projections handle Lorentzian signatures; column order follows
     the chart signature (negative-norm directions first).
     """
-    g = chart.metric(np.asarray(x, dtype=float))
+    g = chart.diag(np.asarray(x, dtype=float))
     n = chart.dimension
     cols = [frame[..., :, j].copy() for j in range(n)]
     for j in range(n):
         for i in range(j):
-            gi = np.einsum("...ij,...j->...i", g, cols[i])
+            gi = g * cols[i]
             denom = np.einsum("...i,...i->...", cols[i], gi)
             num = np.einsum("...i,...i->...", cols[j], gi)
             cols[j] = cols[j] - (num / denom)[..., None] * cols[i]
-        norm2 = np.einsum("...i,...ij,...j->...", cols[j], g, cols[j])
+        norm2 = np.einsum("...i,...i->...", cols[j] * g, cols[j])
         cols[j] = cols[j] / np.sqrt(np.abs(norm2))[..., None]
     return np.stack(cols, axis=-1)
 
@@ -224,7 +226,6 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
     defect = frame0.orthonormality_defect(chart)
     if not defect <= FRAME_TOL:  # a NaN defect fails too
         raise ParameterError(f"frame0 is not g-orthonormal (defect {defect:.2e})")
-    eta = chart.signature_matrix()
     core = Integrator("frame-bundle-heun", T, dt, seed, n_noise=n, chart=chart)
 
     def transport(x_from, x_to):
@@ -247,8 +248,7 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
         return x_new, transport(x, x_new) @ e
 
     def renormalize(x, e):
-        gram = np.einsum("bji,bjk,bkl->bil", e, chart.metric(x), e)
-        drift_now = float(np.max(np.abs(gram - eta)))
+        drift_now = frame_defect(chart, x, e)
         if drift_now > FRAME_DRIFT_LIMIT:
             raise InstabilityError(
                 f"frame orthonormality drifted to {drift_now:.2e} before "

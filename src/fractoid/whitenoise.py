@@ -10,7 +10,6 @@ signature form is exposed separately as :func:`signature_inner_product`
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParameterError, ResourceError
+from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream
 
 DEFAULT_CELL_CAP = 10_000_000
@@ -85,21 +85,22 @@ class WhiteNoiseSample:
 
     def write(self, path, manifest_path=None) -> None:
         """Flat binary of float64 in row-major cell order plus JSON manifest."""
-        path = Path(path)
         self.values.astype(np.float64).tofile(path)
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        with open(mpath, "w", encoding="utf8") as fh:
-            json.dump({"lattice": self.lattice.manifest(), "seed": int(self.seed)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_manifest(manifest_for(path, manifest_path),
+                       {"lattice": self.lattice.manifest(), "seed": int(self.seed)})
 
     @classmethod
     def read(cls, path, manifest_path=None) -> "WhiteNoiseSample":
-        path = Path(path)
-        mpath = Path(manifest_path) if manifest_path else path.with_suffix(".manifest.json")
-        with open(mpath, encoding="utf8") as fh:
-            manifest = json.load(fh)
-        lattice = SpaceTimeLattice(**manifest["lattice"])
+        mpath = manifest_for(path, manifest_path)
+        manifest = read_manifest(mpath, ("lattice", "seed"))
+        try:
+            lattice = SpaceTimeLattice(**manifest["lattice"])
+        except TypeError as exc:
+            raise ParameterError(f"{mpath}: bad lattice: {exc}") from exc
+        size = Path(path).stat().st_size
+        if size != lattice.n_cells * 8:
+            raise ParameterError(f"{path} holds {size} bytes, its manifest's lattice "
+                                 f"needs {lattice.n_cells * 8} (8 per cell)")
         values = np.fromfile(path, dtype=np.float64).reshape(lattice.shape)
         return cls(lattice=lattice, values=values, seed=int(manifest["seed"]))
 
@@ -139,25 +140,31 @@ def lattice_inner_product(lattice: SpaceTimeLattice, w, v) -> float:
                  * lattice.cell_volume)
 
 
+def paley_wiener_samples(lattice: SpaceTimeLattice, fns, n_samples: int,
+                         seed: int) -> np.ndarray:
+    """(n_samples, len(fns)) integrals W_f; sample i draws its lattice from
+    make_stream(seed, i), so the integrals depend only on the seed."""
+    fns = [_on_lattice(lattice, f) for f in fns]
+    vol = lattice.cell_volume
+    sigma = 1.0 / np.sqrt(vol)
+    out = np.empty((n_samples, len(fns)))
+    for i in range(n_samples):
+        noise = make_stream(seed, i).normal(0.0, sigma, size=lattice.shape)
+        for j, f in enumerate(fns):
+            out[i, j] = np.sum(f * noise) * vol
+    return out
+
+
 def covariance_check(lattice: SpaceTimeLattice, w, v, n_samples: int,
                      seed: int) -> tuple[float, float]:
-    """Empirical cov(W_w, W_v) and its z-score against <w, v>.
-
-    Sample i draws its lattice from make_stream(seed, i), so the estimate
-    depends only on the seed.  Returns (covariance, z_score).
+    """Empirical cov(W_w, W_v) over paley_wiener_samples and its z-score
+    against <w, v>.  Returns (covariance, z_score).
     """
     if n_samples < 100:
         raise ParameterError("need at least 100 samples")
     w_arr = _on_lattice(lattice, w)
     v_arr = _on_lattice(lattice, v)
-    vol = lattice.cell_volume
-    sigma = 1.0 / np.sqrt(vol)
-    ww = np.empty(n_samples)
-    vv = np.empty(n_samples)
-    for i in range(n_samples):
-        noise = make_stream(seed, i).normal(0.0, sigma, size=lattice.shape)
-        ww[i] = np.sum(w_arr * noise) * vol
-        vv[i] = np.sum(v_arr * noise) * vol
+    ww, vv = paley_wiener_samples(lattice, [w_arr, v_arr], n_samples, seed).T
     cov = float(np.mean(ww * vv) - np.mean(ww) * np.mean(vv))
     target = lattice_inner_product(lattice, w_arr, v_arr)
     nw = lattice_inner_product(lattice, w_arr, w_arr)

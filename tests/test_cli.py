@@ -70,6 +70,7 @@ def test_simulate_unknown_chart_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("x0", [
     "[1.5,0.0,0.0]",              # wrong length for the 2-d sphere chart
     "[[1.5,0.0],[1.5,0.5]]",      # two rows for three paths
+    "[0.0,0.0]",                  # on the pole, outside the chart's valid region
 ])
 def test_simulate_bad_start_exit_2(tmp_path, capsys, x0):
     code = main(["simulate", "--out", str(tmp_path), "--seed", "1",
@@ -97,13 +98,19 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert header.startswith("t,x0,count,D+_0")
 
 
-@pytest.mark.parametrize("damage", ["missing", "corrupt manifest"])
+@pytest.mark.parametrize("damage", ["missing", "corrupt manifest", "manifest without seed",
+                                    "list manifest"])
 def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
     path = tmp_path / "ensemble.csv"
-    if damage == "corrupt manifest":
+    mpath = tmp_path / "ensemble.manifest.json"
+    if damage != "missing":
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3",
                      "--set", "n_paths=4", "--set", "t_final=0.1"]) == 0
-        (tmp_path / "ensemble.manifest.json").write_text("not json")
+        manifest = json.loads(mpath.read_text())
+        del manifest["seed"]
+        mpath.write_text({"corrupt manifest": "not json",
+                          "manifest without seed": json.dumps(manifest),
+                          "list manifest": json.dumps([manifest])}[damage])
     code = main(["estimate", "--ensemble", str(path), "--out", str(tmp_path),
                  "--seed", "3"])
     assert code == 2

@@ -316,3 +316,15 @@ def test_wavefunction_csv_roundtrip(tmp_path):
     back = WaveFunctionGrid.read_csv(path)
     assert np.allclose(back.values, psi.values)
     assert back.hbar == psi.hbar and back.mass == psi.mass
+
+
+@pytest.mark.parametrize("edit", ["swap", "delete"])
+def test_wavefunction_csv_rejects_reordered_or_missing_rows(tmp_path, edit):
+    psi = make_wavefunction("gaussian-packet(0.8)", (np.linspace(-1, 1, 5),))
+    path = tmp_path / "psi.csv"
+    psi.write_csv(path)
+    lines = path.read_text().splitlines()
+    lines[2:4] = [lines[3], lines[2]] if edit == "swap" else [lines[3]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=str(path)):
+        WaveFunctionGrid.read_csv(path)

@@ -48,6 +48,14 @@ def test_sampling_deterministic_and_roundtrip(tmp_path):
     assert back.lattice == a.lattice and back.seed == a.seed
 
 
+def test_read_rejects_truncated_file(tmp_path):
+    p = tmp_path / "noise.bin"
+    sample_white_noise(LAT, seed=SEED).write(p)
+    p.write_bytes(p.read_bytes()[:-8])
+    with pytest.raises(ParameterError, match="noise.bin"):
+        WhiteNoiseSample.read(p)
+
+
 def test_cell_cap():
     lat = SpaceTimeLattice(t_extent=1.0, dt=0.001, half_width=10.0, dx=0.01,
                            d=3, cell_cap=10_000)
