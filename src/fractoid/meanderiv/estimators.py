@@ -415,7 +415,7 @@ def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,
 
 # --- persistence -----------------------------------------------------------
 
-def write_field_csv(field: MeanDerivativeField, path, manifest_path=None) -> None:
+def write_field_csv(field: MeanDerivativeField, path) -> None:
     """CSV export: t,x0..,count,D+_0..,D-_0..,w1_0..,w2_0..,se_0.. plus manifest."""
     cfg = field.config
     dim = cfg.dimension
@@ -427,7 +427,7 @@ def write_field_csv(field: MeanDerivativeField, path, manifest_path=None) -> Non
         header += [f"{name}_{i}" for i in range(dim)]
         columns += list(arr.reshape(-1, dim).T)
     write_table(path, header, columns)
-    write_manifest(manifest_for(path, manifest_path), {
+    write_manifest(manifest_for(path), {
         "time_edges": cfg.time_edges.tolist(),
         "space_edges": [e.tolist() for e in cfg.space_edges],
         "min_count": cfg.min_count,

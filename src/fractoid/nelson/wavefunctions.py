@@ -68,21 +68,20 @@ class WaveFunctionGrid:
 
     # --- persistence: CSV `x0..,re,im` + JSON manifest -------------------
 
-    def write_csv(self, path, manifest_path=None) -> None:
+    def write_csv(self, path) -> None:
         dim = self.dimension
         vals = self.values.reshape(-1)
         write_table(path, [f"x{i}" for i in range(dim)] + ["re", "im"],
                     [*self.mesh().reshape(-1, dim).T, vals.real, vals.imag])
-        write_manifest(manifest_for(path, manifest_path),
+        write_manifest(manifest_for(path),
                        {"hbar": self.hbar, "mass": self.mass,
                         "grid": [[float(a[0]), float(a[-1]), len(a)] for a in self.axes]})
 
     @classmethod
-    def read_csv(cls, path, manifest_path=None) -> "WaveFunctionGrid":
+    def read_csv(cls, path) -> "WaveFunctionGrid":
         """Rows must follow the manifest grid in C order: a missing row or a
         coordinate off its node by GRID_COORD_TOL steps is a ParameterError."""
-        manifest = read_manifest(manifest_for(path, manifest_path),
-                                 ("hbar", "mass", "grid"))
+        manifest = read_manifest(manifest_for(path), ("hbar", "mass", "grid"))
         axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
         raw = read_table(path, len(axes) + 2)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
@@ -91,8 +90,8 @@ class WaveFunctionGrid:
                                            > GRID_COORD_TOL * steps):
             raise ParameterError(f"{path}: the rows do not follow the manifest grid "
                                  f"{manifest['grid']} node by node")
-        return cls(axes=axes, values=(raw[:, -2] + 1j * raw[:, -1]).reshape(
-                       tuple(len(a) for a in axes)),
+        values = (raw[:, -2] + 1j * raw[:, -1]).reshape(tuple(len(a) for a in axes))
+        return cls(axes=axes, values=values,
                    hbar=float(manifest["hbar"]), mass=float(manifest["mass"]))
 
 

@@ -19,12 +19,12 @@ import numpy as np
 from .errors import ParameterError
 
 ROW_CHUNK = 8192   # table rows formatted per write call
-_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+_FORMATS = {"i": "%d", "f": "%.17g"}
 
 
-def manifest_for(path, override=None) -> Path:
+def manifest_for(path) -> Path:
     """The manifest beside a data file: x.csv -> x.manifest.json."""
-    return Path(override) if override else Path(path).with_suffix(".manifest.json")
+    return Path(path).with_suffix(".manifest.json")
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -87,17 +87,16 @@ class PathEnsemble:
         out.update(self.meta)
         return out
 
-    def write_csv(self, path, manifest_path=None) -> None:
+    def write_csv(self, path) -> None:
         n, k1, dim = self.paths.shape
         write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
                     [np.repeat(np.arange(n), k1), np.tile(np.arange(k1), n),
                      np.tile(self.times, n), *self.paths.reshape(-1, dim).T])
-        write_manifest(manifest_for(path, manifest_path), self.manifest())
+        write_manifest(manifest_for(path), self.manifest())
 
     @classmethod
-    def read_csv(cls, path, manifest_path=None) -> "PathEnsemble":
-        manifest = read_manifest(manifest_for(path, manifest_path),
-                                 ("chart", "seed", "N"))
+    def read_csv(cls, path) -> "PathEnsemble":
+        manifest = read_manifest(manifest_for(path), ("chart", "seed", "N"))
         raw = read_table(path)
         if raw.shape[1] < 4:
             raise ParameterError(f"{path} holds no path coordinates")

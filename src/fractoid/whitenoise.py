@@ -83,15 +83,15 @@ class WhiteNoiseSample:
     values: np.ndarray
     seed: int
 
-    def write(self, path, manifest_path=None) -> None:
+    def write(self, path) -> None:
         """Flat binary of float64 in row-major cell order plus JSON manifest."""
         self.values.astype(np.float64).tofile(path)
-        write_manifest(manifest_for(path, manifest_path),
+        write_manifest(manifest_for(path),
                        {"lattice": self.lattice.manifest(), "seed": int(self.seed)})
 
     @classmethod
-    def read(cls, path, manifest_path=None) -> "WhiteNoiseSample":
-        mpath = manifest_for(path, manifest_path)
+    def read(cls, path) -> "WhiteNoiseSample":
+        mpath = manifest_for(path)
         manifest = read_manifest(mpath, ("lattice", "seed"))
         try:
             lattice = SpaceTimeLattice(**manifest["lattice"])

@@ -230,6 +230,14 @@ def test_report_duplicate_check_error(tmp_path, capsys):
     assert "report-a.json" in err or "report-b.json" in err
 
 
+def test_report_malformed_file_exit_2(tmp_path, capsys):
+    (tmp_path / "report-a.json").write_text(json.dumps([{"suite": "s"}]))
+    code = main(["report", "--dir", str(tmp_path), "--out", str(tmp_path),
+                 "--seed", "1"])
+    assert code == 2
+    assert "report-a.json" in capsys.readouterr().err
+
+
 def test_report_empty_directory_errors(tmp_path, capsys):
     code = main(["report", "--dir", str(tmp_path), "--out", str(tmp_path),
                  "--seed", "1"])
