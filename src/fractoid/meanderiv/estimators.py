@@ -6,17 +6,26 @@ rectangular (t, x) bin.  Bins below min_count report NaN ("empty"), never
 zero, so downstream finite differences cannot silently use them.
 
 Each ensemble is binned once.  :class:`LaggedSamples` holds the bin of
-every sample (:meth:`EstimatorConfig.bin_index`) and one array of
-increments x(t + lag dt) - x(t).  An increment's forward quotient is
-conditioned on its early end and its backward quotient on its late end, so
-both directions, the causal split and the quadratic variation read the
-same two arrays, and one accumulator reduces them per bin.
+every sample (:meth:`EstimatorConfig.bin_index`) in the smallest unsigned
+type that holds the bin count; samples outside the grid carry the overflow
+bin n_bins, which no estimate reads.  An increment x(t + lag dt) - x(t) is
+conditioned on its early end for the forward quotient and on its late end
+for the backward one, so both directions, the causal split and the
+quadratic variation read the same index.
+
+Values are never held for the whole ensemble.  The accumulator walks the
+paths in blocks of BLOCK_PATHS, forms each block's increments, quotients or
+outer products, and reduces them per bin in two sweeps: the first sums
+counts, values and conditioning points, the second the squared deviations
+from the bin means.  A sample a causal split drops goes to the overflow bin
+of its block.  The float sums add samples in path-major order, so the
+results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +33,8 @@ from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
 from ..stochastic import PathEnsemble
+
+BLOCK_PATHS = 4096   # paths per accumulator block; sets memory, not values
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,11 @@ class EstimatorConfig:
         return (self.n_time_bins,) + self.n_space_bins
 
     @property
+    def n_bins(self) -> int:
+        """Bins in the grid; also the overflow bin of samples outside it."""
+        return int(np.prod(self.shape))
+
+    @property
     def t_centers(self) -> np.ndarray:
         return 0.5 * (self.time_edges[:-1] + self.time_edges[1:])
 
@@ -121,8 +137,9 @@ class EstimatorConfig:
 
     def bin_index(self, times: np.ndarray, paths: np.ndarray) -> np.ndarray:
         """(N, K+1) flattened bin of every sample of paths (N, K+1, dim)
-        taken at times (K+1,), -1 outside the grid.  Bins are half-open
-        [lo, hi); the time bin is found once per step."""
+        taken at times (K+1,), n_bins outside the grid, in the smallest
+        unsigned type that holds n_bins.  Bins are half-open [lo, hi); the
+        time bin is found once per step."""
         it = np.searchsorted(self.time_edges, times, side="right") - 1
         ok = (it >= 0) & (it < self.n_time_bins)
         idx = it.astype(np.int64)
@@ -131,7 +148,7 @@ class EstimatorConfig:
             ia = np.searchsorted(edges, paths[..., a], side="right") - 1
             ok = ok & (ia >= 0) & (ia < n)
             idx = idx * n + np.maximum(ia, 0)
-        return np.where(ok, idx, -1)
+        return np.where(ok, idx, self.n_bins).astype(np.min_scalar_type(self.n_bins))
 
 
 class _Binned:
@@ -198,48 +215,61 @@ def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray) -> np.ndarr
     return np.einsum("...i,i,...i->...", increments, eta, increments)
 
 
-def _accumulate(config: EstimatorConfig, index: np.ndarray, values: np.ndarray,
-                points: np.ndarray, keep: np.ndarray | None = None) -> BinnedField:
+# block(rows) -> (bins (B, M), values (B, M, ...)) of the paths in rows
+Block = Callable[[slice], tuple[np.ndarray, np.ndarray]]
+
+
+def _accumulate(config: EstimatorConfig, block: Block, points: np.ndarray) -> BinnedField:
     """Per-bin count, mean, standard error and conditioning mean.
 
-    index (N, M) bins the samples, values (N, M, ...) holds their values
-    and points (N, M, dim) their conditioning points; keep, when given,
-    drops samples.  The sums are fixed-order bincounts, so equal inputs
-    give bit-identical results.
+    points (N, M, dim) holds the conditioning points of N paths; block
+    gives the bins and values of a slice of them, with the overflow bin
+    n_bins for samples no bin takes.  Two sweeps over blocks of BLOCK_PATHS
+    paths: counts (exact integers), value sums and point sums first, then
+    the squared deviations from the bin means.  np.add.at adds samples in
+    path-major order, as one bincount over the whole ensemble would, so the
+    result is bit-identical for every block size.
     """
-    sel = index >= 0
-    if keep is not None:
-        sel &= keep
-    idx = index[sel]
-    vshape = values.shape[2:]
-    m = int(np.prod(vshape))
-    vals = values[sel].reshape(len(idx), m)
-    pts = points[sel]
-    n_bins = int(np.prod(config.shape))
-    count = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    mean = np.full((n_bins, m), np.nan)
-    se = np.full((n_bins, m), np.nan)
+    n_bins = config.n_bins
+    n, _, dim = points.shape
+    blocks = [slice(lo, lo + BLOCK_PATHS) for lo in range(0, n, BLOCK_PATHS)]
+    count = np.zeros(n_bins + 1, dtype=np.int64)
+    s1 = pts = vshape = None
+    for rows in blocks:
+        idx, vals = block(rows)
+        idx = idx.ravel()
+        if s1 is None:
+            vshape = vals.shape[2:]
+            s1 = np.zeros((int(np.prod(vshape)), n_bins + 1))
+            pts = np.zeros((dim, n_bins + 1))
+        vals = vals.reshape(len(idx), len(s1))
+        count += np.bincount(idx, minlength=n_bins + 1)
+        for c in range(len(s1)):
+            np.add.at(s1[c], idx, vals[:, c])
+        x = points[rows].reshape(len(idx), dim)
+        for a in range(dim):
+            np.add.at(pts[a], idx, x[:, a])
     nz = count > 0
-    for c in range(m):
-        s1 = np.bincount(idx, weights=vals[:, c], minlength=n_bins)
-        mu = np.where(nz, s1 / np.maximum(count, 1), np.nan)
-        # second pass about the bin mean: s2 - n mu^2 cancels catastrophically
-        # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
-        dev = mu[idx]
-        np.subtract(vals[:, c], dev, out=dev)
-        s2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=n_bins)
-        var = np.where(count > 1, s2 / np.maximum(count - 1, 1), np.nan)
-        mean[:, c] = mu
-        se[:, c] = np.sqrt(var / np.maximum(count, 1))
-    dim = pts.shape[1]
-    cond_mean = np.full((n_bins, dim), np.nan)
-    for a in range(dim):
-        s = np.bincount(idx, weights=pts[:, a], minlength=n_bins)
-        cond_mean[:, a] = np.where(nz, s / np.maximum(count, 1), np.nan)
+    mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
+    cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)
+    # second sweep about the bin mean: s2 - n mu^2 cancels catastrophically
+    # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
+    centre = np.where(nz, mean, 0.0)
+    s2 = np.zeros_like(s1)
+    for rows in blocks:
+        idx, vals = block(rows)
+        idx = idx.ravel()
+        vals = vals.reshape(len(idx), len(s1))
+        for c in range(len(s1)):
+            dev = centre[c][idx]
+            np.subtract(vals[:, c], dev, out=dev)
+            np.add.at(s2[c], idx, np.square(dev, out=dev))
+    var = np.where(count > 1, s2 / np.maximum(count - 1, 1), np.nan)
+    se = np.sqrt(var / np.maximum(count, 1))
+    count = count[:n_bins]
     empty = count < config.min_count
-    mean[empty] = np.nan
-    se[empty] = np.nan
-    cond_mean[empty] = np.nan
+    mean, se, cond_mean = (np.where(empty, np.nan, a[:, :n_bins]).T
+                           for a in (mean, se, cond_mean))
     return BinnedField(config=config, values=mean.reshape(config.shape + vshape),
                        se=se.reshape(config.shape + vshape),
                        count=count.reshape(config.shape),
@@ -258,21 +288,29 @@ def _require_populated(field: BinnedField) -> BinnedField:
 class LaggedSamples:
     """One ensemble binned once under a config.
 
-    index[p, k] is the bin of sample (p, k), -1 outside the grid, and
-    increments[p, k] = x_p(t_k + lag dt) - x_p(t_k).  An increment's
-    forward quotient is conditioned on its early end (step k), its
-    backward quotient on its late end (step k + lag).
+    index[p, k] is the bin of sample (p, k), the overflow bin n_bins
+    outside the grid.  The increment x_p(t_k + lag dt) - x_p(t_k) has its
+    forward quotient conditioned on its early end (step k) and its backward
+    quotient on its late end (step k + lag).  Increments, quotients and
+    causal classes are formed per block of paths when an average asks for
+    them, and never for the whole ensemble.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: EstimatorConfig):
         if ensemble.dimension != config.dimension:
             raise ParameterError(f"ensemble dimension {ensemble.dimension} does not "
                                  f"match the {config.dimension}-d bin grid")
+        if ensemble.n_steps < config.lag:
+            raise ParameterError(f"ensemble has {ensemble.n_steps} steps, "
+                                 f"need >= lag={config.lag}")
         self.ensemble = ensemble
         self.config = config
-        self.increments = _increments(ensemble, config.lag)
         self.dtau = config.lag * ensemble.dt
-        self.index = config.bin_index(ensemble.times, ensemble.paths)
+        paths = ensemble.paths
+        self.index = np.empty(paths.shape[:2], dtype=np.min_scalar_type(config.n_bins))
+        for lo in range(0, ensemble.n_paths, BLOCK_PATHS):
+            rows = slice(lo, lo + BLOCK_PATHS)
+            self.index[rows] = config.bin_index(ensemble.times, paths[rows])
 
     def ends(self, direction: str) -> tuple[slice, slice]:
         """Step slices of a direction's (conditioning, displaced) ends."""
@@ -283,45 +321,47 @@ class LaggedSamples:
             return late, early
         raise ParameterError(f"direction must be forward or backward, got '{direction}'")
 
-    @cached_property
-    def quotients(self) -> np.ndarray:
-        """The difference quotients increments / (lag dt) of both directions."""
-        return self.increments / self.dtau
+    def increments(self, rows: slice) -> np.ndarray:
+        """x(t + lag dt) - x(t) of the paths in rows, (B, K+1-lag, dim)."""
+        lag = self.config.lag
+        paths = self.ensemble.paths[rows]
+        return paths[:, lag:] - paths[:, :-lag]
 
-    @cached_property
-    def _causal_norm2(self) -> np.ndarray:
-        return _minkowski_norm2(self.ensemble, self.increments)
+    def quotients(self, rows: slice) -> np.ndarray:
+        """The difference quotients of both directions for the paths in rows."""
+        return self.increments(rows) / self.dtau
 
-    def causal(self, split: str) -> np.ndarray | None:
-        """Which increments a causal split keeps (None keeps all)."""
-        if split == "off":
-            return None
-        if split == "timelike":
-            return self._causal_norm2 <= 0
-        return self._causal_norm2 >= 0
-
-    def average(self, direction: str, values: np.ndarray,
-                keep: np.ndarray | None = None) -> BinnedField:
-        """Per-bin average of per-increment values (N, K+1-lag, ...) over
-        the bins of the direction's conditioning end."""
+    def average(self, direction: str, values, split: str = "off") -> BinnedField:
+        """Per-bin average of per-increment values over the bins of the
+        direction's conditioning end.  values is an (N, K+1-lag, ...) array
+        or a function giving its rows for a slice of paths; split keeps only
+        the increments of one causal class (timelike or spacelike)."""
         near, _ = self.ends(direction)
-        return _accumulate(self.config, self.index[:, near], values,
-                           self.ensemble.paths[:, near], keep)
+        values_of = values if callable(values) else values.__getitem__
+
+        def block(rows):
+            idx = self.index[rows, near]
+            if split != "off":
+                norm2 = _minkowski_norm2(self.ensemble, self.increments(rows))
+                keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
+                idx = np.where(keep, idx, self.config.n_bins)
+            return idx, values_of(rows)
+
+        return _accumulate(self.config, block, self.ensemble.paths[:, near])
 
     def mean_derivative(self, direction: str) -> BinnedField:
         """The one-sided quotient average under the config's causal split;
         raises EstimationError when no bin reaches min_count."""
-        return _require_populated(self.average(
-            direction, self.quotients, self.causal(self.config.causal_split)))
+        return _require_populated(self.average(direction, self.quotients,
+                                               self.config.causal_split))
 
     def at_samples(self, direction: str, values: np.ndarray) -> np.ndarray:
         """Per-bin values (shape + ...) read back at each conditioning
         sample of a direction, (N, K+1-lag, ...), NaN outside the grid."""
         near, _ = self.ends(direction)
-        idx = self.index[:, near]
         flat = values.reshape((-1,) + values.shape[len(self.config.shape):])
-        inside = (idx >= 0).reshape(idx.shape + (1,) * (flat.ndim - 1))
-        return np.where(inside, flat[np.maximum(idx, 0)], np.nan)
+        overflow = np.full((1,) + flat.shape[1:], np.nan)
+        return np.concatenate([flat, overflow])[self.index[:, near]]
 
 
 def estimate_forward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedField:
@@ -345,11 +385,10 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
     terms reach min_count.
     """
     samples = LaggedSamples(ensemble, config)
-    timelike, spacelike = samples.causal("timelike"), samples.causal("spacelike")
 
     def combine(first: str, second: str) -> BinnedField:
-        a = samples.average(first, samples.quotients, timelike)
-        b = samples.average(second, samples.quotients, spacelike)
+        a = samples.average(first, samples.quotients, "timelike")
+        b = samples.average(second, samples.quotients, "spacelike")
         count = np.minimum(a.count, b.count)
         values = a.values + b.values
         se = np.sqrt(a.se**2 + b.se**2)
@@ -408,9 +447,12 @@ def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,
     """Per-bin mean of the increment outer product over the time step;
     values have shape config.shape + (dim, dim)."""
     samples = LaggedSamples(ensemble, config)
-    inc = samples.increments
-    return _require_populated(samples.average(
-        direction, inc[..., :, None] * inc[..., None, :] / samples.dtau))
+
+    def outer(rows):
+        inc = samples.increments(rows)
+        return inc[..., :, None] * inc[..., None, :] / samples.dtau
+
+    return _require_populated(samples.average(direction, outer))
 
 
 # --- persistence -----------------------------------------------------------

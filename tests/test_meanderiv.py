@@ -1,6 +1,8 @@
 """Mean-derivative estimators, velocity fields, accelerations, covariant
 derivatives and the quadratic-variation law, against analytic laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,23 @@ def test_standard_error_stable_under_large_offsets():
     m = base.mask
     assert np.array_equal(shifted.count, base.count) and m.sum() >= 10
     assert np.allclose(shifted.se[m], base.se[m], rtol=1e-6, atol=0.0)
+
+
+def test_estimator_peak_memory_within_twice_the_ensemble():
+    # the estimator walks the paths in blocks, so besides its one-byte bin
+    # index it holds no ensemble-sized array
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0, dimension=1)
+    x0 = np.random.default_rng(SEED).normal(0.0, np.sqrt(0.5), (20_000, 1))
+    ens = simulate_ito(spec, x0, T=3.0, dt=0.01, N=20_000, seed=SEED)
+    assert ens.n_steps == 300
+    cfg = EstimatorConfig.regular((0.0, 3.0), 1, (-2.0, 2.0), 8, min_count=500)
+    tracemalloc.start()
+    try:
+        estimate_velocity_fields(ens, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ens.paths.nbytes
 
 
 def test_no_populated_bins_raises(wiener_ensemble):

@@ -28,6 +28,7 @@ from fractoid.geodesic import stochastic_energy
 from fractoid.geometry import chart_from_json, christoffel_batch, get_chart
 from fractoid.meanderiv import (
     EstimatorConfig,
+    estimators,
     covariant_mean_derivative,
     estimate_velocity_fields,
     quadratic_variation_matrix,
@@ -323,6 +324,15 @@ def test_pinned_digest(name):
 
 @pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
 def test_pinned_estimator_digest(name):
+    bins, se = ESTIMATOR_CASES[name]()
+    assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
+def test_estimator_digest_independent_of_block_size(name, monkeypatch):
+    # the pinned ensembles hold at most 3000 paths, one block at the default
+    # size; 7-path blocks make every sum cross hundreds of block boundaries
+    monkeypatch.setattr(estimators, "BLOCK_PATHS", 7)
     bins, se = ESTIMATOR_CASES[name]()
     assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
 
