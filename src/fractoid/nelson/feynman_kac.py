@@ -15,6 +15,17 @@ from .wavefunctions import PotentialField
 BLOCK_SIZE = 4096
 
 
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]
+           ) -> tuple[int, float, float]:
+    """Pooled (count, mean, sum of squared deviations) of two samples
+    (Chan, Golub & LeVeque 1983): unlike E[w^2] - mean^2 it keeps the
+    spread when the mean dwarfs it."""
+    (na, ma, m2a), (nb, mb, m2b) = a, b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * nb / n, m2a + m2b + delta**2 * na * nb / n
+
+
 def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int,
                           dt: float = 1e-3) -> tuple[float, float]:
     """Estimate (exp(-tS) phi)(x) = E[exp(-int V(x+W_s) ds) phi(x+W_t)].
@@ -22,7 +33,8 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     The time integral uses the trapezoid rule along each Brownian path;
     paths are drawn in blocks of BLOCK_SIZE with one counter stream per
     block, so the result depends only on the seed.  Returns (estimate,
-    standard error).
+    standard error); the variance pools per-block deviations from the block
+    means.
     """
     if t <= 0 or dt <= 0:
         raise ParameterError("t and dt must be positive")
@@ -34,7 +46,7 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     step = t / n_steps
     sq = np.sqrt(step)
 
-    sums, sqsums = [], []
+    sums, spread = [], None
     for lo in range(0, N, BLOCK_SIZE):
         B = min(BLOCK_SIZE, N - lo)
         gen = make_stream(seed, lo // BLOCK_SIZE)
@@ -53,7 +65,9 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
         if not np.all(np.isfinite(weights)):
             raise SimulationError("Feynman-Kac weight became non-finite")
         sums.append(np.sum(weights))
-        sqsums.append(np.sum(weights**2))
+        block_mean = float(sums[-1]) / B
+        part = (B, block_mean, float(np.sum((weights - block_mean) ** 2)))
+        spread = part if spread is None else _merge(spread, part)
     mean = float(np.sum(sums)) / N
-    var = max(float(np.sum(sqsums)) / N - mean**2, 0.0) * N / (N - 1)
+    var = spread[2] / (N - 1)
     return mean, float(np.sqrt(var / N))

@@ -337,6 +337,21 @@ def test_estimator_digest_independent_of_block_size(name, monkeypatch):
     assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
 
 
+def test_feynman_kac_se_stable_under_large_offset():
+    # E[w^2] - mean^2 cancelled to se = 0 at an offset of 1e8; the pooled
+    # per-block deviations keep the exact sqrt(t / N) = 1.105e-2.  The
+    # estimates are the bits recorded before the variance changed.
+    zero = lambda x: np.zeros(x.shape[:-1])
+    (plain, se_plain), (shifted, se_shifted) = (
+        feynman_kac_semigroup(zero, lambda x, c=c: c + x[..., 0], 1.0, [0.0],
+                              N=8192, seed=1234, dt=0.01)
+        for c in (0.0, 1e8))
+    assert (plain.hex(), shifted.hex()) == ("-0x1.0924c60accfe1p-8",
+                                            "0x1.7d783fffbdb6dp+26")
+    assert abs(se_plain - np.sqrt(1.0 / 8192)) <= 0.05 * np.sqrt(1.0 / 8192)
+    assert se_shifted == pytest.approx(se_plain, rel=1e-6)
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(name, digest(CASES[name]()))
