@@ -19,7 +19,7 @@ import numpy as np
 from ..dirac import build_gammas, clifford_relation_check
 from ..errors import ConfigError, FractoidError, ParameterError
 from ..meanderiv import EstimatorConfig, estimate_velocity_fields, write_field_csv
-from ..persistence import read_manifest, write_table
+from ..persistence import NUMBER, check_fields, read_manifest, write_table
 from ..stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# what cmd_report reads of each check in a report-*.json
+_REPORT_CHECK = {"name": str, "value": NUMBER, "target": NUMBER, "tolerance": NUMBER,
+                 "passed": bool}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,8 +194,9 @@ def cmd_report(args) -> int:
     rows = []
     seen: dict[str, str] = {}
     for f in files:
-        payload = read_manifest(f, ("suite", "checks"))
-        for chk in payload["checks"]:
+        payload = read_manifest(f, {"suite": str, "checks": list})
+        for i, chk in enumerate(payload["checks"]):
+            check_fields(chk, _REPORT_CHECK, f"{f}: check {i}")
             key = f"{payload['suite']}/{chk['name']}"
             if key in seen:
                 raise ConfigError(f"duplicate check '{key}' in {f.name} "

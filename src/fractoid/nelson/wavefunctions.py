@@ -16,8 +16,8 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ConfigError, ParameterError
-from ..persistence import (manifest_for, read_manifest, read_table, write_manifest,
-                           write_table)
+from ..persistence import (NUMBER, manifest_for, read_manifest, read_table,
+                           write_manifest, write_table)
 
 NODAL_FLOOR = 1e-12
 EPSILON_CONSISTENCY_TOL = 1e-12
@@ -81,7 +81,8 @@ class WaveFunctionGrid:
     def read_csv(cls, path) -> "WaveFunctionGrid":
         """Rows must follow the manifest grid in C order: a missing row or a
         coordinate off its node by GRID_COORD_TOL steps is a ParameterError."""
-        manifest = read_manifest(manifest_for(path), ("hbar", "mass", "grid"))
+        manifest = read_manifest(manifest_for(path),
+                                 {"hbar": NUMBER, "mass": NUMBER, "grid": list})
         axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
         raw = read_table(path, len(axes) + 2)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))

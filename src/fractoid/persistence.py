@@ -4,8 +4,9 @@ A table is a header line, then one line per row formatted by one format
 string: ``%d`` for integer columns, ``%.17g`` (exact for float64) for float
 columns and ``%s`` for the rest.  The manifest of ``x.csv`` or ``x.bin`` is
 ``x.manifest.json``, in canonical JSON (sorted keys, indent 2, trailing
-newline).  The readers raise ParameterError naming a file that does not hold
-what they expect.
+newline).  A reader states the type of every manifest key it uses; the
+readers raise ParameterError naming a file that does not hold what they
+expect, and the key when one is missing or of the wrong type.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .errors import ParameterError
 ROW_CHUNK = 8192   # table rows formatted per write call
 _FORMATS = {"i": "%d", "f": "%.17g"}
 
+NUMBER = (int, float)
+_TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number",
+               bool: "true or false", list: "a list", dict: "an object"}
+
 
 def manifest_for(path) -> Path:
     """The manifest beside a data file: x.csv -> x.manifest.json."""
@@ -32,16 +37,28 @@ def write_manifest(path, manifest: dict) -> None:
                           encoding="utf8")
 
 
-def read_manifest(path, keys) -> dict:
-    """The JSON object in path, which must hold every key in keys."""
+def check_fields(obj, schema: dict, where) -> dict:
+    """obj, which must be a JSON object holding every key of schema with a
+    value of its type: str, int, NUMBER, bool, list or dict.  A boolean is
+    neither an integer nor a number here.  where names obj in the error."""
+    if not isinstance(obj, dict) or not schema.keys() <= obj.keys():
+        raise ParameterError(f"{where} must hold a JSON object with the keys "
+                             + ", ".join(schema))
+    for key, kind in schema.items():
+        value = obj[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ParameterError(f"{where}: key '{key}' must be {_TYPE_NAMES[kind]}, "
+                                 f"found {type(value).__name__}")
+    return obj
+
+
+def read_manifest(path, schema: dict) -> dict:
+    """The JSON object in path, checked against schema as by check_fields."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf8"))
     except ValueError as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or not set(keys) <= manifest.keys():
-        raise ParameterError(f"{path} must hold a JSON object with the keys "
-                             + ", ".join(keys))
-    return manifest
+    return check_fields(manifest, schema, path)
 
 
 def write_table(path, header, columns) -> None:

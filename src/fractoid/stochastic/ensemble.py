@@ -96,7 +96,8 @@ class PathEnsemble:
 
     @classmethod
     def read_csv(cls, path) -> "PathEnsemble":
-        manifest = read_manifest(manifest_for(path), ("chart", "seed", "N"))
+        manifest = read_manifest(manifest_for(path),
+                                 {"chart": str, "seed": int, "N": int})
         raw = read_table(path)
         if raw.shape[1] < 4:
             raise ParameterError(f"{path} holds no path coordinates")

@@ -92,7 +92,7 @@ class WhiteNoiseSample:
     @classmethod
     def read(cls, path) -> "WhiteNoiseSample":
         mpath = manifest_for(path)
-        manifest = read_manifest(mpath, ("lattice", "seed"))
+        manifest = read_manifest(mpath, {"lattice": dict, "seed": int})
         try:
             lattice = SpaceTimeLattice(**manifest["lattice"])
         except TypeError as exc:

@@ -99,7 +99,7 @@ def test_estimate_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt manifest", "manifest without seed",
-                                    "list manifest"])
+                                    "list manifest", "list seed"])
 def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
     path = tmp_path / "ensemble.csv"
     mpath = tmp_path / "ensemble.manifest.json"
@@ -107,15 +107,18 @@ def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3",
                      "--set", "n_paths=4", "--set", "t_final=0.1"]) == 0
         manifest = json.loads(mpath.read_text())
-        del manifest["seed"]
+        seed = manifest.pop("seed")
         mpath.write_text({"corrupt manifest": "not json",
                           "manifest without seed": json.dumps(manifest),
-                          "list manifest": json.dumps([manifest])}[damage])
+                          "list manifest": json.dumps([manifest]),
+                          "list seed": json.dumps({**manifest, "seed": [seed]})}[damage])
     code = main(["estimate", "--ensemble", str(path), "--out", str(tmp_path),
                  "--seed", "3"])
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and str(path) in err
+    if damage == "list seed":
+        assert str(mpath) in err and "'seed'" in err
 
 
 def test_verify_dirac_algebra(tmp_path, capsys):
@@ -232,6 +235,22 @@ def test_report_duplicate_check_error(tmp_path, capsys):
 
 def test_report_malformed_file_exit_2(tmp_path, capsys):
     (tmp_path / "report-a.json").write_text(json.dumps([{"suite": "s"}]))
+    code = main(["report", "--dir", str(tmp_path), "--out", str(tmp_path),
+                 "--seed", "1"])
+    assert code == 2
+    assert "report-a.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", [{"name": "c"},
+                                   {"name": "c", "value": "1.0", "target": 1.0,
+                                    "tolerance": 0.1, "passed": True},
+                                   {"name": "c", "value": 1.0, "target": 1.0,
+                                    "tolerance": 0.1, "passed": 1},
+                                   "c"],
+                         ids=["missing keys", "string value", "integer passed",
+                              "not an object"])
+def test_report_malformed_check_exit_2(tmp_path, capsys, check):
+    (tmp_path / "report-a.json").write_text(json.dumps({"suite": "s", "checks": [check]}))
     code = main(["report", "--dir", str(tmp_path), "--out", str(tmp_path),
                  "--seed", "1"])
     assert code == 2
