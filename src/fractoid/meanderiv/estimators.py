@@ -200,11 +200,9 @@ class MeanDerivativeField(_Binned):
     cond_mean: np.ndarray | None = None
 
 
-def _increments(ensemble: PathEnsemble, lag: int) -> np.ndarray:
-    """(N, K+1-lag, dim) increments x(t + lag dt) - x(t)."""
-    if ensemble.n_steps < lag:
-        raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
-    return ensemble.paths[:, lag:, :] - ensemble.paths[:, :-lag, :]
+def _increments(paths: np.ndarray, lag: int) -> np.ndarray:
+    """(B, K+1-lag, dim) increments x(t + lag dt) - x(t) of paths (B, K+1, dim)."""
+    return paths[:, lag:] - paths[:, :-lag]
 
 
 def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray) -> np.ndarray:
@@ -323,9 +321,7 @@ class LaggedSamples:
 
     def increments(self, rows: slice) -> np.ndarray:
         """x(t + lag dt) - x(t) of the paths in rows, (B, K+1-lag, dim)."""
-        lag = self.config.lag
-        paths = self.ensemble.paths[rows]
-        return paths[:, lag:] - paths[:, :-lag]
+        return _increments(self.ensemble.paths[rows], self.config.lag)
 
     def quotients(self, rows: slice) -> np.ndarray:
         """The difference quotients of both directions for the paths in rows."""
@@ -410,7 +406,10 @@ def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     """Diagnostic: fraction of forward increments with non-negative
     Minkowski norm; tends to 1 as dt -> 0 (diffusive scaling dominates c dt).
     """
-    return float(np.mean(_minkowski_norm2(ensemble, _increments(ensemble, lag)) >= 0))
+    if ensemble.n_steps < lag:
+        raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
+    norm2 = _minkowski_norm2(ensemble, _increments(ensemble.paths, lag))
+    return float(np.mean(norm2 >= 0))
 
 
 def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivativeField:
