@@ -230,21 +230,22 @@ def _accumulate(config: EstimatorConfig, block: Block, points: np.ndarray) -> Bi
     """
     n_bins = config.n_bins
     n, _, dim = points.shape
-    blocks = [slice(lo, lo + BLOCK_PATHS) for lo in range(0, n, BLOCK_PATHS)]
+    vshape = block(slice(0))[1].shape[2:]   # the value shape, from an empty block
+    m = int(np.prod(vshape))
+
+    def sweep():
+        for lo in range(0, n, BLOCK_PATHS):
+            rows = slice(lo, lo + BLOCK_PATHS)
+            idx, vals = block(rows)
+            yield rows, idx.ravel(), vals.reshape(-1, m)
+
     count = np.zeros(n_bins + 1, dtype=np.int64)
-    s1 = pts = vshape = None
-    for rows in blocks:
-        idx, vals = block(rows)
-        idx = idx.ravel()
-        if s1 is None:
-            vshape = vals.shape[2:]
-            s1 = np.zeros((int(np.prod(vshape)), n_bins + 1))
-            pts = np.zeros((dim, n_bins + 1))
-        vals = vals.reshape(len(idx), len(s1))
+    s1, pts = np.zeros((m, n_bins + 1)), np.zeros((dim, n_bins + 1))
+    for rows, idx, vals in sweep():
         count += np.bincount(idx, minlength=n_bins + 1)
-        for c in range(len(s1)):
+        for c in range(m):
             np.add.at(s1[c], idx, vals[:, c])
-        x = points[rows].reshape(len(idx), dim)
+        x = points[rows].reshape(-1, dim)
         for a in range(dim):
             np.add.at(pts[a], idx, x[:, a])
     nz = count > 0
@@ -254,11 +255,8 @@ def _accumulate(config: EstimatorConfig, block: Block, points: np.ndarray) -> Bi
     # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
     centre = np.where(nz, mean, 0.0)
     s2 = np.zeros_like(s1)
-    for rows in blocks:
-        idx, vals = block(rows)
-        idx = idx.ravel()
-        vals = vals.reshape(len(idx), len(s1))
-        for c in range(len(s1)):
+    for _, idx, vals in sweep():
+        for c in range(m):
             dev = centre[c][idx]
             np.subtract(vals[:, c], dev, out=dev)
             np.add.at(s2[c], idx, np.square(dev, out=dev))
