@@ -15,10 +15,12 @@ quadratic variation read the same index.
 
 Values are never held for the whole ensemble.  The accumulator walks the
 paths in blocks of BLOCK_PATHS, forms each block's increments, quotients or
-outer products, and reduces them per bin in two sweeps: the first sums
-counts, values and conditioning points, the second the squared deviations
-from the bin means.  A sample a causal split drops goes to the overflow bin
-of its block.  The float sums add samples in path-major order, so the
+outer products once per sweep for every average that reads them (both
+directions of a velocity field, the four causal terms of the relativistic
+sums), and reduces them per bin in two sweeps: the first sums counts,
+values and conditioning points, the second the squared deviations from the
+bin means.  A sample a causal split drops goes to the overflow bin of its
+block.  The float sums add samples in path-major order, so the
 results do not depend on the block size.
 """
 
@@ -213,41 +215,47 @@ def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray) -> np.ndarr
     return np.einsum("...i,i,...i->...", increments, eta, increments)
 
 
-# block(rows) -> (bins (B, M), values (B, M, ...)) of the paths in rows
-Block = Callable[[slice], tuple[np.ndarray, np.ndarray]]
+# block(rows) -> (bins (B, M) per term, values (B, M, ...)) of the paths in rows
+Block = Callable[[slice], tuple[list[np.ndarray], np.ndarray]]
 
 
-def _accumulate(config: EstimatorConfig, block: Block, points: np.ndarray) -> BinnedField:
-    """Per-bin count, mean, standard error and conditioning mean.
+def _accumulate(config: EstimatorConfig, block: Block,
+                points: list[np.ndarray]) -> list[BinnedField]:
+    """Per-bin count, mean, standard error and conditioning mean, per term.
 
-    points (N, M, dim) holds the conditioning points of N paths; block
-    gives the bins and values of a slice of them, with the overflow bin
-    n_bins for samples no bin takes.  Two sweeps over blocks of BLOCK_PATHS
-    paths: counts (exact integers), value sums and point sums first, then
-    the squared deviations from the bin means.  np.add.at adds samples in
-    path-major order, as one bincount over the whole ensemble would, so the
-    result is bit-identical for every block size.
+    Every term averages the same per-sample values.  points[j] (N, M, dim)
+    holds term j's conditioning points of N paths; block gives each term's
+    bins and the shared values of a slice of them, with the overflow bin
+    n_bins for samples a term does not take, so each block's values are
+    formed once per sweep for all terms.  Two sweeps over blocks of
+    BLOCK_PATHS paths: counts (exact integers), value sums and point sums
+    first, then the squared deviations from the bin means.  np.add.at adds
+    samples in path-major order, as one bincount over the whole ensemble
+    would, so the result is bit-identical for every block size.
     """
     n_bins = config.n_bins
-    n, _, dim = points.shape
+    n, _, dim = points[0].shape
     vshape = block(slice(0))[1].shape[2:]   # the value shape, from an empty block
     m = int(np.prod(vshape))
 
     def sweep():
         for lo in range(0, n, BLOCK_PATHS):
             rows = slice(lo, lo + BLOCK_PATHS)
-            idx, vals = block(rows)
-            yield rows, idx.ravel(), vals.reshape(-1, m)
+            bins, vals = block(rows)
+            yield rows, [idx.ravel() for idx in bins], vals.reshape(-1, m)
 
-    count = np.zeros(n_bins + 1, dtype=np.int64)
-    s1, pts = np.zeros((m, n_bins + 1)), np.zeros((dim, n_bins + 1))
-    for rows, idx, vals in sweep():
-        count += np.bincount(idx, minlength=n_bins + 1)
-        for c in range(m):
-            np.add.at(s1[c], idx, vals[:, c])
-        x = points[rows].reshape(-1, dim)
-        for a in range(dim):
-            np.add.at(pts[a], idx, x[:, a])
+    # (term, value component, bin); count's unit axis broadcasts over values
+    count = np.zeros((len(points), 1, n_bins + 1), dtype=np.int64)
+    s1 = np.zeros((len(points), m, n_bins + 1))
+    pts = np.zeros((len(points), dim, n_bins + 1))
+    for rows, bins, vals in sweep():
+        for j, idx in enumerate(bins):
+            count[j, 0] += np.bincount(idx, minlength=n_bins + 1)
+            for c in range(m):
+                np.add.at(s1[j, c], idx, vals[:, c])
+            x = points[j][rows].reshape(-1, dim)
+            for a in range(dim):
+                np.add.at(pts[j, a], idx, x[:, a])
     nz = count > 0
     mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
     cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)
@@ -255,21 +263,26 @@ def _accumulate(config: EstimatorConfig, block: Block, points: np.ndarray) -> Bi
     # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
     centre = np.where(nz, mean, 0.0)
     s2 = np.zeros_like(s1)
-    for _, idx, vals in sweep():
-        for c in range(m):
-            dev = centre[c][idx]
-            np.subtract(vals[:, c], dev, out=dev)
-            np.add.at(s2[c], idx, np.square(dev, out=dev))
+    for _, bins, vals in sweep():
+        for j, idx in enumerate(bins):
+            for c in range(m):
+                dev = centre[j, c][idx]
+                np.subtract(vals[:, c], dev, out=dev)
+                np.add.at(s2[j, c], idx, np.square(dev, out=dev))
     var = np.where(count > 1, s2 / np.maximum(count - 1, 1), np.nan)
     se = np.sqrt(var / np.maximum(count, 1))
-    count = count[:n_bins]
-    empty = count < config.min_count
-    mean, se, cond_mean = (np.where(empty, np.nan, a[:, :n_bins]).T
-                           for a in (mean, se, cond_mean))
-    return BinnedField(config=config, values=mean.reshape(config.shape + vshape),
-                       se=se.reshape(config.shape + vshape),
-                       count=count.reshape(config.shape),
-                       cond_mean=cond_mean.reshape(config.shape + (dim,)))
+    count = count[:, 0, :n_bins]
+    fields = []
+    for j in range(len(points)):
+        empty = count[j] < config.min_count
+        mean_j, se_j, cond_j = (np.where(empty, np.nan, a[j, :, :n_bins]).T
+                                for a in (mean, se, cond_mean))
+        fields.append(BinnedField(config=config,
+                                  values=mean_j.reshape(config.shape + vshape),
+                                  se=se_j.reshape(config.shape + vshape),
+                                  count=count[j].reshape(config.shape),
+                                  cond_mean=cond_j.reshape(config.shape + (dim,))))
+    return fields
 
 
 def _require_populated(field: BinnedField) -> BinnedField:
@@ -330,18 +343,29 @@ class LaggedSamples:
         direction's conditioning end.  values is an (N, K+1-lag, ...) array
         or a function giving its rows for a slice of paths; split keeps only
         the increments of one causal class (timelike or spacelike)."""
-        near, _ = self.ends(direction)
+        return self.averages(values, [(direction, split)])[0]
+
+    def averages(self, values, terms) -> list[BinnedField]:
+        """:meth:`average` of the same values for each (direction, split)
+        term, from one pass that forms each block's values once."""
+        terms = [(self.ends(direction)[0], split) for direction, split in terms]
         values_of = values if callable(values) else values.__getitem__
+        n_bins = self.config.n_bins
 
         def block(rows):
-            idx = self.index[rows, near]
-            if split != "off":
-                norm2 = _minkowski_norm2(self.ensemble, self.increments(rows))
-                keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
-                idx = np.where(keep, idx, self.config.n_bins)
-            return idx, values_of(rows)
+            norm2 = (_minkowski_norm2(self.ensemble, self.increments(rows))
+                     if any(split != "off" for _, split in terms) else None)
+            bins = []
+            for near, split in terms:
+                idx = self.index[rows, near]
+                if split != "off":
+                    keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
+                    idx = np.where(keep, idx, n_bins)
+                bins.append(idx)
+            return bins, values_of(rows)
 
-        return _accumulate(self.config, block, self.ensemble.paths[:, near])
+        return _accumulate(self.config, block,
+                           [self.ensemble.paths[:, near] for near, _ in terms])
 
     def mean_derivative(self, direction: str) -> BinnedField:
         """The one-sided quotient average under the config's causal split;
@@ -379,10 +403,11 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
     terms reach min_count.
     """
     samples = LaggedSamples(ensemble, config)
+    fwd_time, bwd_space, bwd_time, fwd_space = samples.averages(
+        samples.quotients, [("forward", "timelike"), ("backward", "spacelike"),
+                            ("backward", "timelike"), ("forward", "spacelike")])
 
-    def combine(first: str, second: str) -> BinnedField:
-        a = samples.average(first, samples.quotients, "timelike")
-        b = samples.average(second, samples.quotients, "spacelike")
+    def combine(a: BinnedField, b: BinnedField) -> BinnedField:
         count = np.minimum(a.count, b.count)
         values = a.values + b.values
         se = np.sqrt(a.se**2 + b.se**2)
@@ -392,8 +417,8 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
         return BinnedField(config=config, values=values, se=se,
                            count=count, cond_mean=a.cond_mean)
 
-    forward = combine("forward", "backward")
-    backward = combine("backward", "forward")
+    forward = combine(fwd_time, bwd_space)
+    backward = combine(bwd_time, fwd_space)
     if not (np.any(forward.mask) or np.any(backward.mask)):
         raise EstimationError("no bins populated in both causal classes; "
                               "the split needs a coarser time step")
@@ -433,10 +458,13 @@ def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivati
 def estimate_velocity_fields(ensemble: PathEnsemble,
                              config: EstimatorConfig) -> MeanDerivativeField:
     """Convenience pipeline: forward + backward + derived fields, from one
-    binning of the ensemble."""
+    binning of the ensemble and one pass that forms each block's quotients
+    once for both directions."""
     samples = LaggedSamples(ensemble, config)
-    return velocity_fields(samples.mean_derivative("forward"),
-                           samples.mean_derivative("backward"))
+    split = config.causal_split
+    forward, backward = samples.averages(samples.quotients,
+                                         [("forward", split), ("backward", split)])
+    return velocity_fields(_require_populated(forward), _require_populated(backward))
 
 
 def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,

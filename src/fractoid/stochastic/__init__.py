@@ -13,7 +13,7 @@ from .manifold import (
     simulate_manifold_diffusion,
     transport_steps,
 )
-from .rng import make_stream, wiener_increments
+from .rng import make_stream, stream_normals, wiener_increments
 from .sde import (
     ItoProcessSpec,
     SemimartingaleDecomposition,
@@ -40,6 +40,7 @@ __all__ = [
     "simulate_ito",
     "simulate_manifold_diffusion",
     "simulate_stratonovich",
+    "stream_normals",
     "transport_steps",
     "wiener_increments",
 ]

@@ -6,9 +6,12 @@ per-path noise, the non-finite check, reject-and-resample at chart
 boundaries and the reporting grid.
 
 Paths run one block of BLOCK_SIZE at a time.  Path p draws all K of its
-Wiener increments up front from make_stream(seed, p), and a boundary retry
-continues that same stream, so every sampled value depends only on the
-seed and the path index.
+Wiener increments up front from the stream make_stream(seed, p), and a
+boundary retry continues that same stream, so every sampled value depends
+only on the seed and the path index.  The block's increments come from one
+generator re-keyed per path (rng.stream_normals); a path's first boundary
+retry rebuilds its stream on demand, skips the K rows already drawn and
+keeps the stream for the path's later retries in the block.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BoundaryError, ParameterError, SimulationError
-from .rng import make_stream
+from .rng import make_stream, stream_normals
 
 BLOCK_SIZE = 4096
 MAX_BOUNDARY_RETRIES = 100
@@ -101,9 +104,11 @@ class Integrator:
         for lo in range(0, n_paths, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, n_paths)
             self._lo = lo
-            self._streams = [make_stream(self.seed, p) for p in range(lo, hi)]
-            dW = np.stack([s.normal(0.0, self.sqdt, (K, self.n_noise))
-                           for s in self._streams])
+            self._retry_streams = {}
+            dW = np.empty((hi - lo, K, self.n_noise))
+            for i, rows in enumerate(stream_normals(self.seed, range(lo, hi), self.sqdt,
+                                                    dW.shape[1:])):
+                dW[i] = rows
             state = tuple(s[lo:hi].copy() for s in starts)
             for o, s in zip(out, state):
                 o[lo:hi, 0] = s
@@ -150,7 +155,18 @@ class Integrator:
                     f"path {self._lo + p} stuck at {self._x[p]} near the boundary of "
                     f"chart '{self.chart.name}' (step {step})")
             for p in np.nonzero(bad)[0]:
-                self._dW[p] = self._streams[p].normal(0.0, self.sqdt, (self.n_noise,))
+                self._dW[p] = self._retry_stream(int(p)).normal(0.0, self.sqdt,
+                                                               (self.n_noise,))
                 cand[p] = redraw(p, self._dW[p])
             bad = ~np.asarray(self.chart.is_valid(cand), dtype=bool)
         return cand
+
+    def _retry_stream(self, p: int) -> np.random.Generator:
+        """Path p of the block's own stream, past the K rows run() drew
+        from it; built on the path's first retry and kept for the block."""
+        stream = self._retry_streams.get(p)
+        if stream is None:
+            stream = make_stream(self.seed, self._lo + p)
+            stream.normal(0.0, self.sqdt, (self.K, self.n_noise))
+            self._retry_streams[p] = stream
+        return stream

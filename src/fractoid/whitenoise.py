@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, ResourceError
 from .persistence import manifest_for, read_manifest, write_manifest
-from .stochastic import make_stream
+from .stochastic import make_stream, stream_normals
 
 DEFAULT_CELL_CAP = 10_000_000
 
@@ -143,13 +143,14 @@ def lattice_inner_product(lattice: SpaceTimeLattice, w, v) -> float:
 def paley_wiener_samples(lattice: SpaceTimeLattice, fns, n_samples: int,
                          seed: int) -> np.ndarray:
     """(n_samples, len(fns)) integrals W_f; sample i draws its lattice from
-    make_stream(seed, i), so the integrals depend only on the seed."""
+    the stream make_stream(seed, i), so the integrals depend only on the
+    seed.  One generator re-keyed per sample draws them all."""
     fns = [_on_lattice(lattice, f) for f in fns]
     vol = lattice.cell_volume
     sigma = 1.0 / np.sqrt(vol)
     out = np.empty((n_samples, len(fns)))
-    for i in range(n_samples):
-        noise = make_stream(seed, i).normal(0.0, sigma, size=lattice.shape)
+    for i, noise in enumerate(stream_normals(seed, range(n_samples), sigma,
+                                             lattice.shape)):
         for j, f in enumerate(fns):
             out[i, j] = np.sum(f * noise) * vol
     return out

@@ -13,9 +13,13 @@ from fractoid.stochastic import (
     decompose_semimartingale,
     fractal_scaling,
     frame_bundle_simulate,
+    integrator,
+    make_stream,
+    orthonormal_frame,
     simulate_ito,
     simulate_manifold_diffusion,
     simulate_stratonovich,
+    stream_normals,
     wiener_increments,
 )
 
@@ -41,6 +45,78 @@ def test_wiener_increments_rejects_bad_dt():
         wiener_increments(10, 0.0, 1, seed=1)
     with pytest.raises(ParameterError):
         wiener_increments(10, -0.1, 1, seed=1)
+
+
+def test_stream_normals_match_make_stream():
+    # the re-keyed generator must give each stream's own bits; a negative
+    # seed and stream words at and near 2**64 - 1 exercise the key masking
+    # and the Philox state layout
+    seed, streams, shape = -5, [0, 3, 2**64 - 2, 2**64 - 1], (40, 3)
+    rows = list(stream_normals(seed, streams, 0.3, shape))
+    assert len(rows) == len(streams)
+    for p, r in zip(streams, rows):
+        assert np.array_equal(r, make_stream(seed, p).normal(0.0, 0.3, shape))
+
+
+def test_make_stream_keys_are_distinct():
+    # a key list mixing words below and above 2**63 went through float64,
+    # which sent seeds -1 and -1000 to the key of seed 0
+    first = [make_stream(seed, 5).normal(size=4) for seed in (0, -1, -1000)]
+    first += [make_stream(7, p).normal(size=4) for p in (2**63, 2**63 + 1)]
+    assert len({r.tobytes() for r in first}) == len(first)
+
+
+def _stratonovich_run():
+    def G(t, x):
+        return np.stack([np.stack([x[:, 0], np.ones(len(x))], axis=-1),
+                         np.stack([np.zeros(len(x)), x[:, 1]], axis=-1)], axis=1)
+
+    return simulate_stratonovich(lambda t, x: np.cos(x), G, [1.0, 0.5], T=0.05,
+                                 dt=0.01, N=30, seed=SEED).paths
+
+
+def _frame_bundle_run():
+    chart, x0 = get_chart("sphere2"), np.array([0.15, 0.3])
+    fb = frame_bundle_simulate(chart, x0, FrameState(x0, orthonormal_frame(chart, x0)),
+                               T=0.05, dt=0.002, N=30, seed=SEED, report_every=5)
+    return np.concatenate([fb.base_paths.ravel(), fb.frames.ravel()])
+
+
+SIMULATORS = {
+    "ito": lambda: simulate_ito(
+        ItoProcessSpec(drift=lambda t, x: -x + np.sin(t), diffusion_const=0.8,
+                       dimension=2),
+        [0.3, -0.1], T=0.05, dt=0.01, N=30, seed=SEED).paths,
+    "stratonovich": _stratonovich_run,
+    # near the pole, steps leave the chart and take boundary retries
+    "sphere near pole": lambda: simulate_manifold_diffusion(
+        get_chart("sphere2"), None, [0.12, 0.0], T=0.1, dt=0.002, N=60,
+        seed=SEED).paths,
+    "frame bundle": _frame_bundle_run,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+def test_simulators_independent_of_block_size(name, monkeypatch):
+    # the README's reproducibility contract: every path has its own stream,
+    # so grouping the paths into 7-path blocks changes no bit
+    rebuilt = []
+
+    def counting_stream(seed, stream):
+        rebuilt.append((type(seed), type(stream)))
+        return make_stream(seed, stream)
+
+    monkeypatch.setattr(integrator, "make_stream", counting_stream)
+    run = SIMULATORS[name]
+    default = run()
+    retries_default = len(rebuilt)
+    monkeypatch.setattr(integrator, "BLOCK_SIZE", 7)
+    assert np.array_equal(run(), default)
+    # a path's retry stream is rebuilt once, in whichever block holds it
+    assert len(rebuilt) == 2 * retries_default
+    assert set(rebuilt) <= {(int, int)}
+    if name == "sphere near pole":
+        assert retries_default > 0
 
 
 def test_ito_deterministic_drift():
