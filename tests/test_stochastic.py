@@ -61,9 +61,9 @@ def test_stream_normals_match_make_stream():
 def test_make_stream_keys_are_distinct():
     # a key list mixing words below and above 2**63 went through float64,
     # which sent seeds -1 and -1000 to the key of seed 0
-    first = [make_stream(seed, 5).normal(size=4) for seed in (0, -1, -1000)]
-    first += [make_stream(7, p).normal(size=4) for p in (2**63, 2**63 + 1)]
-    assert len({r.tobytes() for r in first}) == len(first)
+    draws = [make_stream(seed, 5).normal(size=4) for seed in (0, -1, -1000)]
+    draws += [make_stream(7, p).normal(size=4) for p in (2**63, 2**63 + 1)]
+    assert len({r.tobytes() for r in draws}) == len(draws)
 
 
 def _stratonovich_run():
