@@ -11,6 +11,7 @@ from .manifold import (
     orthonormal_frame,
     parallel_transport,
     simulate_manifold_diffusion,
+    transport_matrices,
     transport_steps,
 )
 from .rng import make_stream, stream_normals, wiener_increments
@@ -41,6 +42,7 @@ __all__ = [
     "simulate_manifold_diffusion",
     "simulate_stratonovich",
     "stream_normals",
+    "transport_matrices",
     "transport_steps",
     "wiener_increments",
 ]

@@ -8,6 +8,15 @@ The chart SDE integrated by :func:`simulate_manifold_diffusion` is
 whose generator is (eps^2/2) Lap_g + w . grad.  The frame-bundle simulator
 drives the base point with the frame columns and parallel-transports the
 frame along its own path; both constructions agree in law.
+
+All transport goes through one batched kernel, :func:`transport_matrices`,
+the implicit-midpoint step (I + A/2)^{-1} (I - A/2) with A = Gamma(mid) dx,
+whose 2-d inverse is the closed-form adjugate over the determinant.
+:func:`parallel_transport` and :func:`transport_steps` apply its matrices to
+vectors; :func:`transport_matrix_isometric` replaces them, in the
+orthonormal gauge, by their polar factor: closed form in 2-d, Newton polar
+iterations for n >= 3.  A gauge matrix with det <= 0 has a reflection, not
+a rotation, as its nearest orthogonal matrix and raises InstabilityError.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from .integrator import Integrator, initial_points
 FRAME_TOL = 1e-6
 FRAME_DRIFT_LIMIT = 1e-3
 RENORM_INTERVAL = 100
+POLAR_ITERATIONS = 10
+POLAR_STEP_TOL = 1e-8
 
 
 @dataclass
@@ -126,67 +137,118 @@ def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
                         meta={"epsilon": epsilon, "integrator": "manifold-euler"})
 
 
+def _matrix2(m00, m01, m10, m11) -> np.ndarray:
+    """(..., 2, 2) matrices from their four (...) entry arrays."""
+    out = np.empty(np.shape(m00) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
+
+
+def transport_matrices(chart: MetricChart, x_from: np.ndarray,
+                       x_to: np.ndarray) -> np.ndarray:
+    """Batched midpoint-rule step matrices T = (I + A/2)^{-1} (I - A/2),
+    A^k_i = Gamma^k_{ij}(mid) dx^j, that carry vectors from x_from to x_to.
+
+    This is the implicit midpoint rule for dv^k = -Gamma^k_{ij} v^i dx^j,
+    the Stratonovich-consistent discretization, which keeps g(v, v) constant
+    to second order per step.  On 2-d charts the inverse is the adjugate
+    over the determinant, in closed form: with H = A/2,
+    T = I - 2 [H + det(H) I] / det(I + H), so the small correction is formed
+    before it is added to I.  Other dimensions use one batched solve.
+    """
+    x_from = np.asarray(x_from, dtype=float)
+    x_to = np.asarray(x_to, dtype=float)
+    gammas = christoffel_batch(chart, 0.5 * (x_from + x_to))
+    half = 0.5 * np.einsum("...kij,...j->...ki", gammas, x_to - x_from)
+    eye = np.eye(chart.dimension)
+    if chart.dimension != 2:
+        return np.linalg.solve(eye + half, eye - half)
+    a, b, c, d = half[..., 0, 0], half[..., 0, 1], half[..., 1, 0], half[..., 1, 1]
+    det_half = a * d - b * c
+    scale = -2.0 / (1.0 + (a + d) + det_half)
+    return _matrix2(1.0 + scale * (a + det_half), scale * b, scale * c,
+                    1.0 + scale * (d + det_half))
+
+
 def parallel_transport(chart: MetricChart, path: np.ndarray, v0) -> np.ndarray:
     """Transport v0 along a discretized path; returns v at every grid time.
 
-    Uses the implicit midpoint rule for dv^k = -Gamma^k_{ij} v^i dx^j, the
-    Stratonovich-consistent discretization, which keeps g(v, v) constant to
-    second order per step.
+    Every step matrix comes from one :func:`transport_matrices` call; only
+    the products with the running vector are sequential.
     """
     path = chart.require_valid(np.asarray(path, dtype=float))
     v = np.asarray(v0, dtype=float).copy()
     out = np.empty_like(path)
     out[0] = v
-    if path.shape[0] == 1:
-        return out
-    mids = 0.5 * (path[1:] + path[:-1])
-    dxs = np.diff(path, axis=0)
-    gammas = christoffel_batch(chart, mids)
-    A = np.einsum("skij,sj->ski", gammas, dxs)
-    eye = np.eye(chart.dimension)
-    for s in range(len(dxs)):
-        v = np.linalg.solve(eye + 0.5 * A[s], (eye - 0.5 * A[s]) @ v)
-        out[s + 1] = v
+    for s, step in enumerate(transport_matrices(chart, path[:-1], path[1:]), 1):
+        v = step @ v
+        out[s] = v
     return out
 
 
 def transport_steps(chart: MetricChart, x_from: np.ndarray, x_to: np.ndarray,
                     vectors: np.ndarray) -> np.ndarray:
     """One midpoint-rule transport step for a batch of (segment, vector) pairs."""
-    mids = 0.5 * (x_from + x_to)
-    gammas = christoffel_batch(chart, mids)
-    A = np.einsum("...kij,...j->...ki", gammas, x_to - x_from)
-    eye = np.eye(chart.dimension)
-    rhs = np.einsum("...ki,...i->...k", eye - 0.5 * A, vectors)
-    return np.linalg.solve(eye + 0.5 * A, rhs[..., None])[..., 0]
+    return np.einsum("...ki,...i->...k", transport_matrices(chart, x_from, x_to),
+                     vectors)
+
+
+def _polar_factor(M: np.ndarray) -> np.ndarray:
+    """The rotation nearest each (B, n, n) matrix of positive determinant.
+
+    2x2: [[p, -q], [q, p]] / hypot(p, q) with p = a + d, q = c - b, in closed
+    form.  n >= 3: Newton's iteration X <- (X + X^{-T}) / 2, which converges
+    quadratically from the near-orthogonal matrices one step produces
+    (Higham, SIAM J. Sci. Stat. Comput. 7, 1986): an update of size u
+    leaves an error near u^2 / 2, so an update below POLAR_STEP_TOL ends it
+    at rounding level.
+    """
+    if M.shape[-1] == 2:
+        p = M[..., 0, 0] + M[..., 1, 1]
+        q = M[..., 1, 0] - M[..., 0, 1]
+        r = np.hypot(p, q)
+        p, q = p / r, q / r
+        return _matrix2(p, -q, q, p)
+    X = M
+    for _ in range(POLAR_ITERATIONS):
+        X, prev = 0.5 * (X + np.swapaxes(np.linalg.inv(X), -1, -2)), X
+        step = np.max(np.abs(X - prev), initial=0.0)
+        if step <= POLAR_STEP_TOL:
+            return X
+    raise InstabilityError(
+        f"transport polar iteration did not converge in {POLAR_ITERATIONS} "
+        f"steps (last update {step:.2e}); reduce dt")
 
 
 def transport_matrix_isometric(chart: MetricChart, x_from: np.ndarray,
                                x_to: np.ndarray, check=None) -> np.ndarray:
     """Batched transport matrices that preserve g-norms exactly.
 
-    The midpoint map is conjugated into the orthonormal gauge and polar-
-    projected onto the nearest rotation, so P^T g(x_to) P = g(x_from) holds
-    to machine precision while the transport itself stays second order.
-    Riemannian signatures only (the rotation projection is Euclidean).
+    The :func:`transport_matrices` step is conjugated into the orthonormal
+    gauge and replaced by its polar factor, the nearest rotation, so
+    P^T g(x_to) P = g(x_from) holds to machine precision while the
+    transport itself stays second order.  Riemannian signatures only (the
+    rotation projection is Euclidean).
 
     The gauge is the diagonal frame s = |g_ii|^{-1/2}, so conjugating by it
-    scales rows and columns.  Its inverse multiplies by the reciprocals
-    1/s, which reproduces LAPACK's diagonal solves bit for bit.  check, if
-    given, sees the (B, n, n) gauge matrices before the projection.
+    scales rows and columns.  check, if given, sees the (B, n, n) gauge
+    matrices before the projection.  A gauge matrix with det <= 0 (or a
+    non-finite one) has no nearest rotation, only a reflection, and raises
+    InstabilityError: the step was too large for its curvature.
     """
-    mids = 0.5 * (x_from + x_to)
-    gammas = christoffel_batch(chart, mids)
-    A = np.einsum("...kij,...j->...ki", gammas, x_to - x_from)
-    eye = np.eye(chart.dimension)
-    T = np.linalg.solve(eye + 0.5 * A, eye - 0.5 * A)
     s_from = _frame_diag(chart, x_from)
     s_to = _frame_diag(chart, x_to)
-    M = (1.0 / s_to)[..., :, None] * (T * s_from[..., None, :])
+    M = (1.0 / s_to)[..., :, None] * (transport_matrices(chart, x_from, x_to)
+                                      * s_from[..., None, :])
     if check is not None:
         check(M)
-    u, _, vt = np.linalg.svd(M)
-    return (s_to[..., :, None] * (u @ vt)) * (1.0 / s_from)[..., None, :]
+    det = (M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+           if chart.dimension == 2 else np.linalg.det(M))
+    if not np.all(det > 0.0):
+        raise InstabilityError(
+            f"a transport step reverses orientation (det {np.min(det):.2e} in the "
+            "orthonormal gauge); reduce dt")
+    return (s_to[..., :, None] * _polar_factor(M)) * (1.0 / s_from)[..., None, :]
 
 
 def gram_schmidt(chart: MetricChart, x: np.ndarray, frame: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ fraction of building a generator per stream and gives the same bits.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,10 +23,16 @@ from ..errors import ParameterError
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def _word(value: int) -> int:
+    # operator.index takes Python and NumPy integers and rejects floats; the
+    # mask then acts on a Python int, which NumPy's int64 could not hold
+    return operator.index(value) & _MASK
+
+
 def _key(seed: int, stream: int) -> np.ndarray:
     # an explicit uint64 array: a list mixing words below and above 2**63
     # would pass through float64 and lose their low bits
-    return np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
+    return np.array([_word(seed), _word(stream)], dtype=np.uint64)
 
 
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -44,7 +51,7 @@ def stream_normals(seed: int, streams: Iterable[int], scale: float,
     state = bits.state
     key = state["state"]["key"]
     for p in streams:
-        key[1] = p & _MASK
+        key[1] = _word(p)
         bits.state = state
         yield gen.normal(0.0, scale, shape)
 

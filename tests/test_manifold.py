@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fractoid.errors import ParameterError, SimulationError
-from fractoid.geometry import chart_from_json, get_chart, laplace_beltrami
+from fractoid.errors import InstabilityError, ParameterError, SimulationError
+from fractoid.geometry import (
+    chart_from_json,
+    christoffel_batch,
+    get_chart,
+    laplace_beltrami,
+)
 from fractoid.stochastic import (
     FrameState,
     ItoProcessSpec,
@@ -18,7 +23,10 @@ from fractoid.stochastic import (
     parallel_transport,
     simulate_ito,
     simulate_manifold_diffusion,
+    transport_matrices,
+    transport_steps,
 )
+from fractoid.stochastic.manifold import transport_matrix_isometric
 
 SEED = 555
 
@@ -208,3 +216,94 @@ def test_transported_norm_on_minkowski():
     frame = orthonormal_frame(chart, np.zeros(4))
     eta = chart.signature_matrix()
     assert np.allclose(frame.T @ chart.metric_at(np.zeros(4)) @ frame, eta)
+
+
+# --- the transport kernel against the solve-then-SVD composition -------------
+
+# a curved 3-d chart: no closed-form polar factor, so Newton iterations
+CURVED3 = {"name": "curved3", "dimension": 3, "signature": [0, 3],
+           "diagonal_entries": ["1", "x0^2 + 0.5", "(x0^2 + 0.5) * (cos(x1)^2 + 0.5)"]}
+
+
+def _oracle_steps(chart, x_from, x_to):
+    """The midpoint map as a batched LAPACK solve, (I + A/2)^{-1} (I - A/2)."""
+    gammas = christoffel_batch(chart, 0.5 * (x_from + x_to))
+    A = np.einsum("...kij,...j->...ki", gammas, x_to - x_from)
+    eye = np.eye(chart.dimension)
+    return np.linalg.solve(eye + 0.5 * A, eye - 0.5 * A)
+
+
+def _oracle_isometric(chart, x_from, x_to):
+    """The gauge-conjugated midpoint map projected by svd -> u @ vt."""
+    s_from = 1.0 / np.sqrt(np.abs(chart.diag(x_from)))
+    s_to = 1.0 / np.sqrt(np.abs(chart.diag(x_to)))
+    M = (1.0 / s_to)[..., :, None] * (_oracle_steps(chart, x_from, x_to)
+                                      * s_from[..., None, :])
+    u, _, vt = np.linalg.svd(M)
+    return (s_to[..., :, None] * (u @ vt)) * (1.0 / s_from)[..., None, :]
+
+
+def _segments(lo, hi, n=4000, seed=SEED):
+    rng = make_stream(seed, 11)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x_from = lo + (hi - lo) * rng.random((n, len(lo)))
+    return x_from, x_from + 0.05 * rng.normal(size=x_from.shape)
+
+
+SEGMENT_BOXES = {
+    "sphere2": ([0.3, -3.0], [2.8, 3.0]),
+    "hyperbolic2": ([0.3, -3.0], [2.0, 3.0]),
+    "polar2": ([0.3, -3.0], [4.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_BOXES))
+def test_isometric_transport_matches_svd_oracle(name):
+    chart = get_chart(name)
+    x_from, x_to = _segments(*SEGMENT_BOXES[name])
+    assert np.max(np.abs(transport_matrices(chart, x_from, x_to)
+                         - _oracle_steps(chart, x_from, x_to))) <= 1e-13
+    assert np.max(np.abs(transport_matrix_isometric(chart, x_from, x_to)
+                         - _oracle_isometric(chart, x_from, x_to))) <= 1e-13
+
+
+def test_isometric_transport_newton_branch_3d():
+    chart = chart_from_json(CURVED3)
+    x_from, x_to = _segments([0.2, -1.0, -1.0], [1.7, 1.0, 1.0])
+    P = transport_matrix_isometric(chart, x_from, x_to)
+    assert np.max(np.abs(P - _oracle_isometric(chart, x_from, x_to))) <= 1e-12
+    pulled = np.einsum("bki,bk,bkj->bij", P, chart.diag(x_to), P)
+    assert np.max(np.abs(pulled - chart.metric(x_from))) <= 1e-12
+
+
+def test_isometric_transport_rejects_orientation_reversal():
+    # from theta = 0.05 to 2.0 on hyperbolic2 the midpoint map flips the
+    # phi direction (det < 0): the nearest orthogonal matrix is a reflection
+    chart = get_chart("hyperbolic2")
+    x_from = np.array([[1.0, 0.0], [0.05, 0.0]])
+    x_to = np.array([[1.01, 0.01], [2.0, 0.0]])
+    assert np.linalg.det(transport_matrices(chart, x_from, x_to))[1] < 0.0
+    with pytest.raises(InstabilityError, match="reduce dt"):
+        transport_matrix_isometric(chart, x_from, x_to)
+    # the well-posed segment alone still transports
+    transport_matrix_isometric(chart, x_from[:1], x_to[:1])
+
+
+@pytest.mark.parametrize("spec", ["sphere2", CURVED3])
+def test_transport_routines_apply_the_kernel(spec):
+    chart = get_chart(spec) if isinstance(spec, str) else chart_from_json(spec)
+    n = chart.dimension
+    lo = [0.3, -1.0, -1.0][:n]
+    x_from, x_to = _segments(lo, [1.7, 1.0, 1.0][:n], n=500)
+    vectors = make_stream(SEED, 12).normal(size=x_from.shape)
+    steps = transport_matrices(chart, x_from, x_to)
+    assert np.allclose(transport_steps(chart, x_from, x_to, vectors),
+                       (steps @ vectors[..., None])[..., 0], rtol=0.0, atol=1e-15)
+
+    path = np.vstack([x_from[:1], x_from[:1] + np.cumsum(0.01 * vectors[:200], axis=0)])
+    v0 = np.full(n, 0.5)
+    out = parallel_transport(chart, path, v0)
+    v = v0
+    for s, step in enumerate(transport_matrices(chart, path[:-1], path[1:]), 1):
+        v = step @ v
+        assert np.array_equal(out[s], v)

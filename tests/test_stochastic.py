@@ -66,6 +66,23 @@ def test_make_stream_keys_are_distinct():
     assert len({r.tobytes() for r in draws}) == len(draws)
 
 
+def test_numpy_integer_seeds_and_streams():
+    # masking a NumPy int64 with 2**64 - 1 overflowed; floats stay rejected
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0, dimension=1)
+    run = lambda seed: simulate_ito(spec, [0.2], T=0.05, dt=0.01, N=9, seed=seed).paths
+    assert np.array_equal(run(np.int64(7)), run(7))
+    top = 2**64 - 1
+    assert np.array_equal(make_stream(7, np.uint64(top)).normal(size=4),
+                          make_stream(7, top).normal(size=4))
+    assert np.array_equal(next(stream_normals(np.int64(7), [np.uint64(top)], 1.0, 4)),
+                          make_stream(7, top).normal(size=4))
+    for seed in (7.0, np.float64(7.0)):
+        with pytest.raises(TypeError):
+            make_stream(seed)
+        with pytest.raises(TypeError):
+            run(seed)
+
+
 def _stratonovich_run():
     def G(t, x):
         return np.stack([np.stack([x[:, 0], np.ones(len(x))], axis=-1),
