@@ -8,8 +8,8 @@ or the chart representation are refactored: streams are keyed by
 (seed, path) or, for Feynman-Kac, by (seed, block), and a boundary retry
 redraws from the path's own stream.  The geometry cases pin Christoffel
 symbols (analytic and finite-difference metric derivatives) and the
-isometric frame transport, whose bits also depend on how the BLAS build
-solves diagonal systems.  Each estimator case pins its per-bin counts,
+isometric frame transport, whose 2-d inverse and polar factor are closed
+form.  Each estimator case pins its per-bin counts,
 values and conditioning means in one digest and its standard errors in a
 second, so a change to the variance reduction alone shows in the latter.
 A numpy upgrade that changes its normal sampler
@@ -273,14 +273,18 @@ DIGESTS = {
     "manifold_sphere_near_pole":
         "6512598c4e5b3a6a48962704604d481cd94d90ee197f498c06b89297842769d4",
     "manifold_minkowski": "908efb3309212aec2379699d86f94ae22c64dc320f40a86d3fa3fc6c3d1dbdd3",
-    "frame_bundle_sphere": "0dab543473fda0bac7ee5531aafdb54ffe3470ed3bcca36023f8717a5b7eabc9",
+    # re-recorded when the frame transport took its polar factor in closed
+    # form instead of by SVD: largest relative change 2.0e-13
+    "frame_bundle_sphere": "fec53c79c89b80c69da29560322ffea7b000fc740d4b01d65495af98a83cebff",
     # re-recorded when the standard error moved to pooled per-block
     # deviations: the estimate kept its bits, the se moved by 4.7e-15 relative
     "feynman_kac": "c3cb102ba4ab2549a0a90b7c54ddd2db4d19e87ba82c72f9afb0cf4cc1de705c",
     "covariance_check": "395bd1b111d306f38bc5ef7ca6daf58e0b83170635c0dd259c0630790b3d3dff",
     # recorded before charts carried their metric as a diagonal
     "christoffel_charts": "b5ab9d6ccc4673b48fbbecd3ef80e757c7e7cd70a603d5e07b5dd04b5158e320",
-    "transport_isometric": "a083a692e1ab5b822d98bb08758bb368612f368a596477b691897c6062ae5054",
+    # re-recorded with the closed-form 2-d inverse and polar factor that
+    # replaced LAPACK's solve and SVD: largest relative change 2.1e-13
+    "transport_isometric": "d315a36054c3a984cc027d1f1bdabaff685a160d3f81e929bf6705398578b42d",
     "manifold_json_chart": "6466fc5d42f00b87a2c96c6b6ab75b33384e55467468c2ccb2ae09c082efc1b6",
 }
 
@@ -293,9 +297,11 @@ ESTIMATOR_DIGESTS = {
     "covariant_euclidean":
         ("fbc0fa516b6f2c3bba64b31ce39647b0e86b0c599d9904c26ccb7c333e41725d",
          "fac52c4576967365265cfa3743edc1f8f0d70b5bec47ebe1652dcc2d4507191e"),
+    # re-recorded when transport_steps moved to the closed-form 2-d
+    # inverse: largest relative change 2.3e-14 (values), 6.9e-16 (se)
     "covariant_sphere":
-        ("3a252a7049cc507e14770eac076fe5a3d1e31b1608a99058e3e96961d3521903",
-         "eb1549f7f784d4db6ff8e90f02d506adcbb445d7ce86b6c186f40785d81cf375"),
+        ("472228cd8cf9bd4f98a9c4b9ad59d1b177f72830e4c0b006f49e160d612628da",
+         "7bf41c636bf0a679dc3131546b07919ce253742a640fa7130ee0dd71cd3b704f"),
     "quadratic_variation_2d":
         ("a486467ce0a03221c1825222ab5f9f6763fe0e20ad3d646cf56c873ad5e3c353",
          "d8fa32bf72172ed8962f8b56d87bcdd66574f9f4ec818c6a59ae7b2b3e4546b7"),
