@@ -177,7 +177,7 @@ def parallel_transport(chart: MetricChart, path: np.ndarray, v0) -> np.ndarray:
     the products with the running vector are sequential.
     """
     path = chart.require_valid(np.asarray(path, dtype=float))
-    v = np.asarray(v0, dtype=float).copy()
+    v = np.asarray(v0, dtype=float)
     out = np.empty_like(path)
     out[0] = v
     for s, step in enumerate(transport_matrices(chart, path[:-1], path[1:]), 1):

@@ -289,6 +289,16 @@ def test_isometric_transport_rejects_orientation_reversal():
     transport_matrix_isometric(chart, x_from[:1], x_to[:1])
 
 
+def test_isometric_transport_rejects_unconverged_newton_3d():
+    # one long step of an exponentially warped chart gives a gauge matrix
+    # with det > 0 but condition number ~1e5, too far from orthogonal for
+    # the capped Newton iteration
+    chart = chart_from_json({"name": "warped3", "dimension": 3, "signature": [0, 3],
+                             "diagonal_entries": ["1", "exp(4*x0)", "exp(8*x0)"]})
+    with pytest.raises(InstabilityError, match="did not converge.*reduce dt"):
+        transport_matrix_isometric(chart, np.zeros((1, 3)), np.array([[3.0, 0.0, 0.0]]))
+
+
 @pytest.mark.parametrize("spec", ["sphere2", CURVED3])
 def test_transport_routines_apply_the_kernel(spec):
     chart = get_chart(spec) if isinstance(spec, str) else chart_from_json(spec)
