@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .. import dirac as dirac_mod
 from .. import geodesic as geo_mod
@@ -163,6 +162,8 @@ def divergence_form_laplacian(chart: MetricChart, f, x, h: float = 1e-4) -> floa
 
 def schrodinger_expm_oracle(x_grid: np.ndarray, potential, t: float) -> np.ndarray:
     """Dense matrix exponential of -(1/2) Lap_h + V on a truncated grid."""
+    from scipy.linalg import expm   # here, so only the feynman-kac suite loads scipy
+
     n = len(x_grid)
     h = x_grid[1] - x_grid[0]
     lap = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)

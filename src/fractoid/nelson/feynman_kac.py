@@ -26,15 +26,25 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]
     return n, ma + delta * nb / n, m2a + m2b + delta**2 * na * nb / n
 
 
+def _values(f, name: str, pos: np.ndarray) -> np.ndarray:
+    """f(pos) as one float per point of pos, else ParameterError naming f."""
+    out = np.asarray(f(pos), dtype=float)
+    if out.shape != pos.shape[:1]:
+        raise ParameterError(f"{name} returned shape {out.shape} for points of shape "
+                             f"{pos.shape}; expected {pos.shape[:1]}")
+    return out
+
+
 def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int,
                           dt: float = 1e-3) -> tuple[float, float]:
     """Estimate (exp(-tS) phi)(x) = E[exp(-int V(x+W_s) ds) phi(x+W_t)].
 
-    The time integral uses the trapezoid rule along each Brownian path;
-    paths are drawn in blocks of BLOCK_SIZE with one counter stream per
-    block, so the result depends only on the seed.  Returns (estimate,
-    standard error); the variance pools per-block deviations from the block
-    means.
+    V and phi map points of shape (B, dim) to values of shape (B,); another
+    shape is a ParameterError.  The time integral uses the trapezoid rule
+    along each Brownian path; paths are drawn in blocks of BLOCK_SIZE with
+    one counter stream per block, so the result depends only on the seed.
+    Returns (estimate, standard error); the variance pools per-block
+    deviations from the block means.
     """
     if t <= 0 or dt <= 0:
         raise ParameterError("t and dt must be positive")
@@ -51,17 +61,17 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
         B = min(BLOCK_SIZE, N - lo)
         gen = make_stream(seed, lo // BLOCK_SIZE)
         pos = np.broadcast_to(x, (B, dim)).copy()
-        v_prev = V(pos)
+        v_prev = _values(V, "V", pos)
         integral = np.zeros(B)
         for _ in range(n_steps):
             pos = pos + gen.normal(0.0, sq, (B, dim))
-            v_next = V(pos)
+            v_next = _values(V, "V", pos)
             integral += 0.5 * step * (v_prev + v_next)
             v_prev = v_next
         if not np.all(np.isfinite(integral)):
             raise SimulationError("Feynman-Kac exponent became non-finite; "
                                   "is the potential bounded below on the region?")
-        weights = np.exp(-integral) * np.asarray(phi(pos), dtype=float)
+        weights = np.exp(-integral) * _values(phi, "phi", pos)
         if not np.all(np.isfinite(weights)):
             raise SimulationError("Feynman-Kac weight became non-finite")
         sums.append(np.sum(weights))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ConfigError, ParameterError
 from ..persistence import (NUMBER, manifest_for, read_manifest, read_table,
@@ -144,6 +143,9 @@ def _log_gradients(psi: WaveFunctionGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interpolated_field(psi: WaveFunctionGrid, comp: np.ndarray):
+    # imported here, so that importing fractoid loads no scipy
+    from scipy.interpolate import RegularGridInterpolator
+
     fills = [RegularGridInterpolator(psi.axes, np.nan_to_num(comp[..., i]),
                                      method="linear", bounds_error=False,
                                      fill_value=None)

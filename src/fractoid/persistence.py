@@ -73,6 +73,15 @@ def write_table(path, header, columns) -> None:
             fh.write(row * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
 
 
+def float_text(values) -> np.ndarray:
+    """values as the text write_table gives a float column, in an object
+    array: a column that repeats a few values can tile their text, formatted
+    once, and is then written as a text column."""
+    fmt = _FORMATS["f"]
+    return np.array([fmt % v for v in np.asarray(values, dtype=float).tolist()],
+                    dtype=object)
+
+
 def read_table(path, n_cols=None) -> np.ndarray:
     """The rows of a numeric table as a non-empty (rows, n_cols) float array;
     n_cols defaults to the number of header names."""

@@ -3,9 +3,10 @@
 Persistence goes through :mod:`fractoid.persistence`: a CSV table
 ``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step), plus a JSON
 manifest holding chart, seed, dt, T, N and the meta entries.  The reader
-rejects a manifest without chart, seed or N, a path count other than N, and
-a missing or repeated (path, step) row.  ``write_npz``/``read_npz`` keep a
-binary column format that round-trips bit-exactly.
+rejects a manifest without chart, seed or N, a path count other than N, a
+missing or repeated (path, step) row, and a row whose t differs from path
+0's at the same step.  ``write_npz``/``read_npz`` keep a binary column
+format that round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
-from ..persistence import (manifest_for, read_manifest, read_table, write_manifest,
-                           write_table)
+from ..persistence import (float_text, manifest_for, read_manifest, read_table,
+                           write_manifest, write_table)
 
 GRID_UNIFORMITY_TOL = 1e-12
 
@@ -91,7 +92,8 @@ class PathEnsemble:
         n, k1, dim = self.paths.shape
         write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
                     [np.repeat(np.arange(n), k1), np.tile(np.arange(k1), n),
-                     np.tile(self.times, n), *self.paths.reshape(-1, dim).T])
+                     np.tile(float_text(self.times), n),
+                     *self.paths.reshape(-1, dim).T])
         write_manifest(manifest_for(path), self.manifest())
 
     @classmethod
@@ -117,6 +119,11 @@ class PathEnsemble:
         dim = raw.shape[1] - 3
         times = np.empty(k1)
         times[step[pid == 0]] = raw[pid == 0, 2]
+        off = np.flatnonzero(raw[:, 2] != times[step])
+        if off.size:
+            i = off[0]
+            raise ParameterError(f"{path}: path {pid[i]} has t = {raw[i, 2]} at step "
+                                 f"{step[i]}, path 0 has t = {times[step[i]]}")
         paths = np.empty((n, k1, dim))
         paths[pid, step, :] = raw[:, 3:]
         known = {"chart", "seed", "dt", "T", "N"}

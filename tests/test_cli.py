@@ -121,6 +121,23 @@ def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
         assert str(mpath) in err and "'seed'" in err
 
 
+def test_estimate_ensemble_with_foreign_time_exit_2(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path), "--seed", "3",
+                 "--set", "n_paths=4", "--set", "t_final=0.1"]) == 0
+    path = tmp_path / "ensemble.csv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("3,2,"))
+    fields = lines[row].split(",")
+    fields[2] = "7.5"
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["estimate", "--ensemble", str(path), "--out", str(tmp_path),
+                 "--seed", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "path 3 has t = 7.5 at step 2" in err
+
+
 def test_verify_dirac_algebra(tmp_path, capsys):
     code = main(["verify", "--suite", "dirac-algebra", "--seed", "11",
                  "--out", str(tmp_path)])

@@ -228,6 +228,21 @@ def test_feynman_kac_monotone_in_potential():
     assert v_hi <= v_lo + 3.0 * np.sqrt(se_lo**2 + se_hi**2)
 
 
+_FLAT = lambda x: np.zeros(x.shape[:-1])
+_COLUMN = lambda x: np.ones((x.shape[0], 1))
+
+
+@pytest.mark.parametrize("V, phi, bad", [(_COLUMN, np.ones_like, "V"),
+                                         (_FLAT, _COLUMN, "phi"),
+                                         (_FLAT, np.ones_like, "phi")])
+def test_feynman_kac_rejects_values_not_one_per_point(V, phi, bad):
+    # phi = ones_like used to broadcast the weights to (B, B) and return
+    # 3518.9 instead of 1.0; a (B, 1) V raised a bare numpy ValueError
+    with pytest.raises(ParameterError, match=rf"^{bad} returned shape \(4096, 1\) for "
+                       r"points of shape \(4096, 1\); expected \(4096,\)$"):
+        feynman_kac_semigroup(V, phi, 0.01, 0.0, N=5000, seed=SEED, dt=0.01)
+
+
 def test_feynman_kac_vs_matrix_exponential():
     grid = np.linspace(-8.0, 8.0, 400)
     h = grid[1] - grid[0]

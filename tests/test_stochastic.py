@@ -339,6 +339,20 @@ def test_ensemble_csv_rejects_missing_or_duplicate_rows(tmp_path, edit):
         PathEnsemble.read_csv(path)
 
 
+def test_ensemble_csv_rejects_a_time_other_than_path_0s(tmp_path):
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.5, dimension=1)
+    path = tmp_path / "ens.csv"
+    simulate_ito(spec, 0.0, T=0.05, dt=0.01, N=3, seed=SEED).write_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[9].split(",")        # path 1, step 2
+    assert fields[:2] == ["1", "2"]
+    fields[2] = "7.5"
+    lines[9] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=r"ens\.csv: path 1 has t = 7\.5 at step 2"):
+        PathEnsemble.read_csv(path)
+
+
 def test_ensemble_npz_roundtrip(tmp_path):
     spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
                           diffusion_const=1.0, dimension=1)
