@@ -392,7 +392,7 @@ def _suite_geodesic_variational(cfg: ExperimentConfig) -> SuiteReport:
     ens = simulate_ito(spec, 0.0, T=1.0, dt=0.01, N=min(cfg.n_paths, 20000),
                        seed=seed + 40)
     ecfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 4.5), 15, min_count=200)
-    est, se = geo_mod.stochastic_energy(ens, e1, None, ecfg)
+    est, se = geo_mod.stochastic_energy(ens, e1, ecfg)
     rec.add("stochastic_energy_drift_z",
             abs(est - b**2 * 1.0) / se, 0.0, 3.0,
             note=f"estimate {est:.4f} vs {b**2:.4f}")

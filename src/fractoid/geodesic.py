@@ -31,7 +31,7 @@ from .geometry import (
     richardson_derivative,
 )
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
-from .meanderiv.estimators import LaggedSamples
+from .meanderiv.estimators import LaggedSamples, path_blocks
 from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5
@@ -194,29 +194,35 @@ def first_variation(chart: MetricChart, curve: PathCurve,
     return (energy_functional(chart, plus) - energy_functional(chart, minus)) / (2.0 * step)
 
 
-def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart, w,
+def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
                       config: EstimatorConfig) -> tuple[float, float]:
     """Monte Carlo E int ||D w(t, x_t)||^2 dt via the forward estimator.
 
-    w names the drift field only for bookkeeping; the integrand uses the
-    per-bin forward mean derivative of the ensemble itself, with the
-    estimator variance subtracted so the plug-in square is unbiased.
-    Returns (estimate, standard error over paths).
+    The integrand uses the per-bin forward mean derivative of the ensemble
+    itself, with the estimator variance subtracted so the plug-in square is
+    unbiased, read through the bin index and summed per path one block of
+    paths at a time.  Returns (estimate, standard error over paths).
     """
     samples = LaggedSamples(ensemble, config)
     fwd = samples.mean_derivative("forward")
     near, _ = samples.ends("forward")
     n, dim = ensemble.n_paths, ensemble.dimension
-    gdiag = chart.diag(ensemble.paths[:, near].reshape(-1, dim))
-    vals = samples.at_samples("forward", fwd.values).reshape(-1, dim)
-    ses = samples.at_samples("forward", fwd.se).reshape(-1, dim)
-    norm2 = np.einsum("si,si,si->s", np.nan_to_num(vals), gdiag, np.nan_to_num(vals))
-    # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
-    corr = np.sum(gdiag * np.nan_to_num(ses) ** 2, axis=1)
-    integrand = np.where(np.isfinite(vals).all(axis=1), norm2 - corr, np.nan)
-    integrand = integrand.reshape(n, -1)
-    per_path = np.nansum(integrand, axis=1) * ensemble.dt
-    frac = np.mean(np.isfinite(integrand))
+    # per-bin lookups with a row for the overflow bin, which has no value
+    vals_of, ses_of = (np.concatenate([a.reshape(-1, dim), np.full((1, dim), np.nan)])
+                       for a in (fwd.values, fwd.se))
+    known_of = np.isfinite(vals_of).all(axis=1)
+    vals_of, se2_of = np.nan_to_num(vals_of), np.nan_to_num(ses_of) ** 2
+    per_path, finite = np.empty(n), 0
+    for rows in path_blocks(n):
+        bins = samples.index[rows, near]
+        gdiag = chart.diag(ensemble.paths[rows, near])
+        norm2 = np.einsum("...i,...i,...i->...", vals_of[bins], gdiag, vals_of[bins])
+        # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
+        corr = np.sum(gdiag * se2_of[bins], axis=-1)
+        integrand = np.where(known_of[bins], norm2 - corr, np.nan)
+        per_path[rows] = np.nansum(integrand, axis=1) * ensemble.dt
+        finite += int(np.count_nonzero(np.isfinite(integrand)))
+    frac = finite / samples.index[:, near].size
     if frac < 1.0:
         per_path = per_path / max(frac, 1e-12)   # renormalize for excluded bins
     est = float(np.mean(per_path))
@@ -251,8 +257,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     """
     dim = chart.dimension
     if probes is None:
-        lo = np.nanpercentile(ensemble.paths, 15, axis=(0, 1))
-        hi = np.nanpercentile(ensemble.paths, 85, axis=(0, 1))
+        lo, hi = np.nanpercentile(ensemble.paths, [15, 85], axis=(0, 1))
         axes = [np.linspace(lo[a], hi[a], 5) for a in range(dim)]
         probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     if probe_times is None:

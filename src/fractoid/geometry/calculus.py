@@ -79,12 +79,14 @@ def christoffel_batch(chart: MetricChart, x) -> np.ndarray:
             f"metric of chart '{chart.name}' degenerate at a requested point"
         )
     dg = diag_derivative(chart, x)              # dg[..., k, i] = d_k g_ii
-    own = np.swapaxes(dg, -1, -2)               # own[..., k, i] = d_i g_kk
-    eye = np.eye(n, dtype=bool)
-    term = (np.where(eye[:, None, :], own[..., :, :, None], 0.0)
-            + np.where(eye[:, :, None], own[..., :, None, :], 0.0)
-            - np.where(eye[None], dg[..., :, :, None], 0.0))
-    return 0.5 * ((1.0 / d)[..., :, None, None] * term)
+    gamma = np.zeros(x.shape + (n, n))          # the docstring's delta terms, in order
+    idx = np.arange(n)
+    for k in range(n):
+        gamma[..., k, :, k] += dg[..., :, k]
+        gamma[..., k, k, :] += dg[..., :, k]
+        gamma[..., k, idx, idx] -= dg[..., k, :]
+    gamma *= (0.5 / d)[..., :, None, None]
+    return gamma
 
 
 def christoffel(chart: MetricChart, x) -> ConnectionCoefficients:

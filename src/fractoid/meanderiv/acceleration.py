@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..geometry import MetricChart, christoffel_batch, ricci_operator
-from ..geometry.charts import diag_matrix
 from .estimators import EstimatorConfig, MeanDerivativeField
 
 
@@ -170,20 +169,18 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
     region = np.broadcast_to(chart.is_valid(centers), cfg.shape[1:])
     flat = chart.is_flat
 
-    gamma = None
-    ginv = None
+    gamma = ginv = None
     if not flat:
         pts = centers.reshape(-1, cfg.dimension)
         inside = np.asarray(chart.is_valid(pts), dtype=bool)
         gamma = np.full(pts.shape[:1] + (cfg.dimension,) * 3, np.nan)
-        ginv = np.full(pts.shape[:1] + (cfg.dimension,) * 2, np.nan)
+        ginv = np.full(pts.shape, np.nan)          # the diagonal of g^{-1}
         if np.any(inside):
             gamma[inside] = christoffel_batch(chart, pts[inside])
-            ginv[inside] = diag_matrix(1.0 / chart.diag(pts[inside]))
+            ginv[inside] = 1.0 / chart.diag(pts[inside])
         gamma = np.broadcast_to(gamma.reshape(cfg.shape[1:] + (cfg.dimension,) * 3),
                                 cfg.shape + (cfg.dimension,) * 3)
-        ginv = np.broadcast_to(ginv.reshape(cfg.shape[1:] + (cfg.dimension,) * 2),
-                               cfg.shape + (cfg.dimension,) * 2)
+        ginv = ginv.reshape(centers.shape)        # broadcast over time by einsum
 
     points = cfg.evaluation_points(field.cond_mean)
     dt_w1, ok_t = _time_derivative(w1, good, cfg)
@@ -205,7 +202,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
         dV = np.stack(dV, axis=-3)                  # (..., a, b, c)
         corr1 = np.einsum("...eab,...ec->...abc", gamma, np.nan_to_num(V2))
         corr2 = np.einsum("...cae,...be->...abc", gamma, np.nan_to_num(V2))
-        lap_w2 = np.einsum("...ab,...abc->...c",
+        lap_w2 = np.einsum("...a,...aac->...c",
                            ginv, np.nan_to_num(dV) - corr1 + corr2)
 
     values = dt_w1 + adv1 - adv2 - 0.5 * epsilon**2 * lap_w2

@@ -1,7 +1,10 @@
 """Covariant mean derivatives of a vector field along a path ensemble.
 
 The Monte Carlo route transports the field value at the displaced time back
-to the conditioning point before differencing; the analytic route evaluates
+to the conditioning point before differencing.  Its quotients are formed
+per block of paths inside the function the bin average calls, one time step
+at a time, so neither the field values nor the transport's Christoffel
+symbols are held for the whole ensemble.  The analytic route evaluates
 
     forward:  dX/dt + grad_drift X + (eps^2/2) lap X
     backward: dX/dt + grad_drift X - (eps^2/2) lap X
@@ -76,46 +79,36 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
                               epsilon: float | None = None) -> CovariantMeanDerivative:
     """Transported difference-quotient estimator plus the analytic form.
 
-    X(t, x) must be vectorized over points (x of shape (B, n)).  epsilon
-    defaults to the ensemble's recorded diffusion constant.
+    X(t, x) must be vectorized over points (x of shape (B, n)): each call
+    is one time step of one block of paths.  epsilon defaults to the
+    ensemble's recorded diffusion constant.
     """
     if epsilon is None:
         epsilon = float(ensemble.meta.get("epsilon", 1.0))
     samples = LaggedSamples(ensemble, config)
-    near_end, far_end = samples.ends(direction)
-    lag = config.lag
-    paths = ensemble.paths
-    n, dim = ensemble.n_paths, ensemble.dimension
     flat = chart.is_flat
+    steps = range(ensemble.n_steps + 1)
+    ends = [steps[end] for end in samples.ends(direction)]   # (conditioning, far)
 
-    cond, far = paths[:, near_end], paths[:, far_end]
-    t_cond, t_far = ensemble.times[near_end], ensemble.times[far_end]
-    k_use = cond.shape[1]
+    def quotient(paths, near, far):
+        """X at step far of paths (B, K+1, dim), transported one step at a
+        time to step near, differenced with X at step near."""
+        vec = _eval_field(X, float(ensemble.times[far]), paths[:, far])
+        hop = 1 if near > far else -1
+        for k in (() if flat else range(far, near, hop)):
+            vec = transport_steps(chart, paths[:, k], paths[:, k + hop], vec)
+        here = _eval_field(X, float(ensemble.times[near]), paths[:, near])
+        return (vec - here if direction == "forward" else here - vec) / samples.dtau
 
-    vec = np.empty((n, k_use, dim))
-    for j in range(k_use):
-        vec[:, j, :] = _eval_field(X, float(t_far[j]), far[:, j, :])
+    def quotients(rows):
+        # one time step per call, so the transport holds B segments, not B K
+        paths = ensemble.paths[rows]
+        return np.stack([quotient(paths, *ks) for ks in zip(*ends)], axis=1)
 
-    if not flat:
-        # step-by-step transport of the far-end vectors to the conditioning
-        # time: down from step k+lag to k (forward), up from k-lag to k
-        v = vec.reshape(-1, dim)
-        toward = -1 if direction == "forward" else 1
-        for s in (range(lag, 0, -1) if direction == "forward" else range(lag)):
-            v = transport_steps(chart, paths[:, s:s + k_use].reshape(-1, dim),
-                                paths[:, s + toward:s + toward + k_use].reshape(-1, dim), v)
-        vec = v.reshape(n, k_use, dim)
-
-    here = np.empty((n, k_use, dim))
-    for j in range(k_use):
-        here[:, j, :] = _eval_field(X, float(t_cond[j]), cond[:, j, :])
-
-    dtau = samples.dtau
-    quot = (vec - here) / dtau if direction == "forward" else (here - vec) / dtau
-    mc = samples.average(direction, quot)
+    mc = samples.average(direction, quotients)
     drift = samples.mean_derivative(direction)
 
-    analytic = np.full(config.shape + (dim,), np.nan)
+    analytic = np.full(config.shape + (ensemble.dimension,), np.nan)
     sign = 1.0 if direction == "forward" else -1.0
     points = config.evaluation_points(mc.cond_mean)
     dropped = 0

@@ -13,15 +13,15 @@ conditioned on its early end for the forward quotient and on its late end
 for the backward one, so both directions, the causal split and the
 quadratic variation read the same index.
 
-Values are never held for the whole ensemble.  The accumulator walks the
-paths in blocks of BLOCK_PATHS, forms each block's increments, quotients or
-outer products once per sweep for every average that reads them (both
+Values are never held for the whole ensemble, by the estimators or by the
+covariant, energy and causal-class consumers: :func:`path_blocks` is the one
+walk over the paths, BLOCK_PATHS at a time.  The accumulator forms each
+block's values once per sweep for every average that reads them (both
 directions of a velocity field, the four causal terms of the relativistic
 sums), and reduces them per bin in two sweeps: the first sums counts,
 values and conditioning points, the second the squared deviations from the
 bin means.  A sample a causal split drops goes to the overflow bin of its
-block.  The float sums add samples in path-major order, so the
-results do not depend on the block size.
+block.  Sums run in path-major order, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -202,17 +202,25 @@ class MeanDerivativeField(_Binned):
     cond_mean: np.ndarray | None = None
 
 
+def path_blocks(n_paths: int):
+    """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time;
+    the one way the estimators and their consumers read an ensemble."""
+    for lo in range(0, n_paths, BLOCK_PATHS):
+        yield slice(lo, lo + BLOCK_PATHS)
+
+
 def _increments(paths: np.ndarray, lag: int) -> np.ndarray:
     """(B, K+1-lag, dim) increments x(t + lag dt) - x(t) of paths (B, K+1, dim)."""
     return paths[:, lag:] - paths[:, :-lag]
 
 
-def _minkowski_norm2(ensemble: PathEnsemble, increments: np.ndarray) -> np.ndarray:
+def _minkowski_norm2(ensemble: PathEnsemble) -> Callable[[np.ndarray], np.ndarray]:
+    """increments dx -> eta(dx, dx) on the ensemble's Lorentzian chart."""
     chart = get_chart(ensemble.chart_name)
     if not chart.is_lorentzian:
         raise ParameterError("causal classes require a Lorentzian chart")
     eta = np.diag(chart.signature_matrix())
-    return np.einsum("...i,i,...i->...", increments, eta, increments)
+    return lambda inc: np.einsum("...i,i,...i->...", inc, eta, inc)
 
 
 # block(rows) -> (bins (B, M) per term, values (B, M, ...)) of the paths in rows
@@ -227,20 +235,19 @@ def _accumulate(config: EstimatorConfig, block: Block,
     holds term j's conditioning points of N paths; block gives each term's
     bins and the shared values of a slice of them, with the overflow bin
     n_bins for samples a term does not take, so each block's values are
-    formed once per sweep for all terms.  Two sweeps over blocks of
-    BLOCK_PATHS paths: counts (exact integers), value sums and point sums
+    formed once per sweep for all terms.  Two sweeps over
+    :func:`path_blocks`: counts (exact integers), value sums and point sums
     first, then the squared deviations from the bin means.  np.add.at adds
     samples in path-major order, as one bincount over the whole ensemble
     would, so the result is bit-identical for every block size.
     """
     n_bins = config.n_bins
     n, _, dim = points[0].shape
-    vshape = block(slice(0))[1].shape[2:]   # the value shape, from an empty block
+    vshape = block(slice(0, 1))[1].shape[2:]   # the value shape, from one path
     m = int(np.prod(vshape))
 
     def sweep():
-        for lo in range(0, n, BLOCK_PATHS):
-            rows = slice(lo, lo + BLOCK_PATHS)
+        for rows in path_blocks(n):
             bins, vals = block(rows)
             yield rows, [idx.ravel() for idx in bins], vals.reshape(-1, m)
 
@@ -315,11 +322,9 @@ class LaggedSamples:
         self.ensemble = ensemble
         self.config = config
         self.dtau = config.lag * ensemble.dt
-        paths = ensemble.paths
-        self.index = np.empty(paths.shape[:2], dtype=np.min_scalar_type(config.n_bins))
-        for lo in range(0, ensemble.n_paths, BLOCK_PATHS):
-            rows = slice(lo, lo + BLOCK_PATHS)
-            self.index[rows] = config.bin_index(ensemble.times, paths[rows])
+        self.index = np.empty(ensemble.paths.shape[:2], np.min_scalar_type(config.n_bins))
+        for rows in path_blocks(ensemble.n_paths):
+            self.index[rows] = config.bin_index(ensemble.times, ensemble.paths[rows])
 
     def ends(self, direction: str) -> tuple[slice, slice]:
         """Step slices of a direction's (conditioning, displaced) ends."""
@@ -340,21 +345,21 @@ class LaggedSamples:
 
     def average(self, direction: str, values, split: str = "off") -> BinnedField:
         """Per-bin average of per-increment values over the bins of the
-        direction's conditioning end.  values is an (N, K+1-lag, ...) array
-        or a function giving its rows for a slice of paths; split keeps only
-        the increments of one causal class (timelike or spacelike)."""
+        direction's conditioning end.  values(rows) gives the (B, K+1-lag,
+        ...) values of a slice of paths from :func:`path_blocks`; split keeps
+        only the increments of one causal class (timelike or spacelike)."""
         return self.averages(values, [(direction, split)])[0]
 
     def averages(self, values, terms) -> list[BinnedField]:
         """:meth:`average` of the same values for each (direction, split)
         term, from one pass that forms each block's values once."""
         terms = [(self.ends(direction)[0], split) for direction, split in terms]
-        values_of = values if callable(values) else values.__getitem__
         n_bins = self.config.n_bins
+        norm2_of = (_minkowski_norm2(self.ensemble)
+                    if any(split != "off" for _, split in terms) else None)
 
         def block(rows):
-            norm2 = (_minkowski_norm2(self.ensemble, self.increments(rows))
-                     if any(split != "off" for _, split in terms) else None)
+            norm2 = None if norm2_of is None else norm2_of(self.increments(rows))
             bins = []
             for near, split in terms:
                 idx = self.index[rows, near]
@@ -362,7 +367,7 @@ class LaggedSamples:
                     keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
                     idx = np.where(keep, idx, n_bins)
                 bins.append(idx)
-            return bins, values_of(rows)
+            return bins, values(rows)
 
         return _accumulate(self.config, block,
                            [self.ensemble.paths[:, near] for near, _ in terms])
@@ -372,14 +377,6 @@ class LaggedSamples:
         raises EstimationError when no bin reaches min_count."""
         return _require_populated(self.average(direction, self.quotients,
                                                self.config.causal_split))
-
-    def at_samples(self, direction: str, values: np.ndarray) -> np.ndarray:
-        """Per-bin values (shape + ...) read back at each conditioning
-        sample of a direction, (N, K+1-lag, ...), NaN outside the grid."""
-        near, _ = self.ends(direction)
-        flat = values.reshape((-1,) + values.shape[len(self.config.shape):])
-        overflow = np.full((1,) + flat.shape[1:], np.nan)
-        return np.concatenate([flat, overflow])[self.index[:, near]]
 
 
 def estimate_forward(ensemble: PathEnsemble, config: EstimatorConfig) -> BinnedField:
@@ -431,8 +428,10 @@ def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     """
     if ensemble.n_steps < lag:
         raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
-    norm2 = _minkowski_norm2(ensemble, _increments(ensemble.paths, lag))
-    return float(np.mean(norm2 >= 0))
+    norm2 = _minkowski_norm2(ensemble)
+    spacelike = sum(np.count_nonzero(norm2(_increments(ensemble.paths[rows], lag)) >= 0)
+                    for rows in path_blocks(ensemble.n_paths))
+    return spacelike / (ensemble.n_paths * (ensemble.n_steps + 1 - lag))
 
 
 def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivativeField:

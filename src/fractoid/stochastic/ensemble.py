@@ -38,12 +38,14 @@ class PathEnsemble:
             raise ParameterError("paths must have shape (N, K+1, dim)")
         if self.times.shape != (self.paths.shape[1],):
             raise ParameterError("times length must match the path grid")
+        if not np.all(np.isfinite(self.times)):     # NaN passes the grid checks
+            raise ParameterError("time grid contains non-finite times")
+        if not np.all(np.isfinite(self.paths)):
+            raise ParameterError("paths contain non-finite coordinates")
         diffs = np.diff(self.times)
         if len(diffs) and (np.any(diffs <= 0)
                            or np.max(np.abs(diffs - diffs[0])) > GRID_UNIFORMITY_TOL):
             raise ParameterError("time grid must be strictly increasing and uniform")
-        if not np.all(np.isfinite(self.paths)):
-            raise ParameterError("paths contain non-finite coordinates")
 
     @property
     def n_paths(self) -> int:
@@ -120,16 +122,18 @@ class PathEnsemble:
         times = np.empty(k1)
         times[step[pid == 0]] = raw[pid == 0, 2]
         off = np.flatnonzero(raw[:, 2] != times[step])
-        if off.size:
-            i = off[0]
-            raise ParameterError(f"{path}: path {pid[i]} has t = {raw[i, 2]} at step "
-                                 f"{step[i]}, path 0 has t = {times[step[i]]}")
         paths = np.empty((n, k1, dim))
         paths[pid, step, :] = raw[:, 3:]
         known = {"chart", "seed", "dt", "T", "N"}
         meta = {k: v for k, v in manifest.items() if k not in known}
-        return cls(times, paths, seed=int(manifest["seed"]),
-                   chart_name=manifest["chart"], meta=meta)
+        # built before a foreign t is reported: it rejects a non-finite t of path 0
+        ensemble = cls(times, paths, seed=int(manifest["seed"]),
+                       chart_name=manifest["chart"], meta=meta)
+        if off.size:
+            i = off[0]
+            raise ParameterError(f"{path}: path {pid[i]} has t = {raw[i, 2]} at step "
+                                 f"{step[i]}, path 0 has t = {times[step[i]]}")
+        return ensemble
 
     def write_npz(self, path) -> None:
         np.savez(path, times=self.times, paths=self.paths,

@@ -88,8 +88,8 @@ def orthonormal_frame(chart: MetricChart, x) -> np.ndarray:
 
 
 def _step_fields(chart: MetricChart, x: np.ndarray, epsilon: float):
-    """Geometric drift -(eps^2/2) g^{ij} Gamma^k_{ij} and the scaled frame
-    eps g^{-1/2} for one integrator step, elementwise on the diagonal."""
+    """Geometric drift -(eps^2/2) g^{ij} Gamma^k_{ij} and the diagonal
+    eps |g_ii|^{-1/2} of the scaled frame for one integrator step."""
     gd = chart.diag(x)
     dgd = diag_derivative(chart, x)                     # (..., k, i) = d_k g_ii
     idx = np.arange(gd.shape[-1])
@@ -98,7 +98,7 @@ def _step_fields(chart: MetricChart, x: np.ndarray, epsilon: float):
     trace = np.einsum("...i,...ki->...k", ginv_d, dgd)
     contraction = 0.5 * ginv_d * (2.0 * ginv_d * own - trace)
     drift = -0.5 * epsilon**2 * contraction
-    return drift, diag_matrix(epsilon / np.sqrt(np.abs(gd)))
+    return drift, epsilon / np.sqrt(np.abs(gd))
 
 
 def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
@@ -124,13 +124,10 @@ def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
             drift = drift + core.drift(w, k, x)
         if n_time:
             # coordinate time advances deterministically on Lorentz charts
-            drift = drift.copy()
             drift[..., :n_time] = 1.0
-            frame = frame.copy()
-            frame[..., :n_time, :] = 0.0
+            frame[..., :n_time] = 0.0
         base = x + drift * dt
-        return (core.accept(base + np.einsum("bij,bj->bi", frame, dW),
-                            lambda p, z: base[p] + frame[p] @ z),)
+        return (core.accept(base + frame * dW, lambda p, z: base[p] + frame[p] * z),)
 
     times, (paths,) = core.run(chart_euler, initial_points(x0, N, n, chart))
     return PathEnsemble(times, paths, seed=seed, chart_name=chart.name,

@@ -155,7 +155,7 @@ def test_stochastic_energy_constant_drift():
                           diffusion_const=1.0, dimension=1)
     ens = simulate_ito(spec, 0.0, T=1.0, dt=0.01, N=20_000, seed=SEED)
     cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 5.5), 17, min_count=200)
-    est, se = stochastic_energy(ens, E1, None, cfg)
+    est, se = stochastic_energy(ens, E1, cfg)
     assert abs(est - 2.25) <= 3.0 * se
 
 
@@ -166,7 +166,7 @@ def test_stochastic_energy_deterministic_reduction():
     spec = ItoProcessSpec(drift=drift, diffusion_const=0.0, dimension=1)
     ens = simulate_ito(spec, 0.0, T=1.0, dt=0.005, N=64, seed=SEED + 9)
     cfg = EstimatorConfig.regular((0.0, 1.0), 20, (-0.2, 1.7), 16, min_count=2)
-    est, _ = stochastic_energy(ens, E1, None, cfg)
+    est, _ = stochastic_energy(ens, E1, cfg)
     curve = PathCurve(ens.times, ens.paths[0])
     exact = energy_functional(E1, curve)
     # the Euler path differs from the continuum curve at O(dt)
@@ -180,9 +180,9 @@ def test_stochastic_energy_additive_over_halves():
                           diffusion_const=1.0, dimension=1)
     ens = simulate_ito(spec, 0.0, T=1.0, dt=0.01, N=20_000, seed=SEED + 1)
     cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 4.0), 14, min_count=200)
-    full, se_full = stochastic_energy(ens, E1, None, cfg)
-    half1, se1 = stochastic_energy(ens.restrict(0, 50), E1, None, cfg)
-    half2, se2 = stochastic_energy(ens.restrict(50, 100), E1, None, cfg)
+    full, se_full = stochastic_energy(ens, E1, cfg)
+    half1, se1 = stochastic_energy(ens.restrict(0, 50), E1, cfg)
+    half2, se2 = stochastic_energy(ens.restrict(50, 100), E1, cfg)
     combined_se = np.sqrt(se_full**2 + se1**2 + se2**2)
     assert abs(full - (half1 + half2)) <= 3.0 * combined_se + 1e-3
 
@@ -193,7 +193,7 @@ def test_stochastic_energy_jensen_bound():
                           diffusion_const=1.0, dimension=1)
     ens = simulate_ito(spec, 0.0, T=1.0, dt=0.01, N=10_000, seed=SEED + 2)
     cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 4.0), 14, min_count=200)
-    est, se = stochastic_energy(ens, E1, None, cfg)
+    est, se = stochastic_energy(ens, E1, cfg)
     disp = np.linalg.norm(ens.paths[:, -1, :].mean(axis=0) - 0.0)
     assert est >= disp**2 / 1.0 - 3.0 * se
 

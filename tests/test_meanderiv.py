@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fractoid.errors import EstimationError, ParameterError
+from fractoid.geodesic import stochastic_energy
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import (
     EstimatorConfig,
@@ -168,17 +169,47 @@ def test_standard_error_stable_under_large_offsets():
     assert np.allclose(shifted.se[m], base.se[m], rtol=1e-6, atol=0.0)
 
 
-def test_estimator_peak_memory_within_twice_the_ensemble():
-    # the estimator walks the paths in blocks, so besides its one-byte bin
-    # index it holds no ensemble-sized array
+@pytest.fixture(scope="module")
+def large_ensembles():
+    """(ensemble, config) pairs big enough that an ensemble-sized temporary
+    shows in a traced peak: OU, N = 2e4, K = 300, and sphere2, N = 2e4, K = 200."""
     spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0, dimension=1)
     x0 = np.random.default_rng(SEED).normal(0.0, np.sqrt(0.5), (20_000, 1))
-    ens = simulate_ito(spec, x0, T=3.0, dt=0.01, N=20_000, seed=SEED)
-    assert ens.n_steps == 300
-    cfg = EstimatorConfig.regular((0.0, 3.0), 1, (-2.0, 2.0), 8, min_count=500)
+    ou = simulate_ito(spec, x0, T=3.0, dt=0.01, N=20_000, seed=SEED)
+    sphere = simulate_manifold_diffusion(get_chart("sphere2"), None, [1.35, 0.0],
+                                         T=0.2, dt=0.001, N=20_000, seed=SEED)
+    assert (ou.n_steps, sphere.n_steps) == (300, 200)
+    return {"ou": (ou, EstimatorConfig.regular((0.0, 3.0), 1, (-2.0, 2.0), 8,
+                                                min_count=500)),
+            "sphere2": (sphere, EstimatorConfig.regular(
+                (0.0, 0.2), 2, [(1.2, 1.5), (-0.3, 0.3)], [3, 3], dim=2,
+                min_count=500))}
+
+
+def _sphere_field(t, x):
+    return np.stack([np.ones_like(x[..., 0]), 0.5 * x[..., 0]], axis=-1)
+
+
+PEAK_CASES = {
+    "velocity_fields": ("ou", estimate_velocity_fields),
+    "covariant": ("ou", lambda ens, cfg: covariant_mean_derivative(
+        get_chart("euclidean:1"), ens, lambda t, x: np.sin(x) + t, cfg)),
+    "covariant_sphere2": ("sphere2", lambda ens, cfg: covariant_mean_derivative(
+        get_chart("sphere2"), ens, _sphere_field, cfg)),
+    "stochastic_energy": ("ou", lambda ens, cfg: stochastic_energy(
+        ens, get_chart("euclidean:1"), cfg)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_CASES))
+def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
+    # the estimator and its consumers walk the paths in blocks, so besides
+    # the one-byte bin index they hold no ensemble-sized array
+    name, run = PEAK_CASES[case]
+    ens, cfg = large_ensembles[name]
     tracemalloc.start()
     try:
-        estimate_velocity_fields(ens, cfg)
+        run(ens, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

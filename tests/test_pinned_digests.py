@@ -33,6 +33,7 @@ from fractoid.meanderiv import (
     estimate_velocity_fields,
     quadratic_variation_matrix,
     relativistic_mean_derivatives,
+    spacelike_fraction,
 )
 from fractoid.nelson import feynman_kac_semigroup
 from fractoid.stochastic import (
@@ -235,11 +236,15 @@ def _covariant_sphere():
 
 def _stochastic_energy():
     # both values mix bin values with bin standard errors
-    energies = [stochastic_energy(_ensemble("ou"), get_chart("euclidean:1"), None,
-                                  _ou_cfg()),
-                stochastic_energy(_ensemble("sphere2"), get_chart("sphere2"), None,
-                                  _sphere_cfg())]
+    energies = [stochastic_energy(_ensemble("ou"), get_chart("euclidean:1"), _ou_cfg()),
+                stochastic_energy(_ensemble("sphere2"), get_chart("sphere2"), _sphere_cfg())]
     return _bins([]), _bins(energies)
+
+
+def _spacelike_fraction():
+    # integer counts of spacelike increments over their total, per lag
+    fractions = [spacelike_fraction(_ensemble("minkowski"), lag) for lag in (1, 2)]
+    return _bins(fractions), _bins([])
 
 
 ESTIMATOR_CASES = {
@@ -250,6 +255,7 @@ ESTIMATOR_CASES = {
     "covariant_euclidean": _covariant_euclidean,
     "covariant_sphere": _covariant_sphere,
     "stochastic_energy": _stochastic_energy,
+    "spacelike_fraction": _spacelike_fraction,
 }
 
 
@@ -308,6 +314,9 @@ ESTIMATOR_DIGESTS = {
     "relativistic_minkowski":
         ("029e49e81ff7d4375fbbaef50db1c694e5e3770c291f52b589d7352a02b45648",
          "e57fd085ee5bee101f9df3c4b53b6152653a61ac63bcdf17457b381cdbb98fd6"),
+    "spacelike_fraction":
+        ("619299f1cef43f0e55e9dc791968771d0220c0e4f3b9daa136cb570853b11dde",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "stochastic_energy":
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          "07497a06886e963dac487d54b7d4c5173810f13c7845ededba18ce921106c02d"),

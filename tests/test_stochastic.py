@@ -353,6 +353,23 @@ def test_ensemble_csv_rejects_a_time_other_than_path_0s(tmp_path):
         PathEnsemble.read_csv(path)
 
 
+def test_ensemble_rejects_nan_times(tmp_path):
+    with pytest.raises(ParameterError, match="non-finite times"):
+        PathEnsemble(np.array([0.0, np.nan, 0.2]), np.zeros((1, 3, 1)), seed=0)
+    # the reader takes the time grid from path 0's rows
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.5, dimension=1)
+    path = tmp_path / "ens.csv"
+    simulate_ito(spec, 0.0, T=0.05, dt=0.01, N=3, seed=SEED).write_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")        # path 0, step 1
+    assert fields[:2] == ["0", "1"]
+    fields[2] = "nan"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="non-finite times"):
+        PathEnsemble.read_csv(path)
+
+
 def test_ensemble_npz_roundtrip(tmp_path):
     spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
                           diffusion_const=1.0, dimension=1)
