@@ -9,7 +9,9 @@ or the chart representation are refactored: streams are keyed by
 redraws from the path's own stream.  The geometry cases pin Christoffel
 symbols (analytic and finite-difference metric derivatives) and the
 isometric frame transport, whose 2-d inverse and polar factor are closed
-form.  Each estimator case pins its per-bin counts,
+form, and the pointwise finite-difference operators built on the chart
+connection: Laplace-Beltrami, Ricci, Jacobians, the Euler-Lagrange and
+Clifford-connection residuals.  Each estimator case pins its per-bin counts,
 values and conditioning means in one digest and its standard errors in a
 second, so a change to the variance reduction alone shows in the latter.
 A numpy upgrade that changes its normal sampler
@@ -24,8 +26,27 @@ import numpy as np
 import pytest
 
 from fractoid import whitenoise as wn
-from fractoid.geodesic import stochastic_energy
-from fractoid.geometry import chart_from_json, christoffel_batch, get_chart
+from fractoid.dirac import clifford_connection_check
+from fractoid.geodesic import (
+    LagrangianSpec,
+    classical_geodesic,
+    euler_lagrange_residual,
+    stochastic_energy,
+    stochastic_geodesic_criterion,
+)
+from fractoid.geometry import (
+    chart_from_json,
+    christoffel_batch,
+    get_chart,
+    laplace_beltrami,
+    laplacian_fd,
+    leibniz_residual,
+    levi_civita_field,
+    ricci_operator,
+    richardson_derivative,
+    torsion,
+    vector_jacobian_fd,
+)
 from fractoid.meanderiv import (
     EstimatorConfig,
     estimators,
@@ -35,11 +56,12 @@ from fractoid.meanderiv import (
     relativistic_mean_derivatives,
     spacelike_fraction,
 )
-from fractoid.nelson import feynman_kac_semigroup
+from fractoid.nelson import feynman_kac_semigroup, quadratic_variation_law
 from fractoid.stochastic import (
     FrameState,
     ItoProcessSpec,
     frame_bundle_simulate,
+    generator_apply,
     make_stream,
     orthonormal_frame,
     simulate_ito,
@@ -53,6 +75,9 @@ SEED = 2718
 # a JSON chart has no analytic metric derivative: finite differences
 CONE = {"name": "cone", "dimension": 2, "signature": [0, 2],
         "diagonal_entries": ["1", "0.25*x0^2 + 0.1"]}
+# a 3-d JSON chart whose every entry varies
+WARP3 = {"name": "warp3", "dimension": 3, "signature": [0, 3],
+         "diagonal_entries": ["1 + 0.1*x2^2", "x0^2 + 0.5", "exp(0.3*x1)*(1 + 0.2*x0^2)"]}
 
 
 def _points(lo, hi, n=64):
@@ -123,6 +148,48 @@ def _transport():
 def _manifold_json():
     return simulate_manifold_diffusion(chart_from_json(CONE), None, [1.0, 0.0],
                                        T=0.1, dt=0.002, N=100, seed=SEED).paths
+
+
+def _geometry_operators():
+    f = lambda p: np.sin(p[..., 0]) * np.cos(p[..., -1]) + p[..., 0] ** 2 * p[..., -1]
+    out = []
+    for chart, lo, hi in ((get_chart("polar2"), [0.3, -3.0], [3.0, 3.0]),
+                          (get_chart("sphere2"), [0.2, -3.0], [2.9, 3.0]),
+                          (get_chart("hyperbolic2"), [0.1, -3.0], [2.0, 3.0]),
+                          (chart_from_json(CONE), [0.2, -3.0], [3.0, 3.0]),
+                          (chart_from_json(WARP3), [-1.0] * 3, [1.0] * 3)):
+        for x in _points(lo, hi, 6):
+            out += [laplace_beltrami(chart, f, x), ricci_operator(chart, x).ravel()]
+
+    V = lambda p: np.stack([np.sin(p[..., 0] * p[..., 1]),
+                            np.exp(0.3 * p[..., 0]) - p[..., 1] ** 3], axis=-1)
+    W = lambda p: np.stack([np.cos(p[..., 1]), p[..., 0] * p[..., 1]], axis=-1)
+    pts = _points([0.5, -1.0], [2.5, 1.0], 16)
+    out += [vector_jacobian_fd(V, pts[0]).ravel(), vector_jacobian_fd(V, pts).ravel(),
+            laplacian_fd(V, pts[1]), richardson_derivative(V, pts[2], 1, 1e-3)]
+
+    sph = get_chart("sphere2")
+    field = levi_civita_field(sph)
+    for x in pts[3:6]:
+        out += [generator_apply(sph, None, f, x), generator_apply(sph, W, f, x),
+                torsion(field, V, W, x).components,
+                leibniz_residual(field, f, V, W, x)]
+
+    geod = classical_geodesic(sph, [1.1, 0.2], [0.3, 0.45], T=0.2, dt=0.01)
+    spec = LagrangianSpec(potential=lambda x: np.sin(x[..., 0]) * x[..., 1] ** 2, mass=1.3)
+    out.append(euler_lagrange_residual(sph, geod, spec).ravel())
+
+    omega = lambda x: np.array([np.sin(x[0]), x[1] * x[2], np.exp(0.2 * x[3]), x[0] ** 2])
+    for x in _points([-1.0] * 4, [1.0] * 4, 3):
+        out.append(clifford_connection_check(omega, [0.3, -0.5, 0.2, 1.1], x))
+
+    # the criterion's analytic residual on a curved chart, and the
+    # quadratic-variation target eps^2 g^{-1}
+    w = lambda t, x: np.stack([0.1 * np.sin(x[..., 0]) + t, 0.2 * x[..., 1]], axis=-1)
+    crit = stochastic_geodesic_criterion(sph, w, _ensemble("sphere2"), _sphere_cfg())
+    law = quadratic_variation_law(_ensemble("sphere2"), _sphere_cfg(), chart=sph)
+    out += [crit.analytic_residual, law.target.ravel()]
+    return _bins(*out)
 
 
 def _feynman_kac():
@@ -270,6 +337,7 @@ CASES = {
     "manifold_json_chart": _manifold_json,
     "feynman_kac": _feynman_kac,
     "covariance_check": _covariance_check,
+    "geometry_operators": _geometry_operators,
 }
 
 # sha256 of the float64 bytes, recorded before the integrator core refactor
@@ -292,6 +360,9 @@ DIGESTS = {
     # replaced LAPACK's solve and SVD: largest relative change 2.1e-13
     "transport_isometric": "d315a36054c3a984cc027d1f1bdabaff685a160d3f81e929bf6705398578b42d",
     "manifold_json_chart": "6466fc5d42f00b87a2c96c6b6ab75b33384e55467468c2ccb2ae09c082efc1b6",
+    # recorded before the finite-difference stencils became one pair of
+    # primitives and the inverse metric its diagonal
+    "geometry_operators": "b8710382873f9315d6dc051eb59f461f7335ebec89a63090051d04bb1d7ad7a0",
 }
 
 
