@@ -29,8 +29,6 @@ class ExperimentConfig:
     chart: str = "euclidean:1"
     epsilon: float = 1.0
     drift: str = "zero"
-    hbar: float = 1.0
-    mass: float = 1.0
     omega: float = 1.0
     n_paths: int = 0               # 0 = suite default (see suites.DEFAULT_PATHS)
     t_final: float = 1.0
@@ -64,6 +62,16 @@ class ExperimentConfig:
         if need_suite and self.suite not in KNOWN_SUITES:
             raise ConfigError(f"unknown suite '{self.suite}'; available: "
                               + ", ".join(KNOWN_SUITES))
+
+
+# the values each annotated field type accepts (bool is never a number)
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "list | None": ((list, type(None)), "a list or null"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
 
 
 def resolve_chart(name: str):
@@ -129,17 +137,17 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     for key, value in direct.items():
         if value is not None:
             cfg_kwargs[key] = value
-    # re-coerce numerics that arrived as strings
+    # re-coerce numerics that arrived as strings, then check every type
     out = {}
     for key, value in cfg_kwargs.items():
         ftype = valid[key].type
         if isinstance(value, str) and ftype in ("int", "float", "int | None"):
             try:
-                value = int(value) if "int" in str(ftype) else float(value)
+                value = int(value) if "int" in ftype else float(value)
             except ValueError:
                 raise ConfigError(f"config key '{key}' expects a number, got '{value}'")
+        types, expected = _FIELD_TYPES[ftype]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"config key '{key}' expects {expected}, got {value!r}")
         out[key] = value
-    try:
-        return ExperimentConfig(**out)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**out)

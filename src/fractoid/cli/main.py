@@ -173,12 +173,13 @@ def cmd_noise(args) -> int:
 
 def cmd_dirac(args) -> int:
     cfg = _config_from_args(args)
+    cfg.validate()
     gammas = build_gammas()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "gammas.json"
     path.write_text(gammas.to_json() + "\n", encoding="utf8")
-    rng = make_stream(cfg.seed if cfg.seed is not None else 0, 0)
+    rng = make_stream(cfg.seed, 0)
     worst = max(clifford_relation_check(rng.normal(size=4), rng.normal(size=4),
                                         gammas) for _ in range(10))
     print(f"wrote {path}; clifford residual <= {worst:.3e}")

@@ -23,9 +23,9 @@ from ..geometry import (
     MetricChart,
     christoffel_batch,
     get_chart,
-    gradient_fd,
     laplace_beltrami,
     ricci,
+    vector_jacobian_fd,
 )
 from ..meanderiv import (
     EstimatorConfig,
@@ -144,10 +144,10 @@ def divergence_form_laplacian(chart: MetricChart, f, x, h: float = 1e-4) -> floa
     n = x.shape[0]
 
     def flux(p):
-        g = chart.metric_at(p)
+        g = chart.metric(p)
         ginv = np.linalg.inv(g)
         root = np.sqrt(abs(np.linalg.det(g)))
-        grad = gradient_fd(f, p)
+        grad = vector_jacobian_fd(f, p)
         return root * ginv @ grad
 
     total = 0.0
@@ -156,7 +156,7 @@ def divergence_form_laplacian(chart: MetricChart, f, x, h: float = 1e-4) -> floa
         xp = x.copy(); xp[mu] += step
         xm = x.copy(); xm[mu] -= step
         total += (flux(xp)[mu] - flux(xm)[mu]) / (2.0 * step)
-    g = chart.metric_at(x)
+    g = chart.metric(x)
     return float(total / np.sqrt(abs(np.linalg.det(g))))
 
 
@@ -200,11 +200,11 @@ def _suite_sphere_geometry(cfg: ExperimentConfig) -> SuiteReport:
     hyp = get_chart("hyperbolic2")
     dev = 0.0
     for x in probes["sphere2"]:
-        dev = max(dev, float(np.max(np.abs(ricci(sph, x) - sph.metric_at(x)))))
+        dev = max(dev, float(np.max(np.abs(ricci(sph, x) - sph.metric(x)))))
     rec.add("sphere_ricci_equals_metric", dev, 0.0, 1e-4)
     dev = 0.0
     for x in probes["hyperbolic2"]:
-        dev = max(dev, float(np.max(np.abs(ricci(hyp, x) + hyp.metric_at(x)))))
+        dev = max(dev, float(np.max(np.abs(ricci(hyp, x) + hyp.metric(x)))))
     rec.add("hyperbolic_ricci_equals_minus_metric", dev, 0.0, 1e-4)
 
     worst_lb = 0.0
@@ -227,7 +227,7 @@ def _suite_sphere_geometry(cfg: ExperimentConfig) -> SuiteReport:
                      np.linspace(0.0, 2.0 * np.pi, steps + 1)], axis=-1)
     v0 = np.array([1.0, 0.0])
     transported = parallel_transport(sph, loop, v0)
-    g_end = sph.metric_at(loop[-1])
+    g_end = sph.metric(loop[-1])
     v_end = transported[-1]
     cosang = float(v0 @ g_end @ v_end
                    / np.sqrt((v0 @ g_end @ v0) * (v_end @ g_end @ v_end)))

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FractoidError, ParameterError
+from .geometry import central_difference
 
 NULLSPACE_RTOL = 1e-10
+CLIFFORD_FD_STEP = 1e-5          # absolute step along the direction vector
 
 ETA_GAMMA = np.diag([1.0, -1.0, -1.0, -1.0])     # algebra convention (+,-,-,-)
 ETA_CHART = -ETA_GAMMA                           # geometry convention (-,+,+,+)
@@ -27,11 +29,10 @@ ETA_CHART = -ETA_GAMMA                           # geometry convention (-,+,+,+)
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Four 4x4 gamma matrices, the chiral element, and the metric tag."""
+    """Four 4x4 Dirac-basis gamma matrices and the chiral element."""
 
     gammas: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     gamma5: np.ndarray
-    convention: str = "dirac-basis"
 
     def __iter__(self):
         return iter(self.gammas)
@@ -46,7 +47,7 @@ class GammaSet:
         def enc(m):
             return [[[float(c.real), float(c.imag)] for c in row] for row in m]
 
-        return json.dumps({"convention": self.convention,
+        return json.dumps({"convention": "dirac-basis",
                            "gammas": [enc(g) for g in self.gammas],
                            "gamma5": enc(self.gamma5)}, indent=2)
 
@@ -65,10 +66,8 @@ class PlaneWaveSpinor:
         return float(np.linalg.norm(op @ self.spinor) / np.linalg.norm(self.spinor))
 
 
-def build_gammas(convention: str = "dirac-basis") -> GammaSet:
+def build_gammas() -> GammaSet:
     """Standard Dirac-basis gamma matrices, self-checked before returning."""
-    if convention != "dirac-basis":
-        raise ParameterError(f"unknown gamma convention '{convention}'")
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -178,7 +177,7 @@ def clifford_relation_check(omega1, omega2, gammas: GammaSet,
     return float(np.linalg.norm(resid))
 
 
-def _default_probe_spinor(x):
+def _probe_spinor(x):
     """A smooth non-constant spinor field for dual-path connection checks."""
     x = np.asarray(x, dtype=float)
     base = np.array([1.0, 0.5, -0.25, 0.125], dtype=complex)
@@ -186,34 +185,27 @@ def _default_probe_spinor(x):
     return base * scalar
 
 
-def clifford_connection_check(omega_field, X, x, gammas: GammaSet | None = None,
-                              probe=None, step: float = 1e-5) -> float:
+def clifford_connection_check(omega_field, X, x, gammas: GammaSet | None = None) -> float:
     """Residual of [grad_X, c(w)] psi - c(grad_X w) psi on a flat chart.
 
     omega_field(x) returns 1-form components (4,); X is a fixed direction
-    vector; derivatives are central differences along X.
+    vector; psi is a fixed smooth spinor field; derivatives are central
+    differences along X.
     """
     if gammas is None:
         gammas = build_gammas()
-    if probe is None:
-        probe = _default_probe_spinor
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
-    h = step
 
     def c_of(w):
         return sum(wi * g for wi, g in zip(np.asarray(w, dtype=float), gammas.gammas))
 
-    def along(s):
-        return x + s * X
+    def along_X(F):
+        """d/ds F(x + s X) at s = 0."""
+        return central_difference(lambda s: F(x + s[0] * X), np.zeros(1), 0,
+                                  CLIFFORD_FD_STEP)
 
-    # grad_X (c(w) psi)
-    lhs1 = (c_of(omega_field(along(h))) @ probe(along(h))
-            - c_of(omega_field(along(-h))) @ probe(along(-h))) / (2.0 * h)
-    # c(w) grad_X psi
-    lhs2 = c_of(omega_field(x)) @ ((probe(along(h)) - probe(along(-h))) / (2.0 * h))
-    # c(grad_X w) psi
-    dw = (np.asarray(omega_field(along(h)), dtype=float)
-          - np.asarray(omega_field(along(-h)), dtype=float)) / (2.0 * h)
-    rhs = c_of(dw) @ probe(x)
+    lhs1 = along_X(lambda p: c_of(omega_field(p)) @ _probe_spinor(p))  # grad_X (c(w) psi)
+    lhs2 = c_of(omega_field(x)) @ along_X(_probe_spinor)               # c(w) grad_X psi
+    rhs = c_of(along_X(omega_field)) @ _probe_spinor(x)                # c(grad_X w) psi
     return float(np.linalg.norm(lhs1 - lhs2 - rhs))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import (
     MetricChart,
+    central_difference,
     christoffel_batch,
     diag_derivative,
     laplacian_fd,
@@ -36,6 +37,7 @@ from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5
 RESIDUAL_FD_STEP = 1e-3
+POTENTIAL_FD_STEP = 1e-6           # absolute step of the Euler-Lagrange potential gradient
 
 
 @dataclass
@@ -165,20 +167,16 @@ def euler_lagrange_residual(chart: MetricChart, curve: PathCurve,
     dg = diag_derivative(chart, inner)               # (s, k, i) = d_k g_ii
     dLdx = 0.5 * m * np.einsum("ski,si,si->sk", dg, v_in, v_in)
     if lagrangian.potential is not None:
-        h = 1e-6
-        grad = np.empty_like(inner)
-        for a in range(inner.shape[1]):
-            xp = inner.copy(); xp[:, a] += h
-            xm = inner.copy(); xm[:, a] -= h
-            grad[:, a] = (np.asarray(lagrangian.potential(xp))
-                          - np.asarray(lagrangian.potential(xm))) / (2.0 * h)
+        grad = np.stack([central_difference(lagrangian.potential, inner, a, POTENTIAL_FD_STEP)
+                         for a in range(inner.shape[1])], axis=-1)
         dLdx = dLdx - grad
     return dpdt - dLdx
 
 
 def first_variation(chart: MetricChart, curve: PathCurve,
-                    perturbation: np.ndarray, step: float = VARIATION_STEP) -> float:
-    """dE/d eps at eps = 0 by symmetric differencing of the energy.
+                    perturbation: np.ndarray) -> float:
+    """dE/d eps at eps = 0 by a central difference of the energy, with the
+    absolute step VARIATION_STEP.
 
     The perturbation must vanish at both endpoints (fixed-endpoint
     variation); a violation raises ParameterError.
@@ -189,9 +187,12 @@ def first_variation(chart: MetricChart, curve: PathCurve,
     tol = 1e-9 * max(1.0, float(np.max(np.abs(eta))))
     if np.linalg.norm(eta[0]) > tol or np.linalg.norm(eta[-1]) > tol:
         raise ParameterError("perturbation must vanish at both endpoints")
-    plus = PathCurve(curve.times, curve.points + step * eta, curve.chart_name)
-    minus = PathCurve(curve.times, curve.points - step * eta, curve.chart_name)
-    return (energy_functional(chart, plus) - energy_functional(chart, minus)) / (2.0 * step)
+
+    def energy(eps):
+        return energy_functional(chart, PathCurve(curve.times, curve.points + eps[0] * eta,
+                                                  curve.chart_name))
+
+    return float(central_difference(energy, np.zeros(1), 0, VARIATION_STEP))
 
 
 def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
@@ -245,23 +246,21 @@ class GeodesicCriterion:
 
 
 def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
-                                  config: EstimatorConfig,
-                                  probes: np.ndarray | None = None,
-                                  probe_times: np.ndarray | None = None) -> GeodesicCriterion:
+                                  config: EstimatorConfig) -> GeodesicCriterion:
     """Evaluate both residuals of the critical-path condition.
 
-    (i)  analytic: || grad_w w + d_t w + (lap w + Ric o w)/2 || on probe
-         points, derivatives by Richardson-extrapolated central differences;
+    (i)  analytic: || grad_w w + d_t w + (lap w + Ric o w)/2 || on a 5^n
+         grid of probe points spanning the ensemble's 15-85 percentiles, at
+         three times; derivatives by Richardson-extrapolated central
+         differences;
     (ii) Monte Carlo: the forward covariant mean derivative of w along the
          ensemble, which should vanish within statistical error.
     """
     dim = chart.dimension
-    if probes is None:
-        lo, hi = np.nanpercentile(ensemble.paths, [15, 85], axis=(0, 1))
-        axes = [np.linspace(lo[a], hi[a], 5) for a in range(dim)]
-        probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    if probe_times is None:
-        probe_times = np.linspace(ensemble.times[1], ensemble.times[-2], 3)
+    lo, hi = np.nanpercentile(ensemble.paths, [15, 85], axis=(0, 1))
+    axes = [np.linspace(lo[a], hi[a], 5) for a in range(dim)]
+    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    probe_times = np.linspace(ensemble.times[1], ensemble.times[-2], 3)
 
     flat = chart.is_flat
     worst = 0.0

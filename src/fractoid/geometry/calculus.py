@@ -1,9 +1,18 @@
 """Christoffel symbols, curvature, Laplace-Beltrami, torsion, Leibniz rule.
 
-This is the package's one finite-difference toolkit.  All derivatives fall
-back to central finite differences when no analytic form is available.
-Step sizes follow the package convention: first derivatives use
-h = 1e-5 * max(1, |x_i|), second derivatives h = 1e-4 * max(1, |x_i|).
+This is the package's one finite-difference toolkit.  Every difference
+quotient in the package goes through two batched primitives:
+:func:`central_difference`, (f(x + h e_j) - f(x - h e_j)) / 2h, and
+:func:`second_difference`, (f(x + h e_j) - 2 f(x) + f(x - h e_j)) / h^2.
+Both take points of shape (..., n) and one step, or one step per point.
+
+Two step policies feed them.  The spatial operators here take the
+relative step h = scale * max(1, |x_j|), with scale 1e-5 for first
+derivatives and 1e-4 for second derivatives.  Four callers keep an
+absolute step: the time difference of the covariant analytic route
+(1e-5), the potential gradient of the Euler-Lagrange residual (1e-6), the
+first variation of the curve energy (1e-5, along the perturbation) and
+the Clifford-connection check (1e-5, along its direction vector).
 Ricci uses Richardson-extrapolated differences of the connection so that
 its symmetry survives roundoff.
 """
@@ -16,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import SingularMetricError
-from .charts import DET_FLOOR, MetricChart
+from .charts import MetricChart
 
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-4
@@ -25,18 +34,16 @@ LEVI_CIVITA_SYMMETRY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """Gamma^k_{ij} at a point; gamma[k, i, j], symmetric in (i, j) if Levi-Civita."""
+    """Levi-Civita Gamma^k_{ij} at a point; gamma[k, i, j], symmetric in (i, j)."""
 
     gamma: np.ndarray
-    levi_civita_flag: bool = True
 
     def __post_init__(self):
-        if self.levi_civita_flag:
-            skew = np.max(np.abs(self.gamma - np.swapaxes(self.gamma, -1, -2)))
-            if skew > LEVI_CIVITA_SYMMETRY_TOL:
-                raise SingularMetricError(
-                    f"Levi-Civita coefficients not symmetric (defect {skew:.2e})"
-                )
+        skew = np.max(np.abs(self.gamma - np.swapaxes(self.gamma, -1, -2)))
+        if skew > LEVI_CIVITA_SYMMETRY_TOL:
+            raise SingularMetricError(
+                f"Levi-Civita coefficients not symmetric (defect {skew:.2e})"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,38 @@ class TorsionValue:
 def _steps(x, scale):
     x = np.asarray(x, dtype=float)
     return scale * np.maximum(1.0, np.abs(x))
+
+
+def _per_point(h, value):
+    """h with trailing axes, so one step per point divides a (...) + value shape."""
+    return np.reshape(h, np.shape(h) + (1,) * (value.ndim - np.ndim(h)))
+
+
+def _shifted(x, j, h):
+    xp = x.copy()
+    xm = x.copy()
+    xp[..., j] += h
+    xm[..., j] -= h
+    return xp, xm
+
+
+def central_difference(f, x, j: int, h) -> np.ndarray:
+    """(f(x + h e_j) - f(x - h e_j)) / 2h.
+
+    x holds points (..., n); h is one step or one per point (x.shape[:-1]).
+    f maps a batch of points to values of shape x.shape[:-1] + value shape.
+    """
+    xp, xm = _shifted(np.asarray(x, dtype=float), j, h)
+    diff = np.asarray(f(xp)) - np.asarray(f(xm))
+    return diff / (2.0 * _per_point(h, diff))
+
+
+def second_difference(f, x, j: int, h, f0) -> np.ndarray:
+    """(f(x + h e_j) - 2 f0 + f(x - h e_j)) / h^2, with f0 = f(x) given by
+    the caller; shapes as for :func:`central_difference`."""
+    xp, xm = _shifted(np.asarray(x, dtype=float), j, h)
+    val = np.asarray(f(xp)) - 2.0 * f0 + np.asarray(f(xm))
+    return val / _per_point(h, val) ** 2
 
 
 def diag_derivative(chart: MetricChart, x) -> np.ndarray:
@@ -73,11 +112,7 @@ def christoffel_batch(chart: MetricChart, x) -> np.ndarray:
     n = chart.dimension
     if chart.is_flat:
         return np.zeros(x.shape + (n, n))
-    d = chart.diag(x)
-    if np.any(np.abs(np.prod(d, axis=-1)) <= DET_FLOOR):
-        raise SingularMetricError(
-            f"metric of chart '{chart.name}' degenerate at a requested point"
-        )
+    d = chart.checked_diag(x)
     dg = diag_derivative(chart, x)              # dg[..., k, i] = d_k g_ii
     gamma = np.zeros(x.shape + (n, n))          # the docstring's delta terms, in order
     idx = np.arange(n)
@@ -93,7 +128,7 @@ def christoffel(chart: MetricChart, x) -> ConnectionCoefficients:
     """Levi-Civita connection coefficients at a single point."""
     x = chart.require_valid(x)
     gamma = christoffel_batch(chart, x)
-    return ConnectionCoefficients(gamma=gamma, levi_civita_flag=True)
+    return ConnectionCoefficients(gamma=gamma)
 
 
 def levi_civita_field(chart: MetricChart) -> Callable[[np.ndarray], np.ndarray]:
@@ -125,93 +160,40 @@ def ricci(chart: MetricChart, x) -> np.ndarray:
 
 
 def ricci_operator(chart: MetricChart, x) -> np.ndarray:
-    """Ricci as a (1,1)-tensor: Ric^i_j = g^{ik} Ric_{kj}."""
-    return chart.metric_inverse_at(x) @ ricci(chart, x)
+    """Ricci as a (1,1)-tensor: Ric^i_j = g^{ii} Ric_{ij}."""
+    return chart.inverse_diag(x)[:, None] * ricci(chart, x)
 
 
 def richardson_derivative(f, x, k: int, h: float) -> np.ndarray:
     """Richardson-extrapolated central difference of f along coordinate k,
-    (4 D(h/2) - D(h)) / 3 with D(s) = (f(x + s e_k) - f(x - s e_k)) / 2s."""
-    def central(step):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += step
-        xm[k] -= step
-        return (f(xp) - f(xm)) / (2.0 * step)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-def gradient_fd(f, x, step=FD_STEP_FIRST) -> np.ndarray:
-    """Central-difference gradient of a scalar function at a point."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, step)
-    out = np.empty_like(x)
-    for k in range(x.shape[-1]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h[k]
-        xm[k] -= h[k]
-        out[k] = (f(xp) - f(xm)) / (2.0 * h[k])
-    return out
-
-
-def hessian_fd(f, x, step=FD_STEP_SECOND) -> np.ndarray:
-    """Central-difference Hessian of a scalar function at a point."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    h = _steps(x, step)
-    out = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        out[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[i] += h[i]; xpp[j] += h[j]
-            xpm[i] += h[i]; xpm[j] -= h[j]
-            xmp[i] -= h[i]; xmp[j] += h[j]
-            xmm[i] -= h[i]; xmm[j] -= h[j]
-            out[i, j] = out[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h[i] * h[j])
-    return out
+    (4 D(h/2) - D(h)) / 3 with D(s) the central difference of step s."""
+    return (4.0 * central_difference(f, x, k, h / 2.0)
+            - central_difference(f, x, k, h)) / 3.0
 
 
 def laplace_beltrami(chart: MetricChart, f, x) -> float:
-    """g^{ij} (d^2 f / dx^i dx^j - Gamma^k_{ij} d_k f) at a point."""
+    """g^{ii} (d^2 f / (dx^i)^2 - Gamma^k_{ii} d_k f) at a point."""
     x = chart.require_valid(x)
-    ginv = chart.metric_inverse_at(x)
-    hess = hessian_fd(f, x)
-    grad = gradient_fd(f, x)
-    gamma = christoffel_batch(chart, x)
-    return float(np.einsum("ij,ij->", ginv, hess - np.einsum("kij,k->ij", gamma, grad)))
+    ginv = chart.inverse_diag(x)
+    h = _steps(x, FD_STEP_SECOND)
+    f0 = f(x)
+    second = np.array([second_difference(f, x, i, h[i], f0) for i in range(len(x))])
+    grad = vector_jacobian_fd(f, x)
+    # the full contraction, then its diagonal: "kii,k->i" rounds differently
+    gamma_grad = np.einsum("kij,k->ij", christoffel_batch(chart, x), grad)
+    return float(np.sum(ginv * (second - np.diagonal(gamma_grad))))
 
 
 def vector_jacobian_fd(X, x, step=FD_STEP_FIRST) -> np.ndarray:
     """J[..., k, j] = d X^k / d x^j by central differences.
 
-    x is one point (n,), for which X may have any value shape, or a batch
-    (..., n) for which X returns (..., m).
+    x is one point (n,) or a batch (..., n); X maps points to values of
+    shape x.shape[:-1] + value shape.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
     h = _steps(x, step)
-    cols = []
-    for j in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., j] += h[..., j]
-        xm[..., j] -= h[..., j]
-        hj = h[..., j, None] if x.ndim > 1 else h[j]
-        cols.append((np.asarray(X(xp), dtype=float) - np.asarray(X(xm), dtype=float))
-                    / (2.0 * hj))
-    return np.stack(cols, axis=-1)
+    return np.stack([central_difference(X, x, j, h[..., j]) for j in range(x.shape[-1])],
+                    axis=-1)
 
 
 def laplacian_fd(F, x, step=FD_STEP_SECOND) -> np.ndarray:
@@ -222,12 +204,7 @@ def laplacian_fd(F, x, step=FD_STEP_SECOND) -> np.ndarray:
     f0 = np.asarray(F(x), dtype=float)
     out = np.zeros_like(f0)
     for j in range(x.shape[-1]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        out += (np.asarray(F(xp), dtype=float) - 2.0 * f0
-                + np.asarray(F(xm), dtype=float)) / h[j] ** 2
+        out += second_difference(F, x, j, h[j], f0)
     return out
 
 
@@ -269,7 +246,7 @@ def leibniz_residual(connection_field, f, X, Y, x) -> float:
         return f(p) * np.asarray(Y(p), dtype=float)
 
     lhs = covariant_derivative(connection_field, fY, Xx, x)
-    df_along_X = float(gradient_fd(f, x) @ Xx)
+    df_along_X = float(vector_jacobian_fd(f, x) @ Xx)
     rhs = df_along_X * np.asarray(Y(x), dtype=float) + f(x) * covariant_derivative(
         connection_field, Y, Xx, x
     )

@@ -1,9 +1,10 @@
 """Coordinate charts with diagonal, signature-aware metric fields.
 
-Every chart's metric is diagonal in its coordinates.  A chart carries the
-diagonal as a plain function of the coordinate point, together with the
-signature, an optional analytic derivative of the diagonal, a validity
-predicate and a flatness flag.  Charts are immutable.
+Every chart's metric is diagonal in its coordinates, and a chart offers it
+only as that diagonal.  A chart carries the diagonal as a plain function
+of the coordinate point, together with the signature, an optional analytic
+derivative of the diagonal, a validity predicate and a flatness flag.
+Charts are immutable.
 
 Callables are vectorized over points of shape ``(..., n)``:
 
@@ -13,7 +14,9 @@ Callables are vectorized over points of shape ``(..., n)``:
   taken by central differences of ``diag``
   (:func:`fractoid.geometry.calculus.diag_derivative`).
 
-``metric(x)`` builds the dense ``(..., n, n)`` matrix on demand.
+``inverse_diag(x)`` returns the ``(..., n)`` entries ``g^ii = 1 / g_ii``
+and raises :class:`SingularMetricError` where ``|det g| <= DET_FLOOR``.
+``metric(x)`` builds the dense ``(..., n, n)`` matrix, only on demand.
 ``is_flat`` marks the constant-metric charts, whose connection vanishes
 and whose parallel transport is the identity.  Only the ``euclidean:n`` and
 ``minkowski:1+3`` constructors set it; a JSON chart never does.
@@ -73,15 +76,18 @@ class MetricChart:
         """The dense metric g_ij at points of shape (..., n)."""
         return diag_matrix(self.diag(np.asarray(x, dtype=float)))
 
-    metric_at = metric
-
-    def metric_inverse_at(self, x) -> np.ndarray:
+    def checked_diag(self, x) -> np.ndarray:
+        """diag(x), raising SingularMetricError if |det g| <= DET_FLOOR anywhere."""
         d = self.diag(np.asarray(x, dtype=float))
         if np.any(np.abs(np.prod(d, axis=-1)) <= DET_FLOOR):
             raise SingularMetricError(
                 f"metric of chart '{self.name}' is degenerate (|det| <= {DET_FLOOR:g})"
             )
-        return diag_matrix(1.0 / d)
+        return d
+
+    def inverse_diag(self, x) -> np.ndarray:
+        """The inverse metric's diagonal 1 / g_ii at points of shape (..., n)."""
+        return 1.0 / self.checked_diag(x)
 
     def is_valid(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import MetricChart, christoffel_batch, laplacian_fd, vector_jacobian_fd
+from ..geometry import (
+    MetricChart,
+    central_difference,
+    christoffel_batch,
+    laplacian_fd,
+    vector_jacobian_fd,
+)
 from ..geometry.calculus import FD_STEP_FIRST, FD_STEP_SECOND
 from ..stochastic import PathEnsemble
 from ..stochastic.manifold import transport_steps
@@ -40,12 +46,6 @@ def _eval_field(X, t, pts) -> np.ndarray:
     return np.asarray(X(t, pts), dtype=float)
 
 
-def _field_time_derivative(X, t, x, dt=FD_STEP_FIRST):
-    xp = _eval_field(X, t + dt, x[None])[0]
-    xm = _eval_field(X, t - dt, x[None])[0]
-    return (xp - xm) / (2.0 * dt)
-
-
 def _at(X, t):
     """X(t, .) as a function of one point."""
     return lambda p: _eval_field(X, t, p[None])[0]
@@ -59,17 +59,15 @@ def _covariant_jacobian(chart, X, t, p):
 
 
 def _rough_laplacian_point(chart: MetricChart, X, t: float, x: np.ndarray) -> np.ndarray:
-    """g^{ab}(d_a V_b - Gamma^e_{ab} V_e + Gamma^k_{ae} V^e_b) for V = nabla X."""
-    n = chart.dimension
-    ginv = chart.metric_inverse_at(x)
+    """g^{aa}(d_a V_a - Gamma^e_{aa} V_e + Gamma^k_{ae} V^e_a) for V = nabla X."""
+    ginv = chart.inverse_diag(x)
     gam = christoffel_batch(chart, x)
     V0 = _covariant_jacobian(chart, X, t, x)
     # dV[k, b, a] = d_a V[k, b]
     dV = vector_jacobian_fd(lambda p: _covariant_jacobian(chart, X, t, p), x, FD_STEP_SECOND)
-    out = np.zeros(n)
-    for a in range(n):
-        for b in range(n):
-            out += ginv[a, b] * (dV[:, b, a] - V0 @ gam[:, a, b] + gam[:, a, :] @ V0[:, b])
+    out = np.zeros(chart.dimension)
+    for a in range(chart.dimension):
+        out += ginv[a] * (dV[:, a, a] - V0 @ gam[:, a, a] + gam[:, a, :] @ V0[:, a])
     return out
 
 
@@ -128,8 +126,10 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
             gam = christoffel_batch(chart, x)
             adv = adv + np.einsum("kij,i,j->k", gam, _eval_field(X, t, x[None])[0], beta)
             lap = _rough_laplacian_point(chart, X, t, x)
-        analytic[idx] = (_field_time_derivative(X, t, x) + adv
-                         + sign * 0.5 * epsilon**2 * lap)
+        # the time difference keeps an absolute step
+        dX_dt = central_difference(lambda s: _eval_field(X, s[0], x[None])[0],
+                                   np.array([t]), 0, FD_STEP_FIRST)
+        analytic[idx] = dX_dt + adv + sign * 0.5 * epsilon**2 * lap
     if dropped:
         warnings.warn(f"{dropped} bins dropped from the analytic form "
                       "(centers outside the valid region)", stacklevel=2)

@@ -17,6 +17,9 @@ from ..meanderiv import (
 from ..stochastic import PathEnsemble
 
 RELATIVE_FLOOR = 1e-8
+# quadratic-variation pass rules: flat diagonals, curved Frobenius mismatch
+QV_DIAGONAL_RTOL = 0.02
+QV_CURVED_RTOL = 0.05
 
 
 @dataclass
@@ -86,15 +89,13 @@ class QuadraticVariationLaw:
 
 def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
                             chart: MetricChart | None = None,
-                            hbar_over_m: float = 1.0,
-                            diagonal_rtol: float = 0.02,
-                            curved_rtol: float = 0.05) -> QuadraticVariationLaw:
+                            hbar_over_m: float = 1.0) -> QuadraticVariationLaw:
     """Per-bin increment covariance against (hbar/m) I, or eps^2 g^{-1} on
     curved charts.
 
-    Flat pass rule: diagonals within diagonal_rtol of hbar/m and
+    Flat pass rule: diagonals within QV_DIAGONAL_RTOL of hbar/m and
     off-diagonals within 3 standard errors of 0.  Curved pass rule: the
-    Frobenius mismatch per bin is below curved_rtol of the target norm.
+    Frobenius mismatch per bin is below QV_CURVED_RTOL of the target norm.
     """
     eps = float(ensemble.meta.get("epsilon", np.sqrt(hbar_over_m)))
     qv = quadratic_variation_matrix(ensemble, config)
@@ -111,7 +112,7 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
         vals = qv.values[mask]
         ses = qv.se[mask]
         diag_ok = np.all(np.abs(vals[:, diag, diag] - hbar_over_m)
-                         <= diagonal_rtol * hbar_over_m)
+                         <= QV_DIAGONAL_RTOL * hbar_over_m)
         off = ~np.eye(dim, dtype=bool)
         off_ok = np.all(np.abs(vals[:, off]) <= 3.0 * ses[:, off]) if dim > 1 else True
         passed = bool(diag_ok and off_ok)
@@ -128,10 +129,9 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
         x = np.array(centers[idx[1:]], dtype=float)
         if not np.all(chart.is_valid(x)):
             continue
-        ginv = chart.metric_inverse_at(x)
-        target[idx] = eps**2 * ginv
+        target[idx] = eps**2 * np.diag(chart.inverse_diag(x))
         mismatch = np.linalg.norm(qv.values[idx] - target[idx])
-        if mismatch > curved_rtol * np.linalg.norm(target[idx]):
+        if mismatch > QV_CURVED_RTOL * np.linalg.norm(target[idx]):
             ok = False
     reason = "ok" if ok else "covariance does not match eps^2 g^{-1}"
     return QuadraticVariationLaw(bool(ok), reason, qv.values, target, qv.se, qv.count)

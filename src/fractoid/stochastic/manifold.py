@@ -30,8 +30,8 @@ from ..geometry import (
     MetricChart,
     christoffel_batch,
     diag_derivative,
-    gradient_fd,
     laplace_beltrami,
+    vector_jacobian_fd,
 )
 from ..geometry.charts import diag_matrix
 from .ensemble import PathEnsemble
@@ -325,5 +325,5 @@ def generator_apply(chart: MetricChart, w, z, x) -> float:
     x = chart.require_valid(np.asarray(x, dtype=float))
     val = 0.5 * laplace_beltrami(chart, z, x)
     if w is not None:
-        val += float(np.dot(np.asarray(w(x), dtype=float), gradient_fd(z, x)))
+        val += float(np.dot(np.asarray(w(x), dtype=float), vector_jacobian_fd(z, x)))
     return val

@@ -87,6 +87,37 @@ def test_simulate_zero_paths_exit_2(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--seed", "1", "--set", "n_paths=1.5"], "n_paths"),
+    (["estimate", "--seed", "1", "--set", "est_x_bins=2.5"], "est_x_bins"),
+    (["verify", "--suite", "dirac-algebra", "--set", "seed=1.5"], "seed"),
+    (["noise", "--seed", "1", "--set", "lattice_d=1.5"], "lattice_d"),
+    (["dirac"], "seed"),                      # the seed is mandatory here too
+    (["report", "--set", "out_dir=7"], "out_dir"),
+], ids=["simulate", "estimate", "verify", "noise", "dirac", "report"])
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, argv, key):
+    if argv[0] == "estimate":
+        # a readable ensemble, so estimate reaches the value it is given
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "1",
+                     "--set", "n_paths=5", "--set", "t_final=0.05"]) == 0
+        capsys.readouterr()
+        argv = argv + ["--ensemble", str(tmp_path / "ensemble.csv")]
+    if argv[0] != "report":                   # report's --out would override the key
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_load_config_type_rules(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"epsilon": 2, "x0": None, "seed": 3}))
+    cfg = load_config(str(cfg_file), ["t_final=0.5", "min_count=\"40\""])
+    assert (cfg.epsilon, cfg.t_final, cfg.min_count) == (2, 0.5, 40)
+    for bad in ("lag=true", "chart=2", "x0=1.0", "epsilon=\"fast\""):
+        with pytest.raises(ConfigError, match=bad.split("=")[0]):
+            load_config(str(cfg_file), [bad])
+
+
 def test_estimate_roundtrip(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--seed", "3",

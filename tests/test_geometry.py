@@ -86,7 +86,7 @@ def test_unknown_chart_lists_alternatives():
 def test_metric_symmetric_and_signature(name, points):
     chart = get_chart(name)
     for x in points:
-        g = chart.metric_at(x)
+        g = chart.metric(x)
         assert np.max(np.abs(g - g.T)) < 1e-12
         assert abs(np.linalg.det(g)) > 1e-10
         eig = np.linalg.eigvalsh(g)
@@ -108,7 +108,7 @@ def test_custom_chart_from_json():
     spec = {"name": "cone", "dimension": 2, "signature": [0, 2],
             "diagonal_entries": ["1", "0.25*x0^2"]}
     chart = chart_from_json(spec)
-    g = chart.metric_at([2.0, 0.5])
+    g = chart.metric([2.0, 0.5])
     assert np.allclose(g, np.diag([1.0, 1.0]))
     # finite-difference christoffel on the custom chart: cone Gamma^r_pp = -r/4
     gam = christoffel_batch(chart, np.array([2.0, 0.5]))
@@ -131,7 +131,6 @@ def test_christoffel_euclidean_zero():
     chart = get_chart("euclidean:3")
     c = christoffel(chart, [0.3, -1.0, 2.0])
     assert np.max(np.abs(c.gamma)) == 0.0
-    assert c.levi_civita_flag
 
 
 def test_christoffel_polar_plane():
@@ -177,7 +176,7 @@ def test_ricci_sphere_equals_metric():
     chart = get_chart("sphere2")
     x = np.array([np.pi / 3, 0.5])
     r = ricci(chart, x)
-    assert np.max(np.abs(r - chart.metric_at(x))) < 1e-4
+    assert np.max(np.abs(r - chart.metric(x))) < 1e-4
     assert np.max(np.abs(r - brute_force_ricci(chart, x))) < 1e-4
 
 
@@ -185,7 +184,7 @@ def test_ricci_hyperbolic_minus_metric():
     chart = get_chart("hyperbolic2")
     x = np.array([0.9, 1.2])
     r = ricci(chart, x)
-    assert np.max(np.abs(r + chart.metric_at(x))) < 1e-4
+    assert np.max(np.abs(r + chart.metric(x))) < 1e-4
     assert np.max(np.abs(r - brute_force_ricci(chart, x))) < 1e-4
 
 

@@ -99,7 +99,7 @@ def test_parallel_transport_holonomy_sphere():
     loop = np.stack([np.full(K + 1, theta0),
                      np.linspace(0.0, 2.0 * np.pi, K + 1)], axis=-1)
     out = parallel_transport(chart, loop, [1.0, 0.0])
-    g = chart.metric_at(loop[-1])
+    g = chart.metric(loop[-1])
     v0, v1 = np.array([1.0, 0.0]), out[-1]
     cosang = v0 @ g @ v1 / np.sqrt((v0 @ g @ v0) * (v1 @ g @ v1))
     angle = np.arccos(np.clip(cosang, -1.0, 1.0))
@@ -215,7 +215,7 @@ def test_transported_norm_on_minkowski():
     chart = get_chart("minkowski:1+3")
     frame = orthonormal_frame(chart, np.zeros(4))
     eta = chart.signature_matrix()
-    assert np.allclose(frame.T @ chart.metric_at(np.zeros(4)) @ frame, eta)
+    assert np.allclose(frame.T @ chart.metric(np.zeros(4)) @ frame, eta)
 
 
 # --- the transport kernel against the solve-then-SVD composition -------------
