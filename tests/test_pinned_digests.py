@@ -54,6 +54,7 @@ from fractoid.meanderiv import (
     estimate_velocity_fields,
     quadratic_variation_matrix,
     relativistic_mean_derivatives,
+    ricci_correction,
     spacelike_fraction,
 )
 from fractoid.nelson import feynman_kac_semigroup, quadratic_variation_law
@@ -190,6 +191,12 @@ def _geometry_operators():
     law = quadratic_variation_law(_ensemble("sphere2"), _sphere_cfg(), chart=sph)
     out += [crit.analytic_residual, law.target.ravel()]
     return _bins(*out)
+
+
+def _ricci_correction():
+    # the curvature term of the Newton-Nelson target on the sphere's bins
+    field = estimate_velocity_fields(_ensemble("sphere2"), _sphere_cfg())
+    return _bins(ricci_correction(get_chart("sphere2"), field, hbar_over_m=0.7))
 
 
 def _feynman_kac():
@@ -338,6 +345,7 @@ CASES = {
     "feynman_kac": _feynman_kac,
     "covariance_check": _covariance_check,
     "geometry_operators": _geometry_operators,
+    "ricci_correction": _ricci_correction,
 }
 
 # sha256 of the float64 bytes, recorded before the integrator core refactor
@@ -363,6 +371,8 @@ DIGESTS = {
     # recorded before the finite-difference stencils became one pair of
     # primitives and the inverse metric its diagonal
     "geometry_operators": "b8710382873f9315d6dc051eb59f461f7335ebec89a63090051d04bb1d7ad7a0",
+    # recorded before ricci_correction took its Ricci operators in one batch
+    "ricci_correction": "630107c45cf7e0cb5dc72c01a1a45c35e38e1cc4c837ed9fc19992f80e5c4c6f",
 }
 
 
