@@ -74,6 +74,15 @@ _FIELD_TYPES = {
 }
 
 
+def _is_start(x0: list) -> bool:
+    """One point (a list of numbers) or one per path (equal-length lists of
+    numbers); a bool is not a number."""
+    rows = x0 if x0 and all(isinstance(r, list) for r in x0) else [x0]
+    return (len({len(r) for r in rows}) == 1
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for r in rows for v in r))
+
+
 def resolve_chart(name: str):
     """Registry name, or a path to a custom diagonal-metric JSON description."""
     if name.endswith(".json"):
@@ -149,5 +158,8 @@ def load_config(path: str | None, overrides: list[str] | None = None,
         types, expected = _FIELD_TYPES[ftype]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"config key '{key}' expects {expected}, got {value!r}")
+        if key == "x0" and value is not None and not _is_start(value):
+            raise ConfigError("config key 'x0' expects a list of numbers or a list of "
+                              f"equal-length lists of numbers, got {value!r}")
         out[key] = value
     return ExperimentConfig(**out)

@@ -32,8 +32,8 @@ from .geometry import (
     richardson_derivative,
 )
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
-from .meanderiv.estimators import LaggedSamples, path_blocks
-from .stochastic import PathEnsemble
+from .meanderiv.estimators import LaggedSamples
+from .stochastic import PathEnsemble, path_blocks
 
 VARIATION_STEP = 1e-5
 RESIDUAL_FD_STEP = 1e-3
@@ -262,30 +262,26 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     probe_times = np.linspace(ensemble.times[1], ensemble.times[-2], 3)
 
-    flat = chart.is_flat
+    x = probes[np.asarray(chart.is_valid(probes), dtype=bool)]
+    h = RESIDUAL_FD_STEP * np.maximum(1.0, np.abs(x))
     worst = 0.0
     for t in probe_times:
-        for x in probes:
-            if not np.all(chart.is_valid(x)):
-                continue
-            x = np.asarray(x, dtype=float)
-            wx = np.asarray(w(t, x[None]), dtype=float)[0]
-            w_t = lambda p: np.asarray(w(t, p[None]))[0]
-            jac = np.stack([richardson_derivative(w_t, x, a,
-                                                  RESIDUAL_FD_STEP * max(1.0, abs(x[a])))
-                            for a in range(dim)], axis=-1)
-            adv = jac @ wx
-            dt_w = richardson_derivative(lambda tt: np.asarray(w(tt[0], x[None]))[0],
-                                         np.array([t]), 0,
-                                         RESIDUAL_FD_STEP * max(1.0, abs(t)))
-            lap = laplacian_fd(w_t, x, RESIDUAL_FD_STEP)
-            ric = np.zeros(dim)
-            if not flat:
-                gamma = christoffel_batch(chart, x)
-                adv = adv + np.einsum("kij,i,j->k", gamma, wx, wx)
-                ric = ricci_operator(chart, x) @ wx
-            resid = np.linalg.norm(adv + dt_w + 0.5 * (lap + ric))
-            worst = max(worst, float(resid))
+        w_t = lambda p: np.asarray(w(t, p), dtype=float)
+        wx = w_t(x)
+        jac = np.stack([richardson_derivative(w_t, x, a, h[:, a]) for a in range(dim)],
+                       axis=-1)
+        adv = (jac @ wx[..., None])[..., 0]
+        dt_w = richardson_derivative(lambda tt: np.asarray(w(tt[0], x), dtype=float),
+                                     np.array([t]), 0, RESIDUAL_FD_STEP * max(1.0, abs(t)))
+        lap = laplacian_fd(w_t, x, RESIDUAL_FD_STEP)
+        ric = np.zeros_like(wx)
+        if not chart.is_flat:
+            adv = adv + np.einsum("...kij,...i,...j->...k", christoffel_batch(chart, x), wx, wx)
+            ric = (ricci_operator(chart, x) @ wx[..., None])[..., 0]
+        r = adv + dt_w + 0.5 * (lap + ric)
+        # r . r as a matmul reduces as np.linalg.norm's dot does, so each
+        # probe's norm keeps its bits
+        worst = max(worst, float(np.sqrt(np.max(r[:, None, :] @ r[:, :, None], initial=0.0))))
 
     mc = covariant_mean_derivative(chart, ensemble, w, config, direction="forward")
     mask = mc.monte_carlo.mask

@@ -14,7 +14,10 @@ absolute step: the time difference of the covariant analytic route
 first variation of the curve energy (1e-5, along the perturbation) and
 the Clifford-connection check (1e-5, along its direction vector).
 Ricci uses Richardson-extrapolated differences of the connection so that
-its symmetry survives roundoff.
+its symmetry survives roundoff.  :func:`ricci`, :func:`ricci_operator`,
+:func:`laplacian_fd`, :func:`vector_jacobian_fd` and
+:func:`christoffel_batch` take batches of points (..., n), so a caller
+evaluates a whole grid of points in one call.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def levi_civita_field(chart: MetricChart) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def ricci(chart: MetricChart, x) -> np.ndarray:
-    """Ricci tensor Ric_{ij} from the contraction of the Riemann tensor.
+    """Ricci tensor Ric_{ij} at points (..., n) from the contraction of the
+    Riemann tensor; shape (..., n, n).
 
     Derivatives of Gamma use Richardson-extrapolated central differences
     (base step 1e-4 * coordinate scale), which keeps the symmetry defect
@@ -146,22 +150,23 @@ def ricci(chart: MetricChart, x) -> np.ndarray:
     x = chart.require_valid(x)
     h = _steps(x, FD_STEP_SECOND)
     gamma = levi_civita_field(chart)
-    # dG[m, r, a, b] = d_m Gamma^r_{ab}
-    dG = np.stack([richardson_derivative(gamma, x, m, h[m]) for m in range(chart.dimension)])
+    # dG[..., m, r, a, b] = d_m Gamma^r_{ab}
+    dG = np.stack([richardson_derivative(gamma, x, m, h[..., m])
+                   for m in range(chart.dimension)], axis=-4)
     G = christoffel_batch(chart, x)
     # R^r_{s m n} = d_m G^r_{ns} - d_n G^r_{ms} + G^r_{ml} G^l_{ns} - G^r_{nl} G^l_{ms}
     riemann = (
-        np.einsum("mrns->rsmn", dG)
-        - np.einsum("nrms->rsmn", dG)
-        + np.einsum("rml,lns->rsmn", G, G)
-        - np.einsum("rnl,lms->rsmn", G, G)
+        np.einsum("...mrns->...rsmn", dG)
+        - np.einsum("...nrms->...rsmn", dG)
+        + np.einsum("...rml,...lns->...rsmn", G, G)
+        - np.einsum("...rnl,...lms->...rsmn", G, G)
     )
-    return np.einsum("rsrn->sn", riemann)
+    return np.einsum("...rsrn->...sn", riemann)
 
 
 def ricci_operator(chart: MetricChart, x) -> np.ndarray:
-    """Ricci as a (1,1)-tensor: Ric^i_j = g^{ii} Ric_{ij}."""
-    return chart.inverse_diag(x)[:, None] * ricci(chart, x)
+    """Ricci as a (1,1)-tensor at points (..., n): Ric^i_j = g^{ii} Ric_{ij}."""
+    return chart.inverse_diag(x)[..., :, None] * ricci(chart, x)
 
 
 def richardson_derivative(f, x, k: int, h: float) -> np.ndarray:
@@ -198,13 +203,13 @@ def vector_jacobian_fd(X, x, step=FD_STEP_FIRST) -> np.ndarray:
 
 def laplacian_fd(F, x, step=FD_STEP_SECOND) -> np.ndarray:
     """Componentwise flat Laplacian sum_j d^2 F / dx_j^2 of a vector field
-    at a point, by central second differences."""
+    at points (..., n), by central second differences."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, step)
     f0 = np.asarray(F(x), dtype=float)
     out = np.zeros_like(f0)
     for j in range(x.shape[-1]):
-        out += second_difference(F, x, j, h[j], f0)
+        out += second_difference(F, x, j, h[..., j], f0)
     return out
 
 

@@ -222,22 +222,10 @@ def ricci_correction(chart: MetricChart, field: MeanDerivativeField,
                      hbar_over_m: float) -> np.ndarray:
     """(hbar/2m) Ric o w2 per populated bin (Ricci as a (1,1)-tensor)."""
     cfg = field.config
-    centers = cfg.center_mesh
+    centers = np.broadcast_to(cfg.center_mesh, cfg.shape + (cfg.dimension,))
     out = np.full(cfg.shape + (cfg.dimension,), np.nan)
-    ric_cache: dict[tuple, np.ndarray] = {}
-    it = np.ndindex(*cfg.shape)
-    for idx in it:
-        if not field.mask[idx]:
-            continue
-        xkey = idx[1:]
-        if xkey not in ric_cache:
-            x = centers[xkey]
-            if not np.all(chart.is_valid(x)):
-                ric_cache[xkey] = None
-            else:
-                ric_cache[xkey] = ricci_operator(chart, x)
-        ric = ric_cache[xkey]
-        if ric is None:
-            continue
-        out[idx] = 0.5 * hbar_over_m * ric @ field.osmotic[idx]
+    use = field.mask.copy()
+    use[use] = np.asarray(chart.is_valid(centers[use]), dtype=bool)
+    ric = ricci_operator(chart, centers[use])
+    out[use] = ((0.5 * hbar_over_m * ric) @ field.osmotic[use][..., None])[..., 0]
     return out

@@ -10,7 +10,8 @@ symbols are held for the whole ensemble.  The analytic route evaluates
     backward: dX/dt + grad_drift X - (eps^2/2) lap X
 
 at the bin centers, using the ensemble's own estimated drift, so the two
-pipelines can be cross-checked bin by bin.  On flat charts the transport is
+pipelines can be cross-checked bin by bin.  It evaluates every populated
+bin of a time bin in one batch of points.  On flat charts the transport is
 the identity and the Laplacian is componentwise; curved charts use the
 chart connection and the rough (Laplace-Beltrami) vector Laplacian.
 """
@@ -46,28 +47,27 @@ def _eval_field(X, t, pts) -> np.ndarray:
     return np.asarray(X(t, pts), dtype=float)
 
 
-def _at(X, t):
-    """X(t, .) as a function of one point."""
-    return lambda p: _eval_field(X, t, p[None])[0]
-
-
 def _covariant_jacobian(chart, X, t, p):
-    """V[k, b] = (nabla_b X)^k = d_b X^k + Gamma^k_{cb} X^c at a point."""
-    jac = vector_jacobian_fd(_at(X, t), p)
+    """V[..., k, b] = (nabla_b X)^k = d_b X^k + Gamma^k_{cb} X^c at points (..., n)."""
+    field = lambda q: _eval_field(X, t, q)
+    jac = vector_jacobian_fd(field, p)
     gam = christoffel_batch(chart, p)
-    return jac + np.einsum("kcb,c->kb", gam, _eval_field(X, t, p[None])[0])
+    return jac + np.einsum("...kcb,...c->...kb", gam, field(p))
 
 
-def _rough_laplacian_point(chart: MetricChart, X, t: float, x: np.ndarray) -> np.ndarray:
-    """g^{aa}(d_a V_a - Gamma^e_{aa} V_e + Gamma^k_{ae} V^e_a) for V = nabla X."""
+def _rough_laplacian(chart: MetricChart, X, t: float, x: np.ndarray) -> np.ndarray:
+    """g^{aa}(d_a V_a - Gamma^e_{aa} V_e + Gamma^k_{ae} V^e_a) for V = nabla X,
+    at points (..., n)."""
     ginv = chart.inverse_diag(x)
     gam = christoffel_batch(chart, x)
     V0 = _covariant_jacobian(chart, X, t, x)
-    # dV[k, b, a] = d_a V[k, b]
+    # dV[..., k, b, a] = d_a V[..., k, b]
     dV = vector_jacobian_fd(lambda p: _covariant_jacobian(chart, X, t, p), x, FD_STEP_SECOND)
-    out = np.zeros(chart.dimension)
+    out = np.zeros(x.shape)
     for a in range(chart.dimension):
-        out += ginv[a] * (dV[:, a, a] - V0 @ gam[:, a, a] + gam[:, a, :] @ V0[:, a])
+        out += ginv[..., a, None] * (dV[..., :, a, a]
+                                     - (V0 @ gam[..., :, a, a, None])[..., 0]
+                                     + (gam[..., :, a, :] @ V0[..., :, a, None])[..., 0])
     return out
 
 
@@ -109,27 +109,26 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     analytic = np.full(config.shape + (ensemble.dimension,), np.nan)
     sign = 1.0 if direction == "forward" else -1.0
     points = config.evaluation_points(mc.cond_mean)
-    dropped = 0
-    for idx in np.ndindex(*config.shape):
-        if not (mc.mask[idx] and drift.mask[idx]):
+    use = mc.mask & drift.mask
+    inside = np.asarray(chart.is_valid(points[use]), dtype=bool)
+    dropped = int(np.count_nonzero(~inside))
+    use[use] = inside
+    for i, t in enumerate(config.t_centers.tolist()):
+        if not np.any(use[i]):
             continue
-        x = points[idx]
-        if not np.all(chart.is_valid(x)):
-            dropped += 1
-            continue
-        t = float(config.t_centers[idx[0]])
-        beta = drift.values[idx]
-        adv = vector_jacobian_fd(_at(X, t), x) @ beta
+        x, beta = points[i][use[i]], drift.values[i][use[i]]
+        field = lambda p: _eval_field(X, t, p)
+        adv = (vector_jacobian_fd(field, x) @ beta[..., None])[..., 0]
         if flat:
-            lap = laplacian_fd(_at(X, t), x)
+            lap = laplacian_fd(field, x)
         else:
             gam = christoffel_batch(chart, x)
-            adv = adv + np.einsum("kij,i,j->k", gam, _eval_field(X, t, x[None])[0], beta)
-            lap = _rough_laplacian_point(chart, X, t, x)
+            adv = adv + np.einsum("...kij,...i,...j->...k", gam, field(x), beta)
+            lap = _rough_laplacian(chart, X, t, x)
         # the time difference keeps an absolute step
-        dX_dt = central_difference(lambda s: _eval_field(X, s[0], x[None])[0],
+        dX_dt = central_difference(lambda s: _eval_field(X, s[0], x),
                                    np.array([t]), 0, FD_STEP_FIRST)
-        analytic[idx] = dX_dt + adv + sign * 0.5 * epsilon**2 * lap
+        analytic[i][use[i]] = dX_dt + adv + sign * 0.5 * epsilon**2 * lap
     if dropped:
         warnings.warn(f"{dropped} bins dropped from the analytic form "
                       "(centers outside the valid region)", stacklevel=2)

@@ -14,14 +14,15 @@ for the backward one, so both directions, the causal split and the
 quadratic variation read the same index.
 
 Values are never held for the whole ensemble, by the estimators or by the
-covariant, energy and causal-class consumers: :func:`path_blocks` is the one
-walk over the paths, BLOCK_PATHS at a time.  The accumulator forms each
-block's values once per sweep for every average that reads them (both
-directions of a velocity field, the four causal terms of the relativistic
-sums), and reduces them per bin in two sweeps: the first sums counts,
-values and conditioning points, the second the squared deviations from the
-bin means.  A sample a causal split drops goes to the overflow bin of its
-block.  Sums run in path-major order, so no result depends on the block size.
+covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
+the simulators' block walk, takes them ``stochastic.BLOCK_PATHS`` paths at
+a time.  The accumulator forms each block's values once per sweep for
+every average that reads them (both directions of a velocity field, the
+four causal terms of the relativistic sums), and reduces them per bin in
+two sweeps: the first sums counts, values and conditioning points, the
+second the squared deviations from the bin means.  A sample a causal split
+drops goes to the overflow bin of its block.  Sums run in path-major order,
+so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ import numpy as np
 from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
-from ..stochastic import PathEnsemble
-
-BLOCK_PATHS = 4096   # paths per accumulator block; sets memory, not values
+from ..stochastic import PathEnsemble, path_blocks
 
 
 @dataclass(frozen=True)
@@ -200,13 +199,6 @@ class MeanDerivativeField(_Binned):
     velocity_se: np.ndarray
     count: np.ndarray
     cond_mean: np.ndarray | None = None
-
-
-def path_blocks(n_paths: int):
-    """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time;
-    the one way the estimators and their consumers read an ensemble."""
-    for lo in range(0, n_paths, BLOCK_PATHS):
-        yield slice(lo, lo + BLOCK_PATHS)
 
 
 def _increments(paths: np.ndarray, lag: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import MetricChart
+from ..geometry.charts import diag_matrix
 from ..meanderiv import (
     EstimatorConfig,
     estimate_velocity_fields,
@@ -120,18 +121,12 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
             "diagonals outside tolerance" if not diag_ok else "off-diagonals beyond 3 sigma")
         return QuadraticVariationLaw(passed, reason, qv.values, target, qv.se, qv.count)
 
-    centers = config.center_mesh
+    centers = np.broadcast_to(config.center_mesh, config.shape + (dim,))
+    use = mask.copy()
+    use[use] = np.asarray(chart.is_valid(centers[use]), dtype=bool)
     target = np.full(qv.values.shape, np.nan)
-    ok = True
-    for idx in np.ndindex(*config.shape):
-        if not mask[idx]:
-            continue
-        x = np.array(centers[idx[1:]], dtype=float)
-        if not np.all(chart.is_valid(x)):
-            continue
-        target[idx] = eps**2 * np.diag(chart.inverse_diag(x))
-        mismatch = np.linalg.norm(qv.values[idx] - target[idx])
-        if mismatch > QV_CURVED_RTOL * np.linalg.norm(target[idx]):
-            ok = False
+    target[use] = eps**2 * diag_matrix(chart.inverse_diag(centers[use]))
+    mismatch = np.linalg.norm(qv.values[use] - target[use], axis=(-2, -1))
+    ok = not np.any(mismatch > QV_CURVED_RTOL * np.linalg.norm(target[use], axis=(-2, -1)))
     reason = "ok" if ok else "covariance does not match eps^2 g^{-1}"
     return QuadraticVariationLaw(bool(ok), reason, qv.values, target, qv.se, qv.count)

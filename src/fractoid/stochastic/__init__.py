@@ -2,6 +2,7 @@
 
 from .ensemble import PathEnsemble
 from .fractal import FractalScalingReport, fractal_scaling
+from .integrator import BLOCK_PATHS, path_blocks
 from .manifold import (
     FrameBundleEnsemble,
     FrameState,
@@ -24,6 +25,7 @@ from .sde import (
 )
 
 __all__ = [
+    "BLOCK_PATHS",
     "FractalScalingReport",
     "FrameBundleEnsemble",
     "FrameState",
@@ -38,6 +40,7 @@ __all__ = [
     "make_stream",
     "orthonormal_frame",
     "parallel_transport",
+    "path_blocks",
     "simulate_ito",
     "simulate_manifold_diffusion",
     "simulate_stratonovich",

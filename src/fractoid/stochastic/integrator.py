@@ -5,9 +5,10 @@ their step.  Everything else lives here once: the T/dt grid, start points,
 per-path noise, the non-finite check, reject-and-resample at chart
 boundaries and the reporting grid.
 
-Paths run one block of BLOCK_SIZE at a time.  Path p draws all K of its
-Wiener increments up front from the stream make_stream(seed, p), and a
-boundary retry continues that same stream, so every sampled value depends
+Paths run one block of BLOCK_PATHS at a time, through :func:`path_blocks`,
+the walk every ensemble consumer reads the paths with.  Path p draws all K
+of its Wiener increments up front from the stream make_stream(seed, p), and
+a boundary retry continues that same stream, so every sampled value depends
 only on the seed and the path index.  The block's increments come from one
 generator re-keyed per path (rng.stream_normals); a path's first boundary
 retry rebuilds its stream on demand, skips the K rows already drawn and
@@ -21,8 +22,16 @@ import numpy as np
 from ..errors import BoundaryError, ParameterError, SimulationError
 from .rng import make_stream, stream_normals
 
-BLOCK_SIZE = 4096
+BLOCK_PATHS = 4096   # paths per block; sets memory, not values
 MAX_BOUNDARY_RETRIES = 100
+
+
+def path_blocks(n_paths: int):
+    """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time;
+    the one way the simulators, the estimators and their consumers group
+    paths."""
+    for lo in range(0, n_paths, BLOCK_PATHS):
+        yield slice(lo, min(lo + BLOCK_PATHS, n_paths))
 
 
 def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:
@@ -101,17 +110,16 @@ class Integrator:
             report.append(K)
         n_paths = len(starts[0])
         out = [np.empty((n_paths, len(report)) + s.shape[1:]) for s in starts]
-        for lo in range(0, n_paths, BLOCK_SIZE):
-            hi = min(lo + BLOCK_SIZE, n_paths)
-            self._lo = lo
+        for rows in path_blocks(n_paths):
+            self._lo = rows.start
             self._retry_streams = {}
-            dW = np.empty((hi - lo, K, self.n_noise))
-            for i, rows in enumerate(stream_normals(self.seed, range(lo, hi), self.sqdt,
-                                                    dW.shape[1:])):
-                dW[i] = rows
-            state = tuple(s[lo:hi].copy() for s in starts)
+            dW = np.empty((rows.stop - rows.start, K, self.n_noise))
+            for i, normals in enumerate(stream_normals(self.seed, range(n_paths)[rows],
+                                                       self.sqdt, dW.shape[1:])):
+                dW[i] = normals
+            state = tuple(s[rows].copy() for s in starts)
             for o, s in zip(out, state):
-                o[lo:hi, 0] = s
+                o[rows, 0] = s
             j = 1
             for k in range(K):
                 self._k, self._x, self._dW = k, state[0], dW[:, k]
@@ -120,7 +128,7 @@ class Integrator:
                     if at_report is not None:
                         state = at_report(*state)
                     for o, s in zip(out, state):
-                        o[lo:hi, j] = s
+                        o[rows, j] = s
                     j += 1
         return np.array(report) * self.dt, out
 

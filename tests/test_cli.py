@@ -94,7 +94,10 @@ def test_simulate_zero_paths_exit_2(tmp_path, capsys):
     (["noise", "--seed", "1", "--set", "lattice_d=1.5"], "lattice_d"),
     (["dirac"], "seed"),                      # the seed is mandatory here too
     (["report", "--set", "out_dir=7"], "out_dir"),
-], ids=["simulate", "estimate", "verify", "noise", "dirac", "report"])
+    (["simulate", "--seed", "1", "--set", 'x0=["a",1]'], "x0"),
+    (["simulate", "--seed", "1", "--set", "x0=[true,1]"], "x0"),
+], ids=["simulate", "estimate", "verify", "noise", "dirac", "report", "x0-string",
+        "x0-bool"])
 def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, argv, key):
     if argv[0] == "estimate":
         # a readable ensemble, so estimate reaches the value it is given
@@ -113,7 +116,8 @@ def test_load_config_type_rules(tmp_path):
     cfg_file.write_text(json.dumps({"epsilon": 2, "x0": None, "seed": 3}))
     cfg = load_config(str(cfg_file), ["t_final=0.5", "min_count=\"40\""])
     assert (cfg.epsilon, cfg.t_final, cfg.min_count) == (2, 0.5, 40)
-    for bad in ("lag=true", "chart=2", "x0=1.0", "epsilon=\"fast\""):
+    for bad in ("lag=true", "chart=2", "x0=1.0", "epsilon=\"fast\"", 'x0=["a",1]',
+                "x0=[true,1]"):
         with pytest.raises(ConfigError, match=bad.split("=")[0]):
             load_config(str(cfg_file), [bad])
 

@@ -11,7 +11,8 @@ symbols (analytic and finite-difference metric derivatives) and the
 isometric frame transport, whose 2-d inverse and polar factor are closed
 form, and the pointwise finite-difference operators built on the chart
 connection: Laplace-Beltrami, Ricci, Jacobians, the Euler-Lagrange and
-Clifford-connection residuals.  Each estimator case pins its per-bin counts,
+Clifford-connection residuals, and the Ricci correction of the Newton-Nelson
+target.  A batch of points must give these operators' per-point bits.  Each estimator case pins its per-bin counts,
 values and conditioning means in one digest and its standard errors in a
 second, so a change to the variance reduction alone shows in the latter.
 A numpy upgrade that changes its normal sampler
@@ -42,6 +43,7 @@ from fractoid.geometry import (
     laplacian_fd,
     leibniz_residual,
     levi_civita_field,
+    ricci,
     ricci_operator,
     richardson_derivative,
     torsion,
@@ -49,7 +51,6 @@ from fractoid.geometry import (
 )
 from fractoid.meanderiv import (
     EstimatorConfig,
-    estimators,
     covariant_mean_derivative,
     estimate_velocity_fields,
     quadratic_variation_matrix,
@@ -63,6 +64,7 @@ from fractoid.stochastic import (
     ItoProcessSpec,
     frame_bundle_simulate,
     generator_apply,
+    integrator,
     make_stream,
     orthonormal_frame,
     simulate_ito,
@@ -151,14 +153,19 @@ def _manifold_json():
                                        T=0.1, dt=0.002, N=100, seed=SEED).paths
 
 
+def _operator_charts():
+    """(chart, lo, hi): the charts the pointwise operators are pinned on."""
+    return ((get_chart("polar2"), [0.3, -3.0], [3.0, 3.0]),
+            (get_chart("sphere2"), [0.2, -3.0], [2.9, 3.0]),
+            (get_chart("hyperbolic2"), [0.1, -3.0], [2.0, 3.0]),
+            (chart_from_json(CONE), [0.2, -3.0], [3.0, 3.0]),
+            (chart_from_json(WARP3), [-1.0] * 3, [1.0] * 3))
+
+
 def _geometry_operators():
     f = lambda p: np.sin(p[..., 0]) * np.cos(p[..., -1]) + p[..., 0] ** 2 * p[..., -1]
     out = []
-    for chart, lo, hi in ((get_chart("polar2"), [0.3, -3.0], [3.0, 3.0]),
-                          (get_chart("sphere2"), [0.2, -3.0], [2.9, 3.0]),
-                          (get_chart("hyperbolic2"), [0.1, -3.0], [2.0, 3.0]),
-                          (chart_from_json(CONE), [0.2, -3.0], [3.0, 3.0]),
-                          (chart_from_json(WARP3), [-1.0] * 3, [1.0] * 3)):
+    for chart, lo, hi in _operator_charts():
         for x in _points(lo, hi, 6):
             out += [laplace_beltrami(chart, f, x), ricci_operator(chart, x).ravel()]
 
@@ -430,9 +437,25 @@ def test_pinned_estimator_digest(name):
 def test_estimator_digest_independent_of_block_size(name, monkeypatch):
     # the pinned ensembles hold at most 3000 paths, one block at the default
     # size; 7-path blocks make every sum cross hundreds of block boundaries
-    monkeypatch.setattr(estimators, "BLOCK_PATHS", 7)
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     bins, se = ESTIMATOR_CASES[name]()
     assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", range(5),
+                         ids=["polar2", "sphere2", "hyperbolic2", "cone", "warp3"])
+def test_pointwise_operators_batch_bits(case):
+    # a (2, 3, n) batch gives the stacked per-point values, byte for byte
+    chart, lo, hi = _operator_charts()[case]
+    pts = _points(lo, hi, 6)
+    F = lambda p: np.stack([np.sin(p[..., 0]) * p[..., -1], np.exp(0.2 * p[..., -1])],
+                           axis=-1)
+    for op in (lambda x: ricci(chart, x), lambda x: ricci_operator(chart, x),
+               lambda x: laplacian_fd(F, x)):
+        batch = op(pts.reshape(2, 3, -1))
+        single = np.stack([op(x) for x in pts])
+        assert batch.shape == (2, 3) + single.shape[1:]
+        assert batch.tobytes() == single.tobytes()
 
 
 def test_feynman_kac_se_stable_under_large_offset():

@@ -127,7 +127,7 @@ def test_simulators_independent_of_block_size(name, monkeypatch):
     run = SIMULATORS[name]
     default = run()
     retries_default = len(rebuilt)
-    monkeypatch.setattr(integrator, "BLOCK_SIZE", 7)
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     assert np.array_equal(run(), default)
     # a path's retry stream is rebuilt once, in whichever block holds it
     assert len(rebuilt) == 2 * retries_default
