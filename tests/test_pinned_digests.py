@@ -12,9 +12,10 @@ isometric frame transport, whose 2-d inverse and polar factor are closed
 form, and the pointwise finite-difference operators built on the chart
 connection: Laplace-Beltrami, Ricci, Jacobians, the Euler-Lagrange and
 Clifford-connection residuals, and the Ricci correction of the Newton-Nelson
-target.  A batch of points must give these operators' per-point bits.  Each estimator case pins its per-bin counts,
-values and conditioning means in one digest and its standard errors in a
-second, so a change to the variance reduction alone shows in the latter.
+target.  A batch of points must give these operators' per-point bits.  Each
+estimator case pins its per-bin counts, values and conditioning means in
+one digest and its standard errors in a second, so a change to the variance
+reduction alone shows in the latter.
 A numpy upgrade that changes its normal sampler
 or its vectorised math kernels would change them legitimately;
 `python tests/test_pinned_digests.py` with src/ on PYTHONPATH prints the
