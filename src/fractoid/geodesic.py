@@ -279,9 +279,9 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
             adv = adv + np.einsum("...kij,...i,...j->...k", christoffel_batch(chart, x), wx, wx)
             ric = (ricci_operator(chart, x) @ wx[..., None])[..., 0]
         r = adv + dt_w + 0.5 * (lap + ric)
-        # r . r as a matmul reduces as np.linalg.norm's dot does, so each
-        # probe's norm keeps its bits
-        worst = max(worst, float(np.sqrt(np.max(r[:, None, :] @ r[:, :, None], initial=0.0))))
+        # the largest r . r so far: a matmul reduces as np.linalg.norm's dot
+        # does, so each probe's norm keeps its bits; fmax skips a NaN probe
+        worst = np.fmax.reduce((r[:, None, :] @ r[:, :, None]).ravel(), initial=worst)
 
     mc = covariant_mean_derivative(chart, ensemble, w, config, direction="forward")
     mask = mc.monte_carlo.mask
@@ -289,5 +289,5 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     ses = mc.monte_carlo.se[mask]
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.where(ses > 0, vals / ses, np.where(vals > 0, np.inf, 0.0))
-    return GeodesicCriterion(analytic_residual=worst, monte_carlo=mc,
+    return GeodesicCriterion(analytic_residual=float(np.sqrt(worst)), monte_carlo=mc,
                              max_z=float(np.max(z)) if z.size else 0.0)

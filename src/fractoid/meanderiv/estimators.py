@@ -15,8 +15,8 @@ quadratic variation read the same index.
 
 Values are never held for the whole ensemble, by the estimators or by the
 covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
-the simulators' block walk, takes them ``stochastic.BLOCK_PATHS`` paths at
-a time.  The accumulator forms each block's values once per sweep for
+the simulators' block walk, takes them ``stochastic.integrator.BLOCK_PATHS``
+paths at a time.  The accumulator forms each block's values once per sweep for
 every average that reads them (both directions of a velocity field, the
 four causal terms of the relativistic sums), and reduces them per bin in
 two sweeps: the first sums counts, values and conditioning points, the

@@ -2,7 +2,7 @@
 
 from .ensemble import PathEnsemble
 from .fractal import FractalScalingReport, fractal_scaling
-from .integrator import BLOCK_PATHS, path_blocks
+from .integrator import path_blocks
 from .manifold import (
     FrameBundleEnsemble,
     FrameState,
@@ -25,7 +25,6 @@ from .sde import (
 )
 
 __all__ = [
-    "BLOCK_PATHS",
     "FractalScalingReport",
     "FrameBundleEnsemble",
     "FrameState",

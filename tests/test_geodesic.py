@@ -226,6 +226,24 @@ def test_geodesic_criterion_closed_form_drift():
     assert crit.max_z <= 3.5
 
 
+def test_geodesic_criterion_skips_a_nan_probe():
+    # w = x^2 has residual 2x^3 + 1, largest at an end probe; a NaN at the
+    # middle probe drops that probe alone, not the other probes of its time
+    ens = simulate_ito(ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0,
+                                      dimension=1), 0.0, T=1.0, dt=0.01, N=2000,
+                       seed=SEED + 6)
+    cfg = EstimatorConfig.regular((0.3, 0.7), 1, (-2.0, 2.0), 8, min_count=50)
+    lo, hi = np.nanpercentile(ens.paths, [15, 85], axis=(0, 1))
+    mid = np.linspace(lo[0], hi[0], 5)[2]
+    w = lambda t, x: x**2
+    w_nan = lambda t, x: np.where(x == mid, np.nan, x**2)
+    clean = stochastic_geodesic_criterion(E1, w, ens, cfg).analytic_residual
+    with np.errstate(invalid="ignore"):
+        crit = stochastic_geodesic_criterion(E1, w_nan, ens, cfg)
+    assert clean > 1.0
+    assert crit.analytic_residual == clean
+
+
 def test_curve_roundtrip_through_ensemble_csv(tmp_path):
     from fractoid.stochastic import PathEnsemble
     ts, curve = _line(64)
