@@ -16,13 +16,13 @@ quadratic variation read the same index.
 Values are never held for the whole ensemble, by the estimators or by the
 covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
 the simulators' block walk, takes them ``stochastic.integrator.BLOCK_PATHS``
-paths at a time.  The accumulator forms each block's values once per sweep for
-every average that reads them (both directions of a velocity field, the
-four causal terms of the relativistic sums), and reduces them per bin in
-two sweeps: the first sums counts, values and conditioning points, the
-second the squared deviations from the bin means.  A sample a causal split
-drops goes to the overflow bin of its block.  Sums run in path-major order,
-so no result depends on the block size.
+paths at a time.  The accumulator walks the blocks once.  It forms each
+block's values once for every average that reads them (both directions of
+a velocity field, the four causal terms of the relativistic sums), and sums
+per bin the counts, the values, the conditioning points and the squares of
+the values about a fixed shift, the bin's first sample.  A sample a causal
+split drops goes to the overflow bin of its block.  Sums run in path-major
+order, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -227,10 +227,11 @@ def _accumulate(config: EstimatorConfig, block: Block,
     holds term j's conditioning points of N paths; block gives each term's
     bins and the shared values of a slice of them, with the overflow bin
     n_bins for samples a term does not take, so each block's values are
-    formed once per sweep for all terms.  Two sweeps over
-    :func:`path_blocks`: counts (exact integers), value sums and point sums
-    first, then the squared deviations from the bin means.  np.add.at adds
-    samples in path-major order, as one bincount over the whole ensemble
+    formed once for all terms.  One walk over :func:`path_blocks` sums counts
+    (exact integers), values, points and the squares of the values about a
+    per-bin shift, the bin's first sample in path-major order; the squared
+    deviations from the bin mean follow as s2 - n (mean - shift)^2.  np.add.at
+    adds samples in path-major order, as one bincount over the whole ensemble
     would, so the result is bit-identical for every block size.
     """
     n_bins = config.n_bins
@@ -238,37 +239,40 @@ def _accumulate(config: EstimatorConfig, block: Block,
     vshape = block(slice(0, 1))[1].shape[2:]   # the value shape, from one path
     m = int(np.prod(vshape))
 
-    def sweep():
-        for rows in path_blocks(n):
-            bins, vals = block(rows)
-            yield rows, [idx.ravel() for idx in bins], vals.reshape(-1, m)
-
     # (term, value component, bin); count's unit axis broadcasts over values
     count = np.zeros((len(points), 1, n_bins + 1), dtype=np.int64)
     s1 = np.zeros((len(points), m, n_bins + 1))
+    s2 = np.zeros_like(s1)
+    shift = np.zeros_like(s1)
     pts = np.zeros((len(points), dim, n_bins + 1))
-    for rows, bins, vals in sweep():
+    for rows in path_blocks(n):
+        bins, vals = block(rows)
+        vals = vals.reshape(-1, m)
         for j, idx in enumerate(bins):
-            count[j, 0] += np.bincount(idx, minlength=n_bins + 1)
+            idx = idx.ravel()
+            seen = np.bincount(idx, minlength=n_bins + 1)
+            new = (seen > 0) & (count[j, 0] == 0)
+            if new.any():
+                # a bin's shift is its first sample in path-major order
+                first = np.full(n_bins + 1, idx.size)
+                np.minimum.at(first, idx, np.arange(idx.size))
+                shift[j][:, new] = vals[first[new]].T
+            count[j, 0] += seen
             for c in range(m):
                 np.add.at(s1[j, c], idx, vals[:, c])
-            x = points[j][rows].reshape(-1, dim)
+                dev = shift[j, c][idx]
+                np.subtract(vals[:, c], dev, out=dev)
+                np.add.at(s2[j, c], idx, np.square(dev, out=dev))
             for a in range(dim):
-                np.add.at(pts[j, a], idx, x[:, a])
+                np.add.at(pts[j, a], idx, points[j][rows, :, a].ravel())
     nz = count > 0
     mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
     cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)
-    # second sweep about the bin mean: s2 - n mu^2 cancels catastrophically
-    # once the mean dwarfs the spread (Chan, Golub & LeVeque 1983)
-    centre = np.where(nz, mean, 0.0)
-    s2 = np.zeros_like(s1)
-    for _, bins, vals in sweep():
-        for j, idx in enumerate(bins):
-            for c in range(m):
-                dev = centre[j, c][idx]
-                np.subtract(vals[:, c], dev, out=dev)
-                np.add.at(s2[j, c], idx, np.square(dev, out=dev))
-    var = np.where(count > 1, s2 / np.maximum(count - 1, 1), np.nan)
+    # squares about the shift keep the spread when the mean dwarfs it; the
+    # clamp holds a bin of equal samples, whose mean may sit an ulp off
+    # them, at zero
+    m2 = np.maximum(s2 - count * (mean - shift) ** 2, 0.0)
+    var = np.where(count > 1, m2 / np.maximum(count - 1, 1), np.nan)
     se = np.sqrt(var / np.maximum(count, 1))
     count = count[:, 0, :n_bins]
     fields = []

@@ -15,17 +15,6 @@ from .wavefunctions import PotentialField
 BLOCK_SIZE = 4096
 
 
-def _merge(a: tuple[int, float, float], b: tuple[int, float, float]
-           ) -> tuple[int, float, float]:
-    """Pooled (count, mean, sum of squared deviations) of two samples
-    (Chan, Golub & LeVeque 1983): unlike E[w^2] - mean^2 it keeps the
-    spread when the mean dwarfs it."""
-    (na, ma, m2a), (nb, mb, m2b) = a, b
-    n = na + nb
-    delta = mb - ma
-    return n, ma + delta * nb / n, m2a + m2b + delta**2 * na * nb / n
-
-
 def _values(f, name: str, pos: np.ndarray) -> np.ndarray:
     """f(pos) as one float per point of pos, else ParameterError naming f."""
     out = np.asarray(f(pos), dtype=float)
@@ -43,8 +32,9 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     shape is a ParameterError.  The time integral uses the trapezoid rule
     along each Brownian path; paths are drawn in blocks of BLOCK_SIZE with
     one counter stream per block, so the result depends only on the seed.
-    Returns (estimate, standard error); the variance pools per-block
-    deviations from the block means.
+    Returns (estimate, standard error).  The variance sums squares about a
+    fixed shift, the first weight drawn, in one pass over the blocks, which
+    keeps the spread when the mean dwarfs it.
     """
     if t <= 0 or dt <= 0:
         raise ParameterError("t and dt must be positive")
@@ -56,7 +46,7 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     step = t / n_steps
     sq = np.sqrt(step)
 
-    sums, spread = [], None
+    sums, s2 = [], 0.0
     for lo in range(0, N, BLOCK_SIZE):
         B = min(BLOCK_SIZE, N - lo)
         gen = make_stream(seed, lo // BLOCK_SIZE)
@@ -75,9 +65,9 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
         if not np.all(np.isfinite(weights)):
             raise SimulationError("Feynman-Kac weight became non-finite")
         sums.append(np.sum(weights))
-        block_mean = float(sums[-1]) / B
-        part = (B, block_mean, float(np.sum((weights - block_mean) ** 2)))
-        spread = part if spread is None else _merge(spread, part)
+        if lo == 0:
+            shift = float(weights[0])
+        s2 += float(np.sum((weights - shift) ** 2))
     mean = float(np.sum(sums)) / N
-    var = spread[2] / (N - 1)
+    var = max(s2 - N * (mean - shift) ** 2, 0.0) / (N - 1)
     return mean, float(np.sqrt(var / N))
