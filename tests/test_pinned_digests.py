@@ -366,9 +366,9 @@ DIGESTS = {
     # re-recorded when the frame transport took its polar factor in closed
     # form instead of by SVD: largest relative change 2.0e-13
     "frame_bundle_sphere": "fec53c79c89b80c69da29560322ffea7b000fc740d4b01d65495af98a83cebff",
-    # re-recorded when the standard error moved to pooled per-block
-    # deviations: the estimate kept its bits, the se moved by 4.7e-15 relative
-    "feynman_kac": "c3cb102ba4ab2549a0a90b7c54ddd2db4d19e87ba82c72f9afb0cf4cc1de705c",
+    # re-recorded when the standard error moved to squares about the first
+    # weight: the estimate kept its bits, the se moved by 9.8e-16 relative
+    "feynman_kac": "d978abb361b726045d0e6d6101fd257908c57eddbf919c0009232d7df9bb04ad",
     "covariance_check": "395bd1b111d306f38bc5ef7ca6daf58e0b83170635c0dd259c0630790b3d3dff",
     # recorded before charts carried their metric as a diagonal
     "christoffel_charts": "b5ab9d6ccc4673b48fbbecd3ef80e757c7e7cd70a603d5e07b5dd04b5158e320",
@@ -385,36 +385,39 @@ DIGESTS = {
 
 
 # (count + values + cond_mean, se) per estimator case.  The first digest was
-# recorded before the estimators shared one bin index; the second after the
-# per-bin variance moved to a second pass about the bin mean, which changed
-# these standard errors by at most 3.6e-15 relative
+# recorded before the estimators shared one bin index; the second when the
+# per-bin variance moved to squares about each bin's first sample in one
+# sweep.  Largest relative change of the se, per case: velocity_fields_lag1
+# 7.9e-15, velocity_fields_lag2 7.6e-15, quadratic_variation_2d 1.03e-14,
+# relativistic_minkowski 1.8e-15, covariant_euclidean 9.4e-15,
+# covariant_sphere 2.4e-15, stochastic_energy 6.5e-16
 ESTIMATOR_DIGESTS = {
     "covariant_euclidean":
         ("fbc0fa516b6f2c3bba64b31ce39647b0e86b0c599d9904c26ccb7c333e41725d",
-         "fac52c4576967365265cfa3743edc1f8f0d70b5bec47ebe1652dcc2d4507191e"),
+         "8ba4082dc0a4a5cb520f1fa80c77cc844a7b4ef43007e8efb9413054bd74e5d9"),
     # re-recorded when transport_steps moved to the closed-form 2-d
     # inverse: largest relative change 2.3e-14 (values), 6.9e-16 (se)
     "covariant_sphere":
         ("472228cd8cf9bd4f98a9c4b9ad59d1b177f72830e4c0b006f49e160d612628da",
-         "7bf41c636bf0a679dc3131546b07919ce253742a640fa7130ee0dd71cd3b704f"),
+         "0dc304a7794586134eb74954d93eae0b632593da00de5b1d43c7a2dd6f37e208"),
     "quadratic_variation_2d":
         ("a486467ce0a03221c1825222ab5f9f6763fe0e20ad3d646cf56c873ad5e3c353",
-         "d8fa32bf72172ed8962f8b56d87bcdd66574f9f4ec818c6a59ae7b2b3e4546b7"),
+         "20d77f4de3a94526c1302bebf6cbf0898b81ee5db43ec946540655f85b849207"),
     "relativistic_minkowski":
         ("029e49e81ff7d4375fbbaef50db1c694e5e3770c291f52b589d7352a02b45648",
-         "e57fd085ee5bee101f9df3c4b53b6152653a61ac63bcdf17457b381cdbb98fd6"),
+         "1c81d00b3f0a9fa5b008d446eecf5a917acd54dd03a57e8697c4b8f53fac22c6"),
     "spacelike_fraction":
         ("619299f1cef43f0e55e9dc791968771d0220c0e4f3b9daa136cb570853b11dde",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "stochastic_energy":
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-         "07497a06886e963dac487d54b7d4c5173810f13c7845ededba18ce921106c02d"),
+         "cec1beaec6539610673fa38eeef235d058652a69b29e881efd923273ac5ca144"),
     "velocity_fields_lag1":
         ("857f1844525e83ef206f63b21467d47d9f603ff0d1c3f6e2c97e840b303dc341",
-         "8fb5fb9f12e2349189d585c0022884e1d1079a2940345f36e0199b0c1305939b"),
+         "e0995aedf7f2b65d075b7c91a04b5e0ee77ea1b96f05db59d129bb28e0821b3a"),
     "velocity_fields_lag2":
         ("dc6cd66ce0223828825a37a13c40ec16a23c2841503047a52ec4f86abdaa1368",
-         "9c935a727c345891c71c8f82f0c4a41ab94cec297a7dfb81c7783bf993c9ced1"),
+         "44421f594d52679ca71d7916036ae35a7b72add3d9d63ac2137f1d0b74c3c536"),
 }
 
 
