@@ -252,7 +252,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     (i)  analytic: || grad_w w + d_t w + (lap w + Ric o w)/2 || on a 5^n
          grid of probe points spanning the ensemble's 15-85 percentiles, at
          three times; derivatives by Richardson-extrapolated central
-         differences;
+         differences; a NaN residual is left out, and a warning counts them;
     (ii) Monte Carlo: the forward covariant mean derivative of w along the
          ensemble, which should vanish within statistical error.
     """
@@ -264,7 +264,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
 
     x = probes[np.asarray(chart.is_valid(probes), dtype=bool)]
     h = RESIDUAL_FD_STEP * np.maximum(1.0, np.abs(x))
-    worst = 0.0
+    worst, n_nan = 0.0, 0
     for t in probe_times:
         w_t = lambda p: np.asarray(w(t, p), dtype=float)
         wx = w_t(x)
@@ -281,7 +281,12 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
         r = adv + dt_w + 0.5 * (lap + ric)
         # the largest r . r so far: a matmul reduces as np.linalg.norm's dot
         # does, so each probe's norm keeps its bits; fmax skips a NaN probe
-        worst = np.fmax.reduce((r[:, None, :] @ r[:, :, None]).ravel(), initial=worst)
+        rr = (r[:, None, :] @ r[:, :, None]).ravel()
+        n_nan += int(np.count_nonzero(np.isnan(rr)))
+        worst = np.fmax.reduce(rr, initial=worst)
+    if n_nan:
+        warnings.warn(f"{n_nan} of {len(x) * len(probe_times)} probe residuals are NaN "
+                      "and left out of the analytic residual", stacklevel=2)
 
     mc = covariant_mean_derivative(chart, ensemble, w, config, direction="forward")
     mask = mc.monte_carlo.mask

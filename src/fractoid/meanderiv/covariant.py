@@ -130,7 +130,8 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
                                    np.array([t]), 0, FD_STEP_FIRST)
         analytic[i][use[i]] = dX_dt + adv + sign * 0.5 * epsilon**2 * lap
     if dropped:
-        warnings.warn(f"{dropped} bins dropped from the analytic form "
-                      "(centers outside the valid region)", stacklevel=2)
+        warnings.warn(f"{dropped} bins dropped from the analytic form (their "
+                      "evaluation points, the conditional means, are outside "
+                      "the valid region)", stacklevel=2)
     return CovariantMeanDerivative(direction=direction, monte_carlo=mc,
                                    analytic=analytic, drift=drift)

@@ -1,6 +1,8 @@
 """Energy functionals, geodesic integration, Euler-Lagrange residuals,
 first variation, and the stochastic-geodesic criterion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,8 @@ def test_geodesic_criterion_closed_form_drift():
 
 def test_geodesic_criterion_skips_a_nan_probe():
     # w = x^2 has residual 2x^3 + 1, largest at an end probe; a NaN at the
-    # middle probe drops that probe alone, not the other probes of its time
+    # middle probe drops that probe alone, not the other probes of its time,
+    # and a warning counts the dropped residuals, one per probe time
     ens = simulate_ito(ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=1.0,
                                       dimension=1), 0.0, T=1.0, dt=0.01, N=2000,
                        seed=SEED + 6)
@@ -237,8 +240,11 @@ def test_geodesic_criterion_skips_a_nan_probe():
     mid = np.linspace(lo[0], hi[0], 5)[2]
     w = lambda t, x: x**2
     w_nan = lambda t, x: np.where(x == mid, np.nan, x**2)
-    clean = stochastic_geodesic_criterion(E1, w, ens, cfg).analytic_residual
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=".*probe residuals are NaN")
+        clean = stochastic_geodesic_criterion(E1, w, ens, cfg).analytic_residual
+    with np.errstate(invalid="ignore"), \
+            pytest.warns(UserWarning, match=r"^3 of 15 probe residuals are NaN"):
         crit = stochastic_geodesic_criterion(E1, w_nan, ens, cfg)
     assert clean > 1.0
     assert crit.analytic_residual == clean

@@ -1,6 +1,7 @@
 """Mean-derivative estimators, velocity fields, accelerations, covariant
 derivatives and the quadratic-variation law, against analytic laws."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,12 @@ from fractoid.meanderiv import (
     velocity_fields,
     write_field_csv,
 )
+from fractoid.meanderiv.estimators import LaggedSamples
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
+    integrator,
+    path_blocks,
     simulate_ito,
     simulate_manifold_diffusion,
 )
@@ -167,6 +171,54 @@ def test_standard_error_stable_under_large_offsets():
     m = base.mask
     assert np.array_equal(shifted.count, base.count) and m.sum() >= 10
     assert np.allclose(shifted.se[m], base.se[m], rtol=1e-6, atol=0.0)
+
+
+def _walk_ensemble(n_paths):
+    rng = np.random.default_rng(SEED)
+    walk = np.zeros((n_paths, 21, 1))
+    walk[:, 1:] = np.cumsum(rng.normal(0.0, 0.1, (n_paths, 20, 1)), axis=1)
+    return PathEnsemble(np.arange(21) * 0.01, walk, seed=0)
+
+
+def test_standard_error_of_equal_samples_is_zero():
+    # n copies of 0.1 can sum to a mean an ulp away from 0.1, which would
+    # turn the shifted sum of squares negative and the se NaN unclamped
+    cfg = EstimatorConfig.regular((0.0, 0.2), 4, (-0.6, 0.6), 6, min_count=2)
+    samples = LaggedSamples(_walk_ensemble(300), cfg)
+    out = samples.average("forward", lambda rows: np.full_like(samples.increments(rows), 0.1))
+    m = out.mask
+    assert m.sum() >= 10 and np.any(out.values[m] != 0.1)
+    assert np.all(np.isfinite(out.se[m])) and np.all(out.se[m] >= 0.0)
+
+
+def test_average_forms_each_block_of_values_once(monkeypatch):
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+    cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-0.6, 0.6), 4, min_count=2)
+    samples = LaggedSamples(_walk_ensemble(30), cfg)
+    asked = []
+
+    def values(rows):
+        asked.append((rows.start, rows.stop))
+        return samples.quotients(rows)
+
+    samples.average("forward", values)
+    blocks = [(rows.start, rows.stop) for rows in path_blocks(30)]
+    assert len(blocks) == 5 and set(blocks) <= set(asked)
+    assert len(asked) == len(set(asked))
+
+
+def test_covariant_warning_names_the_evaluation_points(ou_ensemble):
+    # a half-line chart drops the populated bins whose conditional means,
+    # where the analytic form is evaluated, lie at x <= 0
+    half = dataclasses.replace(get_chart("euclidean:1"), name="half-line",
+                               valid=lambda x: x[..., 0] > 0)
+    with pytest.warns(UserWarning, match="evaluation points, the conditional means, "
+                                         "are outside the valid region") as caught:
+        out = covariant_mean_derivative(half, ou_ensemble, lambda t, x: x, _flat_cfg(n_x=8))
+    used = out.monte_carlo.mask & out.drift.mask
+    outside = used & (out.monte_carlo.cond_mean[..., 0] <= 0)
+    assert str(caught[0].message).startswith(f"{int(outside.sum())} bins dropped")
+    assert np.array_equal(np.isfinite(out.analytic[..., 0]), used & ~outside)
 
 
 @pytest.fixture(scope="module")

@@ -463,8 +463,8 @@ def test_pointwise_operators_batch_bits(case):
 
 
 def test_feynman_kac_se_stable_under_large_offset():
-    # E[w^2] - mean^2 cancelled to se = 0 at an offset of 1e8; the pooled
-    # per-block deviations keep the exact sqrt(t / N) = 1.105e-2.  The
+    # E[w^2] - mean^2 cancelled to se = 0 at an offset of 1e8; squares about
+    # the first weight keep the exact sqrt(t / N) = 1.105e-2.  The
     # estimates are the bits recorded before the variance changed.
     zero = lambda x: np.zeros(x.shape[:-1])
     (plain, se_plain), (shifted, se_shifted) = (
