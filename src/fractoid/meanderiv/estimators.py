@@ -236,17 +236,19 @@ def _accumulate(config: EstimatorConfig, block: Block,
     """
     n_bins = config.n_bins
     n, _, dim = points[0].shape
-    vshape = block(slice(0, 1))[1].shape[2:]   # the value shape, from one path
-    m = int(np.prod(vshape))
-
-    # (term, value component, bin); count's unit axis broadcasts over values
-    count = np.zeros((len(points), 1, n_bins + 1), dtype=np.int64)
-    s1 = np.zeros((len(points), m, n_bins + 1))
-    s2 = np.zeros_like(s1)
-    shift = np.zeros_like(s1)
-    pts = np.zeros((len(points), dim, n_bins + 1))
+    count = None
     for rows in path_blocks(n):
         bins, vals = block(rows)
+        if count is None:
+            # the value shape, from the first block; (term, value component,
+            # bin), and count's unit axis broadcasts over values
+            vshape = vals.shape[2:]
+            m = int(np.prod(vshape))
+            count = np.zeros((len(points), 1, n_bins + 1), dtype=np.int64)
+            s1 = np.zeros((len(points), m, n_bins + 1))
+            s2 = np.zeros_like(s1)
+            shift = np.zeros_like(s1)
+            pts = np.zeros((len(points), dim, n_bins + 1))
         vals = vals.reshape(-1, m)
         for j, idx in enumerate(bins):
             idx = idx.ravel()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream, stream_normals
 
 DEFAULT_CELL_CAP = 10_000_000
+# lattice values paley_wiener_samples draws per block of samples (1 MiB)
+BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -144,15 +147,19 @@ def paley_wiener_samples(lattice: SpaceTimeLattice, fns, n_samples: int,
                          seed: int) -> np.ndarray:
     """(n_samples, len(fns)) integrals W_f; sample i draws its lattice from
     the stream make_stream(seed, i), so the integrals depend only on the
-    seed.  One generator re-keyed per sample draws them all."""
+    seed.  One generator re-keyed per sample draws them all, into a block of
+    about BLOCK_VALUES lattice values; each integral is one row sum over the
+    block, with the bits of a sum over that sample's lattice alone."""
     fns = [_on_lattice(lattice, f) for f in fns]
     vol = lattice.cell_volume
     sigma = 1.0 / np.sqrt(vol)
+    per_block = max(1, BLOCK_VALUES // lattice.n_cells)
+    noise = stream_normals(seed, range(n_samples), sigma, lattice.shape)
     out = np.empty((n_samples, len(fns)))
-    for i, noise in enumerate(stream_normals(seed, range(n_samples), sigma,
-                                             lattice.shape)):
+    for lo in range(0, n_samples, per_block):
+        rows = np.stack(list(islice(noise, per_block))).reshape(-1, lattice.n_cells)
         for j, f in enumerate(fns):
-            out[i, j] = np.sum(f * noise) * vol
+            out[lo:lo + len(rows), j] = (f.ravel() * rows).sum(axis=-1) * vol
     return out
 
 

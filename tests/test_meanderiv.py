@@ -203,8 +203,7 @@ def test_average_forms_each_block_of_values_once(monkeypatch):
 
     samples.average("forward", values)
     blocks = [(rows.start, rows.stop) for rows in path_blocks(30)]
-    assert len(blocks) == 5 and set(blocks) <= set(asked)
-    assert len(asked) == len(set(asked))
+    assert len(blocks) == 5 and asked == blocks
 
 
 def test_covariant_warning_names_the_evaluation_points(ou_ensemble):

@@ -1,10 +1,13 @@
 """Wavefunction-driven diffusions, the Schrodinger operator family, and the
 Newton-Nelson closure checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import fractoid.nelson.feynman_kac as fk
 from fractoid.errors import ConfigError, ParameterError, ResolutionError
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import EstimatorConfig, estimate_velocity_fields
@@ -241,6 +244,45 @@ def test_feynman_kac_rejects_values_not_one_per_point(V, phi, bad):
     with pytest.raises(ParameterError, match=rf"^{bad} returned shape \(4096, 1\) for "
                        r"points of shape \(4096, 1\); expected \(4096,\)$"):
         feynman_kac_semigroup(V, phi, 0.01, 0.0, N=5000, seed=SEED, dt=0.01)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_feynman_kac_bits_independent_of_worker_count(workers, monkeypatch):
+    # six blocks, the last of 17 paths, and 20 steps in runs of 16 and 4;
+    # the bits were recorded from the serial block loop
+    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    threads = threading.active_count()
+    est = feynman_kac_semigroup(lambda x: 0.5 * np.sum(x**2, axis=-1),
+                                lambda x: np.exp(-np.sum(x**2, axis=-1)),
+                                0.2, [0.2, -0.1], N=5 * 4096 + 17, seed=SEED, dt=0.01)
+    assert [v.hex() for v in est] == ["0x1.5a5d43d7ff655p-1", "0x1.9e97338707163p-10"]
+    assert threading.active_count() == threads   # the pool is closed on return
+
+
+def _column_on(size):
+    """Zeros of the wrong shape on blocks of `size` paths, of the right one
+    on every other block."""
+    return lambda x: np.zeros((len(x), 1) if len(x) == size else len(x))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_feynman_kac_error_of_one_block(workers, monkeypatch):
+    # only the fourth block, of 100 paths, fails: the serial loop's message
+    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    with pytest.raises(ParameterError, match=r"^V returned shape \(100, 1\) for points "
+                       r"of shape \(100, 1\); expected \(100,\)$"):
+        feynman_kac_semigroup(_column_on(100), _column_on(None), 0.05, 0.0,
+                              N=3 * 4096 + 100, seed=SEED, dt=0.01)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_feynman_kac_raises_the_first_failing_block(workers, monkeypatch):
+    # every full block fails in phi, after its last step; the last block
+    # fails in V at its first point, so it may fail first in time
+    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    with pytest.raises(ParameterError, match=r"^phi returned shape \(4096, 1\)"):
+        feynman_kac_semigroup(_column_on(17), _column_on(4096), 0.5, 0.0,
+                              N=2 * 4096 + 17, seed=SEED, dt=0.01)
 
 
 def test_feynman_kac_vs_matrix_exponential():

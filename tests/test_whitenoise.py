@@ -4,6 +4,7 @@ and the signature-aware inner product."""
 import numpy as np
 import pytest
 
+from fractoid import whitenoise
 from fractoid.errors import ParameterError, ResourceError
 from fractoid.stochastic import make_stream
 from fractoid.whitenoise import (
@@ -13,6 +14,7 @@ from fractoid.whitenoise import (
     lattice_inner_product,
     make_test_function,
     paley_wiener_integral,
+    paley_wiener_samples,
     sample_white_noise,
     signature_inner_product,
 )
@@ -133,6 +135,23 @@ def test_gaussian_isometry_orthonormal_family():
     gram = W.T @ W / n
     se = np.sqrt((1.0 + np.eye(4)) / n)
     assert np.max(np.abs(gram - np.eye(4)) / se) <= 3.0
+
+
+@pytest.mark.parametrize("per_block", [7, None], ids=["7-sample blocks", "default"])
+def test_paley_wiener_samples_sum_each_sample_alone(per_block, monkeypatch):
+    # a row sum over a block of lattices has the bits of np.sum over the
+    # one sample's lattice, whatever the block size
+    if per_block is not None:
+        monkeypatch.setattr(whitenoise, "BLOCK_VALUES", per_block * LAT.n_cells)
+    fns = [make_test_function("bump(0.0,0.4)")(LAT.mesh()),
+           make_stream(SEED, 9).normal(size=LAT.shape)]
+    n = 30
+    sigma = 1.0 / np.sqrt(LAT.cell_volume)
+    ref = np.empty((n, 2))
+    for i in range(n):
+        noise = make_stream(SEED + 4, i).normal(0.0, sigma, size=LAT.shape)
+        ref[i] = [np.sum(f * noise) * LAT.cell_volume for f in fns]
+    assert paley_wiener_samples(LAT, fns, n, SEED + 4).tobytes() == ref.tobytes()
 
 
 def test_refinement_consistency():
