@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
 from .meanderiv.estimators import LaggedSamples
-from .stochastic import PathEnsemble, path_blocks
+from .stochastic import PathEnsemble
 
 VARIATION_STEP = 1e-5
 RESIDUAL_FD_STEP = 1e-3
@@ -201,8 +201,8 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
 
     The integrand uses the per-bin forward mean derivative of the ensemble
     itself, with the estimator variance subtracted so the plug-in square is
-    unbiased, read through the bin index and summed per path one block of
-    paths at a time.  Returns (estimate, standard error over paths).
+    unbiased, read through each block's bin index and summed per path one
+    block of paths at a time.  Returns (estimate, standard error over paths).
     """
     samples = LaggedSamples(ensemble, config)
     fwd = samples.mean_derivative("forward")
@@ -214,8 +214,8 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
     known_of = np.isfinite(vals_of).all(axis=1)
     vals_of, se2_of = np.nan_to_num(vals_of), np.nan_to_num(ses_of) ** 2
     per_path, finite = np.empty(n), 0
-    for rows in path_blocks(n):
-        bins = samples.index[rows, near]
+    for rows, index in samples.blocks():
+        bins = index[:, near]
         gdiag = chart.diag(ensemble.paths[rows, near])
         norm2 = np.einsum("...i,...i,...i->...", vals_of[bins], gdiag, vals_of[bins])
         # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
@@ -223,7 +223,7 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
         integrand = np.where(known_of[bins], norm2 - corr, np.nan)
         per_path[rows] = np.nansum(integrand, axis=1) * ensemble.dt
         finite += int(np.count_nonzero(np.isfinite(integrand)))
-    frac = finite / samples.index[:, near].size
+    frac = finite / (n * (ensemble.n_steps + 1 - config.lag))
     if frac < 1.0:
         per_path = per_path / max(frac, 1e-12)   # renormalize for excluded bins
     est = float(np.mean(per_path))

@@ -5,13 +5,18 @@ average over all path samples whose position at time t falls in a
 rectangular (t, x) bin.  Bins below min_count report NaN ("empty"), never
 zero, so downstream finite differences cannot silently use them.
 
-Each ensemble is binned once.  :class:`LaggedSamples` holds the bin of
-every sample (:meth:`EstimatorConfig.bin_index`) in the smallest unsigned
-type that holds the bin count; samples outside the grid carry the overflow
-bin n_bins, which no estimate reads.  An increment x(t + lag dt) - x(t) is
-conditioned on its early end for the forward quotient and on its late end
-for the backward one, so both directions, the causal split and the
-quadratic variation read the same index.
+The bin of a sample (:meth:`EstimatorConfig.bin_index`) is held in the
+smallest unsigned type that holds the bin count; samples outside the grid
+carry the overflow bin n_bins, which no estimate reads.  An increment
+x(t + lag dt) - x(t) is conditioned on its early end for the forward
+quotient and on its late end for the backward one, so both directions, the
+causal split and the quadratic variation read the same block index.  No
+index is stored for the whole ensemble: :meth:`LaggedSamples.blocks` bins
+each block of paths as a walk reaches it.  Only that binning runs on the
+block pool (``stochastic.map_blocks``), a window of blocks ahead of the
+walk, into caller-allocated buffers; everything else runs on the calling
+thread in block order, so user fields and covariant transport are never
+called concurrently.
 
 Values are never held for the whole ensemble, by the estimators or by the
 covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
@@ -35,7 +40,14 @@ import numpy as np
 from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
-from ..stochastic import PathEnsemble, path_blocks
+from ..stochastic import PathEnsemble, integrator, map_blocks, path_blocks
+
+# samples per row chunk of bin_index; the chunk's int64 bin searches are
+# the only temporaries it allocates
+BIN_CHUNK = 1 << 16
+# blocks binned ahead of the one being summed (a window of 1 measured
+# slower); each of the window + 1 blocks in flight has its own index buffer
+BIN_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -136,20 +148,38 @@ class EstimatorConfig:
         return all(np.array_equal(a, b)
                    for a, b in zip(self.space_edges, other.space_edges))
 
-    def bin_index(self, times: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    def bin_index(self, times: np.ndarray, paths: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """(N, K+1) flattened bin of every sample of paths (N, K+1, dim)
         taken at times (K+1,), n_bins outside the grid, in the smallest
-        unsigned type that holds n_bins.  Bins are half-open [lo, hi); the
-        time bin is found once per step."""
+        unsigned type that holds n_bins; written into out when given.  Bins
+        are half-open [lo, hi); the time bin is found once per step.  The
+        index is built in its own type, in place, over row chunks of about
+        BIN_CHUNK samples, so it allocates nothing of the paths' size."""
+        n_bins = self.n_bins
+        if out is None:
+            out = np.empty(paths.shape[:2], np.min_scalar_type(n_bins))
         it = np.searchsorted(self.time_edges, times, side="right") - 1
-        ok = (it >= 0) & (it < self.n_time_bins)
-        idx = it.astype(np.int64)
-        for a, edges in enumerate(self.space_edges):
-            n = len(edges) - 1
-            ia = np.searchsorted(edges, paths[..., a], side="right") - 1
-            ok = ok & (ia >= 0) & (ia < n)
-            idx = idx * n + np.maximum(ia, 0)
-        return np.where(ok, idx, self.n_bins).astype(np.min_scalar_type(self.n_bins))
+        t_outside = (it < 0) | (it >= self.n_time_bins)
+        it = np.clip(it, 0, self.n_time_bins - 1)
+        step = max(1, BIN_CHUNK // len(times))
+        for lo in range(0, len(out), step):
+            idx, x = out[lo:lo + step], paths[lo:lo + step]
+            idx[...] = it
+            outside = np.repeat(t_outside[None], len(idx), axis=0)
+            for a, edges in enumerate(self.space_edges):
+                n = len(edges) - 1
+                ia = np.searchsorted(edges, x[..., a], side="right")
+                ia -= 1
+                # below the grid wraps to a huge unsigned value
+                outside |= ia.view(np.uint64) >= n
+                # clipped into the grid, idx stays below n_bins, so the
+                # in-place product cannot overflow idx's type
+                np.clip(ia, 0, n - 1, out=ia)
+                idx *= n
+                np.add(idx, ia, out=idx, casting="unsafe")
+            np.copyto(idx, n_bins, where=outside)
+        return out
 
 
 class _Binned:
@@ -215,30 +245,26 @@ def _minkowski_norm2(ensemble: PathEnsemble) -> Callable[[np.ndarray], np.ndarra
     return lambda inc: np.einsum("...i,i,...i->...", inc, eta, inc)
 
 
-# block(rows) -> (bins (B, M) per term, values (B, M, ...)) of the paths in rows
-Block = Callable[[slice], tuple[list[np.ndarray], np.ndarray]]
-
-
-def _accumulate(config: EstimatorConfig, block: Block,
+def _accumulate(config: EstimatorConfig, blocks,
                 points: list[np.ndarray]) -> list[BinnedField]:
     """Per-bin count, mean, standard error and conditioning mean, per term.
 
     Every term averages the same per-sample values.  points[j] (N, M, dim)
-    holds term j's conditioning points of N paths; block gives each term's
-    bins and the shared values of a slice of them, with the overflow bin
-    n_bins for samples a term does not take, so each block's values are
-    formed once for all terms.  One walk over :func:`path_blocks` sums counts
-    (exact integers), values, points and the squares of the values about a
-    per-bin shift, the bin's first sample in path-major order; the squared
-    deviations from the bin mean follow as s2 - n (mean - shift)^2.  np.add.at
-    adds samples in path-major order, as one bincount over the whole ensemble
-    would, so the result is bit-identical for every block size.
+    holds term j's conditioning points of N paths; blocks yields, for each
+    slice rows of :func:`path_blocks` in order, (rows, bins (B, M) per term,
+    values (B, M, ...)), with the overflow bin n_bins for samples a term
+    does not take, so each block's values are formed once for all terms.
+    One walk sums counts (exact integers), values, points and the squares
+    of the values about a per-bin shift, the bin's first sample in
+    path-major order; the squared deviations from the bin mean follow as
+    s2 - n (mean - shift)^2.  np.add.at adds samples in path-major order, as
+    one bincount over the whole ensemble would, so the result is
+    bit-identical for every block size and worker count.
     """
     n_bins = config.n_bins
-    n, _, dim = points[0].shape
+    dim = points[0].shape[2]
     count = None
-    for rows in path_blocks(n):
-        bins, vals = block(rows)
+    for rows, bins, vals in blocks:
         if count is None:
             # the value shape, from the first block; (term, value component,
             # bin), and count's unit axis broadcasts over values
@@ -300,14 +326,15 @@ def _require_populated(field: BinnedField) -> BinnedField:
 
 
 class LaggedSamples:
-    """One ensemble binned once under a config.
+    """One ensemble under a config's bins.
 
-    index[p, k] is the bin of sample (p, k), the overflow bin n_bins
-    outside the grid.  The increment x_p(t_k + lag dt) - x_p(t_k) has its
-    forward quotient conditioned on its early end (step k) and its backward
-    quotient on its late end (step k + lag).  Increments, quotients and
-    causal classes are formed per block of paths when an average asks for
-    them, and never for the whole ensemble.
+    The increment x_p(t_k + lag dt) - x_p(t_k) has its forward quotient
+    conditioned on its early end (step k) and its backward quotient on its
+    late end (step k + lag).  No bin index is stored: each walk bins the
+    blocks of paths as it reaches them (:meth:`blocks`), and only that
+    binning runs on the block pool.  Increments, quotients, causal classes
+    and the values an average asks for are formed per block of paths on
+    the calling thread, in block order, and never for the whole ensemble.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: EstimatorConfig):
@@ -320,9 +347,29 @@ class LaggedSamples:
         self.ensemble = ensemble
         self.config = config
         self.dtau = config.lag * ensemble.dt
-        self.index = np.empty(ensemble.paths.shape[:2], np.min_scalar_type(config.n_bins))
-        for rows in path_blocks(ensemble.n_paths):
-            self.index[rows] = config.bin_index(ensemble.times, ensemble.paths[rows])
+
+    def blocks(self):
+        """(rows, index) for each slice rows of :func:`path_blocks`, in
+        order: index[p, k] is the bin of sample (rows.start + p, k), the
+        overflow bin n_bins outside the grid.  The indexes are formed on the
+        block pool, BIN_WINDOW blocks ahead, in a ring of BIN_WINDOW + 1
+        block buffers, so a block's index holds until the next block is
+        asked for.
+        """
+        ens, config = self.ensemble, self.config
+        # full blocks whatever the ensemble size: rows no block reaches are
+        # never written, so they take address space but no memory (a ring
+        # cut to a small ensemble measured a higher peak RSS, from where the
+        # allocator then placed later arrays)
+        ring = np.empty((BIN_WINDOW + 1, integrator.BLOCK_PATHS, ens.n_steps + 1),
+                        np.min_scalar_type(config.n_bins))
+
+        def index(job):
+            j, rows = job
+            out = ring[j % len(ring), :rows.stop - rows.start]
+            return rows, config.bin_index(ens.times, ens.paths[rows], out=out)
+
+        return map_blocks(index, enumerate(path_blocks(ens.n_paths)), BIN_WINDOW)
 
     def ends(self, direction: str) -> tuple[slice, slice]:
         """Step slices of a direction's (conditioning, displaced) ends."""
@@ -356,18 +403,19 @@ class LaggedSamples:
         norm2_of = (_minkowski_norm2(self.ensemble)
                     if any(split != "off" for _, split in terms) else None)
 
-        def block(rows):
-            norm2 = None if norm2_of is None else norm2_of(self.increments(rows))
-            bins = []
-            for near, split in terms:
-                idx = self.index[rows, near]
-                if split != "off":
-                    keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
-                    idx = np.where(keep, idx, n_bins)
-                bins.append(idx)
-            return bins, values(rows)
+        def walk():
+            for rows, index in self.blocks():
+                norm2 = None if norm2_of is None else norm2_of(self.increments(rows))
+                bins = []
+                for near, split in terms:
+                    idx = index[:, near]
+                    if split != "off":
+                        keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
+                        idx = np.where(keep, idx, n_bins)
+                    bins.append(idx)
+                yield rows, bins, values(rows)
 
-        return _accumulate(self.config, block,
+        return _accumulate(self.config, walk(),
                            [self.ensemble.paths[:, near] for near, _ in terms])
 
     def mean_derivative(self, direction: str) -> BinnedField:

@@ -4,12 +4,10 @@ exp(-t S) for S = -(1/2) Lap + V on a flat chart (scalar potential only).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..errors import ParameterError, SimulationError
-from ..stochastic import make_stream
+from ..stochastic import integrator, make_stream
 from .wavefunctions import PotentialField
 
 # paths per block; block b draws from make_stream(seed, b), so this size is
@@ -20,13 +18,6 @@ BLOCK_SIZE = 4096
 # gives the GIL-free fill more to do per call and each worker more memory
 # to hold: 16 steps of a 1-d block are 512 KiB
 STEP_RUN = 16
-
-
-def worker_count() -> int:
-    """Threads of the block pool: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _values(f, name: str, pos: np.ndarray) -> np.ndarray:
@@ -70,17 +61,15 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     shape is a ParameterError.  The time integral uses the trapezoid rule
     along each Brownian path; paths are drawn in blocks of BLOCK_SIZE with
     one counter stream per block, so the result depends only on the seed.
-    The blocks run on a pool of worker_count() threads, so V and phi are
-    called concurrently on different blocks and must not mutate shared
-    state; the weights are reduced in block order, so the result does not
-    depend on the worker count, and the first failing block in that order
-    raises its error.  Returns (estimate, standard error).  The variance
+    The blocks run on the block pool, stochastic.integrator.map_blocks,
+    with one thread per CPU the process may use, so V and phi are called
+    concurrently on different blocks and must not mutate shared state; the
+    weights are reduced in block order, so the result does not depend on
+    the worker count, and the first failing block in that order raises its
+    error.  Returns (estimate, standard error).  The variance
     sums squares about a fixed shift, the first weight drawn, in one pass
     over the blocks, which keeps the spread when the mean dwarfs it.
     """
-    # here, not at module level: the import loads logging (~11 ms)
-    from concurrent.futures import ThreadPoolExecutor
-
     if t <= 0 or dt <= 0:
         raise ParameterError("t and dt must be positive")
     if N < 2:
@@ -93,12 +82,12 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
                               min(BLOCK_SIZE, N - lo))
 
     sums, s2 = [], 0.0
-    with ThreadPoolExecutor(worker_count()) as pool:
-        for w in pool.map(weights, range(0, N, BLOCK_SIZE)):
-            if not sums:
-                shift = float(w[0])
-            sums.append(np.sum(w))
-            s2 += float(np.sum((w - shift) ** 2))
+    for w in integrator.map_blocks(weights, range(0, N, BLOCK_SIZE),
+                                   integrator.worker_count()):
+        if not sums:
+            shift = float(w[0])
+        sums.append(np.sum(w))
+        s2 += float(np.sum((w - shift) ** 2))
     mean = float(np.sum(sums)) / N
     var = max(s2 - N * (mean - shift) ** 2, 0.0) / (N - 1)
     return mean, float(np.sqrt(var / N))

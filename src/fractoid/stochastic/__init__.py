@@ -2,7 +2,7 @@
 
 from .ensemble import PathEnsemble
 from .fractal import FractalScalingReport, fractal_scaling
-from .integrator import path_blocks
+from .integrator import map_blocks, path_blocks
 from .manifold import (
     FrameBundleEnsemble,
     FrameState,
@@ -37,6 +37,7 @@ __all__ = [
     "generator_apply",
     "gram_schmidt",
     "make_stream",
+    "map_blocks",
     "orthonormal_frame",
     "parallel_transport",
     "path_blocks",

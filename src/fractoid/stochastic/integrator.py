@@ -13,9 +13,17 @@ only on the seed and the path index.  The block's increments come from one
 generator re-keyed per path (rng.stream_normals); a path's first boundary
 retry rebuilds its stream on demand, skips the K rows already drawn and
 keeps the stream for the path's later retries in the block.
+
+Work that needs no other block, such as a block's Feynman-Kac weights or
+its bin index, runs on one ordered thread pool, :func:`map_blocks`.  The
+integrator itself stays serial: its per-path draws hold the GIL.
 """
 
 from __future__ import annotations
+
+import os
+from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -32,6 +40,39 @@ def path_blocks(n_paths: int):
     paths."""
     for lo in range(0, n_paths, BLOCK_PATHS):
         yield slice(lo, min(lo + BLOCK_PATHS, n_paths))
+
+
+def worker_count() -> int:
+    """Threads of the block pool: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, items, window: int):
+    """Yield fn(item) for each item, in item order, with fn running on a
+    pool of min(window, worker_count()) threads.
+
+    At most window items are submitted ahead of the one the caller holds, so
+    a caller may hand fn window + 1 buffers in turn and reuse one as soon as
+    it asks for the next result.  The first item in order whose fn raises
+    raises its error here, and the items not yet started are cancelled.
+    The pool shuts down when the walk ends, fails or is closed.
+    """
+    # here, not at module level: the import loads logging (~11 ms)
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    pool = ThreadPoolExecutor(min(window, worker_count()))
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, window + 1))
+        while pending:
+            result = pending.popleft().result()
+            yield result
+            # the caller is done with result: one more item may start
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:

@@ -120,8 +120,10 @@ def sample_white_noise(lattice: SpaceTimeLattice, seed: int) -> WhiteNoiseSample
 
 
 def _on_lattice(lattice: SpaceTimeLattice, w) -> np.ndarray:
+    """w as a float array of the lattice's shape: the array itself, or a
+    callable's values on lattice.mesh(); another shape is a ParameterError."""
     if callable(w):
-        return np.asarray(w(lattice.mesh()), dtype=float)
+        w = w(lattice.mesh())
     w = np.asarray(w, dtype=float)
     if w.shape != lattice.shape:
         raise ParameterError(f"test function shape {w.shape} does not match "

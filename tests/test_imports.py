@@ -1,7 +1,7 @@
 """Importing fractoid loads no scipy: only the feynman-kac suite's oracle and
 the wavefunction drift interpolation import it, on first use.  Nor does it
-load concurrent.futures, which brings logging with it: the Feynman-Kac
-block pool imports it on its first call."""
+load concurrent.futures, which brings logging with it: the block pool
+imports it on its first call."""
 
 import json
 import os

@@ -2,6 +2,7 @@
 derivatives and the quadratic-variation law, against analytic laws."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from fractoid.meanderiv import (
     velocity_fields,
     write_field_csv,
 )
-from fractoid.meanderiv.estimators import LaggedSamples
+from fractoid.meanderiv.estimators import BIN_CHUNK, LaggedSamples
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -191,6 +192,53 @@ def test_standard_error_of_equal_samples_is_zero():
     assert np.all(np.isfinite(out.se[m])) and np.all(out.se[m] >= 0.0)
 
 
+def _bin_index_reference(config, times, paths):
+    """bin_index as one whole-array formula: int64 searches, the overflow
+    bin by np.where, one cast at the end."""
+    it = np.searchsorted(config.time_edges, times, side="right") - 1
+    ok = (it >= 0) & (it < config.n_time_bins)
+    idx = it.astype(np.int64)
+    for a, edges in enumerate(config.space_edges):
+        n = len(edges) - 1
+        ia = np.searchsorted(edges, paths[..., a], side="right") - 1
+        ok = ok & (ia >= 0) & (ia < n)
+        idx = idx * n + np.maximum(ia, 0)
+    return np.where(ok, idx, config.n_bins).astype(np.min_scalar_type(config.n_bins))
+
+
+@pytest.mark.parametrize("n_paths", [3, 2000], ids=["one chunk", "two chunks"])
+@pytest.mark.parametrize("n_t, n_x", [(1, (255,)), (1, (256,)), (5, (3, 17)), (4, (8, 8)),
+                                      (1, (5, 3, 17)), (4, (4, 4, 4))],
+                         ids=["1d-255", "1d-256", "2d-255", "2d-256", "3d-255", "3d-256"])
+def test_bin_index_matches_the_int64_formula(n_t, n_x, n_paths):
+    # 255 bins fit uint8 with the overflow bin, 256 need uint16; 41 steps of
+    # 2000 paths span more than one row chunk, the last one partial
+    assert 3 * 41 < BIN_CHUNK < 2000 * 41
+    dim = len(n_x)
+    cfg = EstimatorConfig.regular((0.0, 1.0), n_t, (-1.0, 1.0), list(n_x), dim=dim)
+    rng = np.random.default_rng(SEED)
+    # times on every time edge and outside the time grid
+    times = np.concatenate([[-0.5, 1.5], cfg.time_edges])
+    times = np.concatenate([times, rng.uniform(-0.2, 1.2, 41 - len(times))])
+    paths = rng.uniform(-1.3, 1.3, (n_paths, 41, dim))
+    samples = paths.reshape(-1, dim)
+    for a, edges in enumerate(cfg.space_edges):
+        # samples on every edge of the axis, NaN and +-inf, where they fit
+        special = np.concatenate([edges, [np.nan, np.inf, -np.inf]])
+        where = rng.permutation(len(samples))[:len(special)]
+        samples[where, a] = special[:len(where)]
+    ref = _bin_index_reference(cfg, times, paths)
+    assert ref.dtype == (np.uint8 if cfg.n_bins == 255 else np.uint16)
+    got = cfg.bin_index(times, paths)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    # into one buffer of a ring, leaving the rest of the ring alone
+    ring = np.full((2, n_paths + 1, 41), 7, ref.dtype)
+    out = ring[1, 1:]
+    assert cfg.bin_index(times, paths, out=out) is out
+    assert np.array_equal(out, ref)
+    assert np.all(ring[0] == 7) and np.all(ring[1, 0] == 7)
+
+
 def test_average_forms_each_block_of_values_once(monkeypatch):
     monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-0.6, 0.6), 4, min_count=2)
@@ -204,6 +252,24 @@ def test_average_forms_each_block_of_values_once(monkeypatch):
     samples.average("forward", values)
     blocks = [(rows.start, rows.stop) for rows in path_blocks(30)]
     assert len(blocks) == 5 and asked == blocks
+
+
+def test_values_error_shuts_the_block_pool_down(monkeypatch):
+    # the third block's values fail on the calling thread while the pool
+    # bins the blocks after it
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+    cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-0.6, 0.6), 4, min_count=2)
+    samples = LaggedSamples(_walk_ensemble(30), cfg)
+    threads = threading.active_count()
+
+    def values(rows):
+        if rows.start == 14:
+            raise ParameterError("block 3")
+        return samples.quotients(rows)
+
+    with pytest.raises(ParameterError, match="^block 3$"):
+        samples.average("forward", values)
+    assert threading.active_count() == threads
 
 
 def test_covariant_warning_names_the_evaluation_points(ou_ensemble):
@@ -254,8 +320,8 @@ PEAK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PEAK_CASES))
 def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
-    # the estimator and its consumers walk the paths in blocks, so besides
-    # the one-byte bin index they hold no ensemble-sized array
+    # the estimator and its consumers walk the paths in blocks and bin each
+    # block as they reach it, so they hold no ensemble-sized array
     name, run = PEAK_CASES[case]
     ens, cfg = large_ensembles[name]
     tracemalloc.start()

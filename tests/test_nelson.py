@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import fractoid.nelson.feynman_kac as fk
 from fractoid.errors import ConfigError, ParameterError, ResolutionError
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import EstimatorConfig, estimate_velocity_fields
@@ -26,6 +25,7 @@ from fractoid.nelson import (
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
+    integrator,
     make_stream,
     simulate_ito,
     simulate_manifold_diffusion,
@@ -250,7 +250,7 @@ def test_feynman_kac_rejects_values_not_one_per_point(V, phi, bad):
 def test_feynman_kac_bits_independent_of_worker_count(workers, monkeypatch):
     # six blocks, the last of 17 paths, and 20 steps in runs of 16 and 4;
     # the bits were recorded from the serial block loop
-    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    monkeypatch.setattr(integrator, "worker_count", lambda: workers)
     threads = threading.active_count()
     est = feynman_kac_semigroup(lambda x: 0.5 * np.sum(x**2, axis=-1),
                                 lambda x: np.exp(-np.sum(x**2, axis=-1)),
@@ -268,7 +268,7 @@ def _column_on(size):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_feynman_kac_error_of_one_block(workers, monkeypatch):
     # only the fourth block, of 100 paths, fails: the serial loop's message
-    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    monkeypatch.setattr(integrator, "worker_count", lambda: workers)
     with pytest.raises(ParameterError, match=r"^V returned shape \(100, 1\) for points "
                        r"of shape \(100, 1\); expected \(100,\)$"):
         feynman_kac_semigroup(_column_on(100), _column_on(None), 0.05, 0.0,
@@ -279,7 +279,7 @@ def test_feynman_kac_error_of_one_block(workers, monkeypatch):
 def test_feynman_kac_raises_the_first_failing_block(workers, monkeypatch):
     # every full block fails in phi, after its last step; the last block
     # fails in V at its first point, so it may fail first in time
-    monkeypatch.setattr(fk, "worker_count", lambda: workers)
+    monkeypatch.setattr(integrator, "worker_count", lambda: workers)
     with pytest.raises(ParameterError, match=r"^phi returned shape \(4096, 1\)"):
         feynman_kac_semigroup(_column_on(17), _column_on(4096), 0.5, 0.0,
                               N=2 * 4096 + 17, seed=SEED, dt=0.01)

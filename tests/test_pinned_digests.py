@@ -431,10 +431,18 @@ def test_pinned_digest(name):
     assert digest(CASES[name]()) == DIGESTS[name]
 
 
+def _estimator_digests_at_every_worker_count(name, monkeypatch):
+    # the block pool bins blocks ahead on up to 2 threads; the sums stay in
+    # block order, so no bit depends on the worker count
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(integrator, "worker_count", lambda: workers)
+        bins, se = ESTIMATOR_CASES[name]()
+        assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name], f"{workers} workers"
+
+
 @pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
-def test_pinned_estimator_digest(name):
-    bins, se = ESTIMATOR_CASES[name]()
-    assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
+def test_pinned_estimator_digest(name, monkeypatch):
+    _estimator_digests_at_every_worker_count(name, monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
@@ -442,8 +450,7 @@ def test_estimator_digest_independent_of_block_size(name, monkeypatch):
     # the pinned ensembles hold at most 3000 paths, one block at the default
     # size; 7-path blocks make every sum cross hundreds of block boundaries
     monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
-    bins, se = ESTIMATOR_CASES[name]()
-    assert (digest(bins), digest(se)) == ESTIMATOR_DIGESTS[name]
+    _estimator_digests_at_every_worker_count(name, monkeypatch)
 
 
 @pytest.mark.parametrize("case", range(5),

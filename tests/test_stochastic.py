@@ -1,5 +1,9 @@
 """RNG contracts, Ito/Stratonovich integration, semimartingale split,
-fractal diagnostics, and ensemble persistence."""
+fractal diagnostics, ensemble persistence and the ordered block pool."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from fractoid.stochastic import (
     frame_bundle_simulate,
     integrator,
     make_stream,
+    map_blocks,
     orthonormal_frame,
     simulate_ito,
     simulate_manifold_diffusion,
@@ -134,6 +139,111 @@ def test_simulators_independent_of_block_size(name, monkeypatch):
     assert set(rebuilt) <= {(int, int)}
     if name == "sphere near pole":
         assert retries_default > 0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("window", [1, 2, 4])
+def test_map_blocks_yields_in_item_order_within_the_window(window, workers, monkeypatch):
+    monkeypatch.setattr(integrator, "worker_count", lambda: workers)
+    delays = make_stream(SEED, window).uniform(0.0, 0.004, (2, 40))
+    lock = threading.Lock()
+    # waited counts the results received: the index of the item the caller
+    # holds or waits for
+    waited, ahead = 0, []
+
+    def fn(i):
+        with lock:
+            ahead.append(i - waited)
+        time.sleep(delays[0, i])
+        return i
+
+    threads = threading.active_count()
+    out = []
+    for i in map_blocks(fn, range(40), window):
+        with lock:
+            waited += 1
+        out.append(i)
+        time.sleep(delays[1, i])
+    assert out == list(range(40))
+    assert 0 <= min(ahead) and max(ahead) <= window
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_raises_the_first_failing_item(workers, monkeypatch):
+    # item 4 fails at once, item 3 later: item 3 is first in item order
+    monkeypatch.setattr(integrator, "worker_count", lambda: workers)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 3:
+            time.sleep(0.05)
+        if i in (3, 4):
+            raise ValueError(f"item {i}")
+        return i
+
+    threads = threading.active_count()
+    out = []
+    with pytest.raises(ValueError, match="^item 3$"):
+        for i in map_blocks(fn, range(100), 3):
+            out.append(i)
+    assert out == [0, 1, 2]
+    assert max(started) <= 3 + 3   # nothing past the window was submitted
+    assert threading.active_count() == threads
+
+
+def test_map_blocks_cancels_the_items_behind_a_failure(monkeypatch):
+    # one worker: items 1-4 wait in the queue while item 0 runs and fails;
+    # the worker may take item 1 before the failure is seen, no later one
+    monkeypatch.setattr(integrator, "worker_count", lambda: 1)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        time.sleep(0.05 if i == 0 else 0.2)
+        if i == 0:
+            raise ValueError("item 0")
+        return i
+
+    with pytest.raises(ValueError, match="^item 0$"):
+        list(map_blocks(fn, range(10), 4))
+    assert started in ([0], [0, 1])
+
+
+def test_map_blocks_never_overwrites_the_buffer_the_caller_holds(monkeypatch):
+    # window + 1 buffers used in turn, six threads on fewer CPUs and a short
+    # switch interval: a buffer rewritten while the caller reads it would
+    # show the later item's number
+    monkeypatch.setattr(integrator, "worker_count", lambda: 8)
+    window = 6
+    ring = np.full((window + 1, 256), -1)
+
+    def fn(i):
+        ring[i % len(ring)] = i
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in map_blocks(fn, range(2000), window):
+            held = ring[i % len(ring)]
+            assert np.all(held == i)
+            time.sleep(0)
+            assert np.all(held == i)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 50])
+def test_map_blocks_leaves_no_thread_behind(n_items):
+    threads = threading.active_count()
+    assert list(map_blocks(lambda i: i * i, range(n_items), 2)) == [i * i for i in range(n_items)]
+    assert threading.active_count() == threads
+    walk = map_blocks(lambda i: i, range(n_items), 2)
+    assert next(walk, None) == (0 if n_items else None)
+    walk.close()   # the caller abandons the walk
+    assert threading.active_count() == threads
 
 
 def test_ito_deterministic_drift():

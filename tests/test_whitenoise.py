@@ -118,6 +118,18 @@ def test_covariance_needs_enough_samples():
         covariance_check(LAT, np.ones(LAT.shape), np.ones(LAT.shape), 10, seed=1)
 
 
+def test_test_function_values_of_the_wrong_shape_are_rejected():
+    # the callable's (4, 4, 4, 1) values broadcast against g's (4, 4, 4) to a
+    # (4, 4, 4, 4) product, which summed to 3.107 in place of 0.874
+    f = lambda m: np.exp(-np.sum(m**2, axis=-1, keepdims=True))
+    g = np.exp(-np.sum(LAT.mesh() ** 2, axis=-1))
+    match = r"^test function shape \(4, 4, 4, 1\) does not match lattice \(4, 4, 4\)$"
+    with pytest.raises(ParameterError, match=match):
+        lattice_inner_product(LAT, f, g)
+    with pytest.raises(ParameterError, match=match):
+        paley_wiener_samples(LAT, [f], 10, SEED)
+
+
 def test_gaussian_isometry_orthonormal_family():
     mesh = LAT.mesh()
     fams = [np.ones(LAT.shape), np.sin(2 * np.pi * mesh[..., 0]),
