@@ -207,9 +207,9 @@ def cmd_report(args) -> int:
     columns = [[r[j] for r in rows] for j in range(6)]
     merged, plot = out / "merged.csv", out / "plot.csv"
     write_table(merged, ["suite", "check", "value", "target", "tolerance", "status"],
-                columns)
+                [columns])
     write_table(plot, ["x", "value", "tolerance"],
-                [[f"{r[0]}/{r[1]}" for r in rows], columns[2], columns[4]])
+                [[[f"{r[0]}/{r[1]}" for r in rows], columns[2], columns[4]]])
     print(f"wrote {merged} and {plot} ({len(rows)} checks)")
     return EXIT_OK
 

@@ -538,7 +538,7 @@ def write_field_csv(field: MeanDerivativeField, path) -> None:
                       ("w2", field.osmotic), ("se", field.velocity_se)):
         header += [f"{name}_{i}" for i in range(dim)]
         columns += list(arr.reshape(-1, dim).T)
-    write_table(path, header, columns)
+    write_table(path, header, [columns])
     write_manifest(manifest_for(path), {
         "time_edges": cfg.time_edges.tolist(),
         "space_edges": [e.tolist() for e in cfg.space_edges],

@@ -71,7 +71,7 @@ class WaveFunctionGrid:
         dim = self.dimension
         vals = self.values.reshape(-1)
         write_table(path, [f"x{i}" for i in range(dim)] + ["re", "im"],
-                    [*self.mesh().reshape(-1, dim).T, vals.real, vals.imag])
+                    [[*self.mesh().reshape(-1, dim).T, vals.real, vals.imag]])
         write_manifest(manifest_for(path),
                        {"hbar": self.hbar, "mass": self.mass,
                         "grid": [[float(a[0]), float(a[-1]), len(a)] for a in self.axes]})
@@ -83,7 +83,7 @@ class WaveFunctionGrid:
         manifest = read_manifest(manifest_for(path),
                                  {"hbar": NUMBER, "mass": NUMBER, "grid": list})
         axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
-        raw = read_table(path, len(axes) + 2)
+        raw = np.concatenate(list(read_table(path, len(axes) + 2)))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         steps = np.array([(a[-1] - a[0]) / max(len(a) - 1, 1) for a in axes])
         if len(raw) != len(mesh) or np.any(np.abs(raw[:, :-2] - mesh)

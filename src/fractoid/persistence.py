@@ -1,17 +1,23 @@
-"""The on-disk formats: CSV tables and the JSON manifests beside data files.
+"""The on-disk formats: CSV tables, .npz archives and the JSON manifests
+beside data files.
 
 A table is a header line, then one line per row formatted by one format
 string: ``%d`` for integer columns, ``%.17g`` (exact for float64) for float
-columns and ``%s`` for the rest.  The manifest of ``x.csv`` or ``x.bin`` is
-``x.manifest.json``, in canonical JSON (sorted keys, indent 2, trailing
-newline).  A reader states the type of every manifest key it uses; the
-readers raise ParameterError naming a file that does not hold what they
+columns and ``%s`` for the rest.  Tables stream: ``write_table`` takes the
+rows as a sequence of column blocks and formats at most ROW_CHUNK rows per
+write call, and ``read_table`` yields float blocks of at most ROW_CHUNK
+rows from one open file, so neither holds a whole table.  An .npz archive
+is read by ``read_arrays``, without pickles.  The manifest of ``x.csv`` or
+``x.bin`` is ``x.manifest.json``, in canonical JSON (sorted keys, indent 2,
+trailing newline).  A reader states the type of every manifest key it uses;
+the readers raise ParameterError naming a file that does not hold what they
 expect, and the key when one is missing or of the wrong type.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from itertools import chain
 from pathlib import Path
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-ROW_CHUNK = 8192   # table rows formatted per write call
+ROW_CHUNK = 8192   # table rows per write call and per block read
 _FORMATS = {"i": "%d", "f": "%.17g"}
 
 NUMBER = (int, float)
@@ -61,16 +67,18 @@ def read_manifest(path, schema: dict) -> dict:
     return check_fields(manifest, schema, path)
 
 
-def write_table(path, header, columns) -> None:
-    """A header line, then row i from the i-th entry of every column (equal
-    length arrays or lists), ROW_CHUNK rows per write call."""
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+def write_table(path, header, blocks) -> None:
+    """A header line, then the rows of each block in turn.  A block is a list
+    of equal-length columns (arrays or lists), and its row i takes the i-th
+    entry of every column; at most ROW_CHUNK rows go to one write call."""
     with open(path, "w", encoding="utf8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), ROW_CHUNK):
-            part = [c[i:i + ROW_CHUNK].tolist() for c in columns]
-            fh.write(row * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
+        for columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            row = ",".join(_FORMATS.get(c.dtype.kind, "%s") for c in columns) + "\n"
+            for i in range(0, len(columns[0]), ROW_CHUNK):
+                part = [c[i:i + ROW_CHUNK].tolist() for c in columns]
+                fh.write(row * len(part[0]) % tuple(chain.from_iterable(zip(*part))))
 
 
 def float_text(values) -> np.ndarray:
@@ -82,16 +90,38 @@ def float_text(values) -> np.ndarray:
                     dtype=object)
 
 
-def read_table(path, n_cols=None) -> np.ndarray:
-    """The rows of a numeric table as a non-empty (rows, n_cols) float array;
-    n_cols defaults to the number of header names."""
-    with open(path, encoding="utf8") as fh:
-        n_cols = n_cols or fh.readline().count(",") + 1
+def read_table(path, n_cols=None):
+    """The rows of a numeric table, in file order, as float arrays of at most
+    ROW_CHUNK rows, read from one open file; n_cols defaults to the number of
+    header names.  A table without rows, a row of another width or a field
+    that is not a number raises ParameterError."""
+    rows = 0
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        n_cols = n_cols or header.count(b",") + 1
+        while fh.peek(1):
+            try:
+                block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=ROW_CHUNK)
+            except ValueError as exc:
+                raise ParameterError(f"{path}: {exc} (in the block from row "
+                                     f"{rows})") from exc
+            if block.shape[0] == 0:         # only blank or comment lines were left
+                break
+            if block.shape[1] != n_cols:
+                raise ParameterError(f"{path} must hold rows of {n_cols} numbers, found "
+                                     f"{block.shape[1]} in the block from row {rows}")
+            rows += len(block)
+            yield block
+    if not rows:
+        raise ParameterError(f"{path} must hold rows of {n_cols} numbers, found none")
+
+
+def read_arrays(path, names) -> dict:
+    """The named arrays of the .npz archive at path, loaded without pickles."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ParameterError(f"{path}: {exc}") from exc
-    if rows.shape[0] == 0 or rows.shape[1] != n_cols:
-        raise ParameterError(f"{path} must hold rows of {n_cols} numbers, found "
-                             f"{rows.shape[0]} rows of {rows.shape[1]}")
-    return rows
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in names}
+    except KeyError as exc:
+        raise ParameterError(f"{path} holds no array {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParameterError(f"{path} is not a readable .npz archive: {exc}") from exc

@@ -1,26 +1,43 @@
 """PathEnsemble: N discretized sample paths on a uniform time grid.
 
 Persistence goes through :mod:`fractoid.persistence`: a CSV table
-``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step), plus a JSON
-manifest holding chart, seed, dt, T, N and the meta entries.  The reader
-rejects a manifest without chart, seed or N, a path count other than N, a
-missing or repeated (path, step) row, and a row whose t differs from path
-0's at the same step.  ``write_npz``/``read_npz`` keep a binary column
-format that round-trips bit-exactly.
+``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step) in path-major
+order, plus a JSON manifest holding chart, seed, dt, T, N and the meta
+entries.  Both sides stream the table in blocks of about ROW_CHUNK rows
+(the writer's hold whole paths), so neither holds more of it than one block
+beside the paths.  The reader rejects a manifest without chart, seed or N or
+with N < 1, a row out of path-major order (missing, repeated, swapped or
+with a non-integer id), a row whose t differs from path 0's at the same
+step, and a path count other than N, naming the row.
+``write_npz``/``read_npz`` keep a binary column format that round-trips
+bit-exactly; its reader rejects what it cannot load as by ``read_arrays``,
+a ``meta`` that is not a JSON object and a ``seed`` that is not one integer.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ..errors import ParameterError
-from ..persistence import (float_text, manifest_for, read_manifest, read_table,
-                           write_manifest, write_table)
+from ..persistence import (ROW_CHUNK, float_text, manifest_for, read_arrays,
+                           read_manifest, read_table, write_manifest, write_table)
 
 GRID_UNIFORMITY_TOL = 1e-12
+
+
+def _check_grid(times, name) -> None:
+    """A time grid must be finite, strictly increasing and uniform within
+    GRID_UNIFORMITY_TOL; name leads the error message."""
+    if not np.all(np.isfinite(times)):          # NaN passes the comparisons below
+        raise ParameterError(f"{name} contains non-finite times")
+    diffs = np.diff(times)
+    if len(diffs) and (np.any(diffs <= 0)
+                       or np.max(np.abs(diffs - diffs[0])) > GRID_UNIFORMITY_TOL):
+        raise ParameterError(f"{name} must be strictly increasing and uniform")
 
 
 @dataclass
@@ -38,14 +55,9 @@ class PathEnsemble:
             raise ParameterError("paths must have shape (N, K+1, dim)")
         if self.times.shape != (self.paths.shape[1],):
             raise ParameterError("times length must match the path grid")
-        if not np.all(np.isfinite(self.times)):     # NaN passes the grid checks
-            raise ParameterError("time grid contains non-finite times")
+        _check_grid(self.times, "time grid")
         if not np.all(np.isfinite(self.paths)):
             raise ParameterError("paths contain non-finite coordinates")
-        diffs = np.diff(self.times)
-        if len(diffs) and (np.any(diffs <= 0)
-                           or np.max(np.abs(diffs - diffs[0])) > GRID_UNIFORMITY_TOL):
-            raise ParameterError("time grid must be strictly increasing and uniform")
 
     @property
     def n_paths(self) -> int:
@@ -92,48 +104,72 @@ class PathEnsemble:
 
     def write_csv(self, path) -> None:
         n, k1, dim = self.paths.shape
+        per = max(1, ROW_CHUNK // k1)           # whole paths per block
+        t_text = float_text(self.times)
+
+        def blocks():
+            for p in range(0, n, per):
+                m = min(per, n - p)
+                yield [np.repeat(np.arange(p, p + m), k1), np.tile(np.arange(k1), m),
+                       np.tile(t_text, m), *self.paths[p:p + m].reshape(-1, dim).T]
+
         write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
-                    [np.repeat(np.arange(n), k1), np.tile(np.arange(k1), n),
-                     np.tile(float_text(self.times), n),
-                     *self.paths.reshape(-1, dim).T])
+                    blocks())
         write_manifest(manifest_for(path), self.manifest())
 
     @classmethod
     def read_csv(cls, path) -> "PathEnsemble":
+        """The ensemble of a CSV table written by write_csv.  Row r must hold
+        (path r // (K+1), step r % (K+1)); path 0's rows give K+1 and the
+        time grid, and every other row must repeat path 0's t at its step."""
         manifest = read_manifest(manifest_for(path),
                                  {"chart": str, "seed": int, "N": int})
-        raw = read_table(path)
-        if raw.shape[1] < 4:
+        n = manifest["N"]
+        if n < 1:
+            raise ParameterError(f"{manifest_for(path)}: key 'N' must be at least 1, "
+                                 f"found {n}")
+        blocks = read_table(path)
+        head = []                               # path 0's rows and the block that ends them
+        for block in blocks:
+            head.append(block)
+            if np.any(block[:, 0] != 0):
+                break
+        head = np.concatenate(head)
+        if head.shape[1] < 4:
             raise ParameterError(f"{path} holds no path coordinates")
-        pid, step = raw[:, :2].astype(int).T
-        if pid.min() < 0 or step.min() < 0:
-            raise ParameterError(f"{path} has a negative path_id or step")
-        n, k1 = pid.max() + 1, step.max() + 1
-        if n != manifest["N"]:
-            raise ParameterError(f"{path} holds {n} paths, its manifest says "
-                                 f"{manifest['N']}")
-        # every (path, step) row exactly once, or np.empty leaks into the paths
-        seen = np.bincount(pid * k1 + step, minlength=n * k1)
-        if np.any(seen != 1):
-            bad = int(np.flatnonzero(seen != 1)[0])
-            raise ParameterError(f"{path}: row (path {bad // k1}, step {bad % k1}) "
-                                 f"appears {seen[bad]} times, expected once")
-        dim = raw.shape[1] - 3
-        times = np.empty(k1)
-        times[step[pid == 0]] = raw[pid == 0, 2]
-        off = np.flatnonzero(raw[:, 2] != times[step])
-        paths = np.empty((n, k1, dim))
-        paths[pid, step, :] = raw[:, 3:]
+        later = np.flatnonzero(head[:, 0] != 0)
+        # at least 1, so a first row of another path fails the row check below
+        k1 = max(int(later[0]) if later.size else len(head), 1)
+        times, total = head[:k1, 2].copy(), n * k1
+        paths = np.empty((total, head.shape[1] - 3))
+        r = 0
+        for block in chain([head[:k1], head[k1:]], blocks):
+            pid, step = np.divmod(np.arange(r, r + len(block)), k1)
+            bad = np.flatnonzero((block[:, 0] != pid) | (block[:, 1] != step))
+            if bad.size:
+                i = bad[0]
+                raise ParameterError(f"{path}: row {r + i} holds (path {block[i, 0]:.17g}, "
+                                     f"step {block[i, 1]:.17g}), expected "
+                                     f"(path {pid[i]}, step {step[i]})")
+            if r + len(block) > total:
+                raise ParameterError(f"{path}: row {total} begins path {n}, but its "
+                                     f"manifest says N = {n}")
+            if r == 0:                          # path 0's rows, which set the grid
+                _check_grid(times, f"{path}: the time grid of path 0")
+            off = np.flatnonzero(block[:, 2] != times[step])
+            if off.size:
+                i = off[0]
+                raise ParameterError(f"{path}: path {pid[i]} has t = {block[i, 2]} at step "
+                                     f"{step[i]}, path 0 has t = {times[step[i]]}")
+            paths[r:r + len(block)] = block[:, 3:]
+            r += len(block)
+        if r < total:
+            raise ParameterError(f"{path} ends at row {r}, but its manifest's N = {n} "
+                                 f"paths of {k1} rows need {total}")
         known = {"chart", "seed", "dt", "T", "N"}
         meta = {k: v for k, v in manifest.items() if k not in known}
-        # built before a foreign t is reported: it rejects a non-finite t of path 0
-        ensemble = cls(times, paths, seed=int(manifest["seed"]),
-                       chart_name=manifest["chart"], meta=meta)
-        if off.size:
-            i = off[0]
-            raise ParameterError(f"{path}: path {pid[i]} has t = {raw[i, 2]} at step "
-                                 f"{step[i]}, path 0 has t = {times[step[i]]}")
-        return ensemble
+        return cls(times, paths.reshape(n, k1, -1), seed=int(manifest["seed"]),
+                   chart_name=manifest["chart"], meta=meta)
 
     def write_npz(self, path) -> None:
         np.savez(path, times=self.times, paths=self.paths,
@@ -143,7 +179,17 @@ class PathEnsemble:
 
     @classmethod
     def read_npz(cls, path) -> "PathEnsemble":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(data["times"], data["paths"], seed=int(data["seed"]),
-                       chart_name=str(data["chart"]),
-                       meta=json.loads(str(data["meta"])))
+        data = read_arrays(path, ("times", "paths", "seed", "chart", "meta"))
+        try:
+            meta = json.loads(str(data["meta"]))
+        except ValueError as exc:
+            raise ParameterError(f"{path}: meta is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ParameterError(f"{path}: meta must hold a JSON object, found "
+                                 f"{type(meta).__name__}")
+        seed = data["seed"]
+        if seed.shape != () or seed.dtype.kind not in "iu":
+            raise ParameterError(f"{path}: seed must be one integer, found "
+                                 f"{seed.dtype} of shape {seed.shape}")
+        return cls(data["times"], data["paths"], seed=int(seed),
+                   chart_name=str(data["chart"]), meta=meta)

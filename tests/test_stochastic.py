@@ -1,13 +1,17 @@
 """RNG contracts, Ito/Stratonovich integration, semimartingale split,
 fractal diagnostics, ensemble persistence and the ordered block pool."""
 
+import json
+import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fractoid import persistence
 from fractoid.errors import ParameterError, SimulationError
 from fractoid.geometry import MetricChart, get_chart
 from fractoid.stochastic import (
@@ -27,6 +31,7 @@ from fractoid.stochastic import (
     stream_normals,
     wiener_increments,
 )
+from fractoid.stochastic import ensemble as ensemble_module
 
 SEED = 977
 
@@ -489,6 +494,141 @@ def test_ensemble_npz_roundtrip(tmp_path):
     back = PathEnsemble.read_npz(path)
     assert np.array_equal(back.paths, ens.paths)
     assert back.seed == ens.seed
+
+
+@pytest.fixture
+def seven_row_blocks(monkeypatch):
+    """Tables read and written in blocks of 7 rows."""
+    monkeypatch.setattr(persistence, "ROW_CHUNK", 7)
+    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 7)
+
+
+def _ou_csv(path, n=3, t_final=0.05):
+    spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.5, dimension=1)
+    ens = simulate_ito(spec, 0.0, T=t_final, dt=0.01, N=n, seed=SEED)
+    ens.write_csv(path)
+    return ens
+
+
+@pytest.mark.parametrize("t_final", [0.09, 0.06, 0.04], ids=[
+    "path-0-spans-blocks", "path-0-fills-a-block", "path-split-across-blocks"])
+def test_ensemble_csv_roundtrip_in_small_blocks(tmp_path, monkeypatch, t_final):
+    # 10 rows a path: path 0 fills a block and starts the next; 7 rows: path 0
+    # is the first block; 5 rows: the block of rows 7-13 starts inside path 1
+    # and ends inside path 2
+    ens = _ou_csv(tmp_path / "whole.csv", n=4, t_final=t_final)
+    monkeypatch.setattr(persistence, "ROW_CHUNK", 7)
+    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 7)
+    path = tmp_path / "ens.csv"
+    ens.write_csv(path)
+    assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    back = PathEnsemble.read_csv(path)
+    assert np.array_equal(back.paths, ens.paths)
+    assert np.array_equal(back.times, ens.times)
+
+
+def _edit_csv(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_manifest_n(path, n):
+    mpath = path.with_suffix(".manifest.json")
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "N": n}))
+
+
+def _swap_rows(lines):
+    lines[9], lines[15] = lines[15], lines[9]      # step 2 of paths 1 and 2
+
+
+def _half_path_id(lines):
+    lines[9] = "1.5" + lines[9][1:]                # path 1, step 2
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda lines: lines.__delitem__(slice(1, None)), "found none"),
+    (_swap_rows, r"row 8 holds \(path 2, step 2\), expected \(path 1, step 2\)"),
+    (_half_path_id, r"row 8 holds \(path 1\.5, step 2\), expected \(path 1, step 2\)"),
+], ids=["header-only", "rows-swapped-between-paths", "fractional-path-id"])
+def test_ensemble_csv_rejects_damaged_rows(tmp_path, seven_row_blocks, damage, match):
+    path = tmp_path / "ens.csv"
+    _ou_csv(path)
+    _edit_csv(path, damage)
+    with pytest.raises(ParameterError, match=match):
+        PathEnsemble.read_csv(path)
+
+
+@pytest.mark.parametrize("n, match", [
+    (2, r"row 12 begins path 2, but its manifest says N = 2"),
+    (0, r"key 'N' must be at least 1, found 0"),
+    (-1, r"key 'N' must be at least 1, found -1"),
+], ids=["more-paths-than-N", "N-zero", "N-negative"])
+def test_ensemble_csv_rejects_a_path_count_other_than_n(tmp_path, seven_row_blocks,
+                                                         n, match):
+    path = tmp_path / "ens.csv"
+    _ou_csv(path)
+    _set_manifest_n(path, n)
+    with pytest.raises(ParameterError, match=match):
+        PathEnsemble.read_csv(path)
+
+
+def test_ensemble_csv_memory_is_one_block_beside_the_paths(tmp_path, monkeypatch):
+    """The writer holds about one block of rows, the reader its output and one
+    block; tracemalloc peaks as multiples of the paths' bytes."""
+    monkeypatch.setattr(persistence, "ROW_CHUNK", 512)
+    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 512)
+    rng = np.random.default_rng(SEED)
+    ens = PathEnsemble(np.arange(100) * 0.01, rng.standard_normal((400, 100, 2)), seed=1)
+    path = tmp_path / "ens.csv"
+    assert ens.paths.shape[0] * ens.paths.shape[1] >= 20 * 512
+    tracemalloc.start()
+    try:
+        ens.write_csv(path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = PathEnsemble.read_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.paths, ens.paths)
+    assert write_peak <= 0.5 * ens.paths.nbytes
+    assert read_peak <= 1.5 * ens.paths.nbytes
+
+
+def _npz_missing_array(path, arrays):
+    del arrays["meta"]
+
+
+def _npz_truncated(path, arrays):
+    np.savez(path, **arrays)
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def _npz_not_an_archive(path, arrays):
+    path.write_text("path_id,step,t,x0\n0,0,0,0\n")
+
+
+@pytest.mark.parametrize("damage", [
+    _npz_missing_array,
+    lambda path, arrays: arrays.update(meta=np.array("not json")),
+    lambda path, arrays: arrays.update(meta=np.array("[1, 2]")),
+    lambda path, arrays: arrays.update(seed=np.array([1, 2])),
+    _npz_truncated,
+    _npz_not_an_archive,
+], ids=["missing-array", "meta-not-json", "meta-a-list", "seed-not-scalar", "truncated",
+        "not-an-archive"])
+def test_ensemble_npz_rejects_what_it_cannot_load(tmp_path, damage):
+    path = tmp_path / "ens.npz"
+    arrays = {"times": np.arange(3) * 0.1, "paths": np.zeros((2, 3, 1)),
+              "seed": np.int64(5), "chart": np.array("euclidean:1"),
+              "meta": np.array("{}")}
+    damage(path, arrays)
+    if not path.exists():
+        np.savez(path, **arrays)
+    with pytest.raises(ParameterError, match=re.escape(str(path))):
+        PathEnsemble.read_npz(path)
 
 
 def test_ensemble_csv_deterministic_bytes(tmp_path):
