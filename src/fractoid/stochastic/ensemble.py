@@ -105,13 +105,15 @@ class PathEnsemble:
     def write_csv(self, path) -> None:
         n, k1, dim = self.paths.shape
         per = max(1, ROW_CHUNK // k1)           # whole paths per block
-        t_text = float_text(self.times)
+        # the step and t fields of each step as one text, formatted once
+        step_t = np.array([f"{k},{t}" for k, t in enumerate(float_text(self.times))],
+                          dtype=object)
 
         def blocks():
             for p in range(0, n, per):
                 m = min(per, n - p)
-                yield [np.repeat(np.arange(p, p + m), k1), np.tile(np.arange(k1), m),
-                       np.tile(t_text, m), *self.paths[p:p + m].reshape(-1, dim).T]
+                yield [np.repeat(np.arange(p, p + m), k1), np.tile(step_t, m),
+                       *self.paths[p:p + m].reshape(-1, dim).T]
 
         write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
                     blocks())
