@@ -25,9 +25,11 @@ paths at a time.  The accumulator walks the blocks once.  It forms each
 block's values once for every average that reads them (both directions of
 a velocity field, the four causal terms of the relativistic sums), and sums
 per bin the counts, the values, the conditioning points and the squares of
-the values about a fixed shift, the bin's first sample.  A sample a causal
-split drops goes to the overflow bin of its block.  Sums run in path-major
-order, so no result depends on the block size.
+the values about a fixed shift, the bin's first sample.  It sums each block
+in chunks of whole paths of at most BIN_CHUNK samples, so its temporaries
+are chunk-sized, not block-sized.  A sample a causal split drops goes to the
+overflow bin of its block.  Sums run in path-major order, so no result
+depends on the block or chunk size.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
 from ..stochastic import PathEnsemble, integrator, map_blocks, path_blocks
 
-# samples per row chunk of bin_index; the chunk's int64 bin searches are
-# the only temporaries it allocates
+# samples per chunk of whole paths, for bin_index's rows and the
+# accumulator's sums; each chunk's temporaries (bin_index's int64 searches,
+# the sums' bins, shifted values and points) stay cache-sized
 BIN_CHUNK = 1 << 16
 # blocks binned ahead of the one being summed (a window of 1 measured
 # slower); each of the window + 1 blocks in flight has its own index buffer
@@ -257,9 +260,11 @@ def _accumulate(config: EstimatorConfig, blocks,
     One walk sums counts (exact integers), values, points and the squares
     of the values about a per-bin shift, the bin's first sample in
     path-major order; the squared deviations from the bin mean follow as
-    s2 - n (mean - shift)^2.  np.add.at adds samples in path-major order, as
-    one bincount over the whole ensemble would, so the result is
-    bit-identical for every block size and worker count.
+    s2 - n (mean - shift)^2.  Each block is summed in chunks of whole paths
+    of at most BIN_CHUNK samples, in path order, so np.add.at adds samples
+    in path-major order, as one bincount over the whole ensemble would, and
+    the result is bit-identical for every block size, chunk size and worker
+    count.
     """
     n_bins = config.n_bins
     dim = points[0].shape[2]
@@ -275,24 +280,29 @@ def _accumulate(config: EstimatorConfig, blocks,
             s2 = np.zeros_like(s1)
             shift = np.zeros_like(s1)
             pts = np.zeros((len(points), dim, n_bins + 1))
-        vals = vals.reshape(-1, m)
-        for j, idx in enumerate(bins):
-            idx = idx.ravel()
-            seen = np.bincount(idx, minlength=n_bins + 1)
-            new = (seen > 0) & (count[j, 0] == 0)
-            if new.any():
-                # a bin's shift is its first sample in path-major order
-                first = np.full(n_bins + 1, idx.size)
-                np.minimum.at(first, idx, np.arange(idx.size))
-                shift[j][:, new] = vals[first[new]].T
-            count[j, 0] += seen
-            for c in range(m):
-                np.add.at(s1[j, c], idx, vals[:, c])
-                dev = shift[j, c][idx]
-                np.subtract(vals[:, c], dev, out=dev)
-                np.add.at(s2[j, c], idx, np.square(dev, out=dev))
-            for a in range(dim):
-                np.add.at(pts[j, a], idx, points[j][rows, :, a].ravel())
+        block_pts = [p[rows] for p in points]
+        # at least one path per chunk, however long the paths
+        per = max(1, BIN_CHUNK // vals.shape[1])
+        for lo in range(0, len(vals), per):
+            chunk = slice(lo, lo + per)
+            v = vals[chunk].reshape(-1, m)
+            for j, idx in enumerate(bins):
+                idx = idx[chunk].ravel()
+                seen = np.bincount(idx, minlength=n_bins + 1)
+                new = (seen > 0) & (count[j, 0] == 0)
+                if new.any():
+                    # a bin's shift is its first sample in path-major order
+                    first = np.full(n_bins + 1, idx.size)
+                    np.minimum.at(first, idx, np.arange(idx.size))
+                    shift[j][:, new] = v[first[new]].T
+                count[j, 0] += seen
+                for c in range(m):
+                    np.add.at(s1[j, c], idx, v[:, c])
+                    dev = shift[j, c][idx]
+                    np.subtract(v[:, c], dev, out=dev)
+                    np.add.at(s2[j, c], idx, np.square(dev, out=dev))
+                for a in range(dim):
+                    np.add.at(pts[j, a], idx, block_pts[j][chunk, :, a].ravel())
     nz = count > 0
     mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
     cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)

@@ -56,7 +56,10 @@ class PathEnsemble:
         if self.times.shape != (self.paths.shape[1],):
             raise ParameterError("times length must match the path grid")
         _check_grid(self.times, "time grid")
-        if not np.all(np.isfinite(self.paths)):
+        from .integrator import path_blocks
+        # block by block, so the check holds no ensemble-sized mask
+        if not all(np.isfinite(self.paths[rows]).all()
+                   for rows in path_blocks(self.n_paths)):
             raise ParameterError("paths contain non-finite coordinates")
 
     @property
@@ -193,5 +196,8 @@ class PathEnsemble:
         if seed.shape != () or seed.dtype.kind not in "iu":
             raise ParameterError(f"{path}: seed must be one integer, found "
                                  f"{seed.dtype} of shape {seed.shape}")
-        return cls(data["times"], data["paths"], seed=int(seed),
-                   chart_name=str(data["chart"]), meta=meta)
+        try:
+            return cls(data["times"], data["paths"], seed=int(seed),
+                       chart_name=str(data["chart"]), meta=meta)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc

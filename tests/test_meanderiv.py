@@ -333,6 +333,24 @@ def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
     assert peak <= 2 * ens.paths.nbytes
 
 
+def test_one_block_estimate_peak_memory_within_three_times_the_ensemble():
+    # sphere-io's estimate: one block of sphere2 paths, N = 1000, K = 1000.
+    # The peak is the block's quotients and the bin-index ring; the sums run
+    # over path chunks of at most BIN_CHUNK samples and add nothing of the
+    # block's size
+    ens = simulate_manifold_diffusion(get_chart("sphere2"), None, [np.pi / 2, 0.0],
+                                      T=5.0, dt=0.005, N=1000, seed=SEED)
+    assert ens.n_paths <= integrator.BLOCK_PATHS and ens.n_steps == 1000
+    cfg = EstimatorConfig.regular((0.0, 5.0), 4, (-2.0, 2.0), 16, dim=2, min_count=200)
+    tracemalloc.start()
+    try:
+        estimate_velocity_fields(ens, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ens.paths.nbytes
+
+
 def test_no_populated_bins_raises(wiener_ensemble):
     cfg = EstimatorConfig.regular((0.0, 1.0), 1, (5.0, 6.0), 4, min_count=200)
     with pytest.raises(EstimationError):

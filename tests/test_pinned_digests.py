@@ -54,6 +54,7 @@ from fractoid.meanderiv import (
     EstimatorConfig,
     covariant_mean_derivative,
     estimate_velocity_fields,
+    estimators,
     quadratic_variation_matrix,
     relativistic_mean_derivatives,
     ricci_correction,
@@ -449,6 +450,15 @@ def test_pinned_estimator_digest(name, monkeypatch):
 def test_estimator_digest_independent_of_block_size(name, monkeypatch):
     # the pinned ensembles hold at most 3000 paths, one block at the default
     # size; 7-path blocks make every sum cross hundreds of block boundaries
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+    _estimator_digests_at_every_worker_count(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_CASES))
+def test_estimator_digest_independent_of_sum_chunks(name, monkeypatch):
+    # one path per sum chunk (and per bin_index row chunk) inside 7-path
+    # blocks: every sum crosses a chunk boundary at each path
+    monkeypatch.setattr(estimators, "BIN_CHUNK", 1)
     monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     _estimator_digests_at_every_worker_count(name, monkeypatch)
 

@@ -427,6 +427,25 @@ def test_ensemble_grid_validation():
                      np.array([[[0.0], [np.nan], [0.2]]]), seed=0)
 
 
+def test_ensemble_finiteness_check_holds_one_block(monkeypatch):
+    # the constructor checks the paths block by block, so it never holds an
+    # (N, K+1, dim) bool mask, one eighth of the paths' bytes
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 50)
+    times = np.arange(100) * 0.01
+    paths = np.random.default_rng(SEED).standard_normal((1000, 100, 2))
+    tracemalloc.start()
+    try:
+        PathEnsemble(times, paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * paths.nbytes
+    # the last sample of the last block is checked too
+    paths[-1, -1, -1] = np.inf
+    with pytest.raises(ParameterError, match="^paths contain non-finite coordinates$"):
+        PathEnsemble(times, paths, seed=1)
+
+
 def test_ensemble_csv_roundtrip(tmp_path):
     spec = ItoProcessSpec(drift=lambda t, x: -x, diffusion_const=0.5, dimension=2)
     ens = simulate_ito(spec, np.zeros(2), T=0.1, dt=0.01, N=5, seed=SEED)
@@ -614,8 +633,9 @@ def _npz_not_an_archive(path, arrays):
     lambda path, arrays: arrays.update(seed=np.array([1, 2])),
     _npz_truncated,
     _npz_not_an_archive,
+    lambda path, arrays: arrays.update(times=np.arange(4) * 0.1),
 ], ids=["missing-array", "meta-not-json", "meta-a-list", "seed-not-scalar", "truncated",
-        "not-an-archive"])
+        "not-an-archive", "times-not-the-path-grid"])
 def test_ensemble_npz_rejects_what_it_cannot_load(tmp_path, damage):
     path = tmp_path / "ens.npz"
     arrays = {"times": np.arange(3) * 0.1, "paths": np.zeros((2, 3, 1)),
