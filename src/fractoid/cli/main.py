@@ -80,6 +80,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return load_config(args.config, args.overrides, **direct)
 
 
+def _out_dir(cfg) -> Path:
+    """The output directory, made if missing; a ConfigError names it if it cannot be."""
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory '{cfg.out_dir}': {exc}") from exc
+    return Path(cfg.out_dir)
+
+
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
@@ -87,22 +96,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("config key 'n_paths' must be >= 1 for simulate")
     chart = resolve_chart(cfg.chart)
     drift = make_drift(cfg.drift, cfg.omega)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None \
-        else _default_start(chart)
+    path = _out_dir(cfg) / "ensemble.csv"
+    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else _default_start(chart)
     if cfg.chart.startswith("euclidean:"):
-        dim = chart.dimension
         spec = ItoProcessSpec(
             drift=drift if drift is not None else (lambda t, x: np.zeros_like(x)),
-            diffusion_const=cfg.epsilon, dimension=dim)
+            diffusion_const=cfg.epsilon, dimension=chart.dimension)
         ens = simulate_ito(spec, x0, cfg.t_final, cfg.dt, cfg.n_paths, cfg.seed)
     else:
-        ens = simulate_manifold_diffusion(chart, drift and (lambda t, x: drift(t, x)),
-                                          x0, cfg.t_final, cfg.dt, cfg.n_paths,
-                                          cfg.seed, epsilon=cfg.epsilon)
+        ens = simulate_manifold_diffusion(chart, drift, x0, cfg.t_final, cfg.dt,
+                                          cfg.n_paths, cfg.seed, epsilon=cfg.epsilon)
     ens.meta["drift_name"] = cfg.drift
-    path = out / "ensemble.csv"
     ens.write_csv(path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -132,9 +136,7 @@ def cmd_estimate(args) -> int:
         (cfg.est_x_min, cfg.est_x_max), cfg.est_x_bins, dim=ens.dimension,
         min_count=cfg.min_count, lag=cfg.lag, causal_split=cfg.causal_split)
     field = estimate_velocity_fields(ens, est)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "meanderiv.csv"
+    path = _out_dir(cfg) / "meanderiv.csv"
     write_field_csv(field, path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -145,7 +147,7 @@ def cmd_verify(args) -> int:
     cfg.suite = args.suite or cfg.suite
     cfg.validate(need_suite=True)
     report = run_suite(cfg.suite, cfg)
-    jpath, tpath = report.write(cfg.out_dir)
+    jpath, tpath = report.write(_out_dir(cfg))
     print(report.to_table())
     print(f"wrote {jpath} and {tpath}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -158,9 +160,7 @@ def cmd_noise(args) -> int:
                                half_width=cfg.lattice_l, dx=cfg.lattice_dx,
                                d=cfg.lattice_d)
     sample = sample_white_noise(lattice, cfg.seed)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "whitenoise.bin"
+    path = _out_dir(cfg) / "whitenoise.bin"
     sample.write(path)
     print(f"wrote {path} ({lattice.n_cells} cells)")
     return EXIT_OK
@@ -170,9 +170,7 @@ def cmd_dirac(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
     gammas = build_gammas()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gammas.json"
+    path = _out_dir(cfg) / "gammas.json"
     path.write_text(gammas.to_json() + "\n", encoding="utf8")
     rng = make_stream(cfg.seed, 0)
     worst = max(clifford_relation_check(rng.normal(size=4), rng.normal(size=4),
@@ -202,8 +200,7 @@ def cmd_report(args) -> int:
                          chk["target"], chk["tolerance"],
                          "PASS" if chk["passed"] else "FAIL"))
     rows.sort(key=lambda r: (r[0], r[1]))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     columns = [[r[j] for r in rows] for j in range(6)]
     merged, plot = out / "merged.csv", out / "plot.csv"
     write_table(merged, ["suite", "check", "value", "target", "tolerance", "status"],

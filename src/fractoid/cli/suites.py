@@ -103,7 +103,6 @@ class SuiteReport:
 
     def write(self, out_dir) -> tuple[Path, Path]:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         jpath = out / f"report-{self.suite}.json"
         tpath = out / f"report-{self.suite}.txt"
         jpath.write_text(self.to_json() + "\n", encoding="utf8")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FractoidError, ParameterError
+from .errors import FractoidError, ParameterError, call_checked
 from .geometry import central_difference
 
 NULLSPACE_RTOL = 1e-10
@@ -188,9 +188,9 @@ def _probe_spinor(x):
 def clifford_connection_check(omega_field, X, x, gammas: GammaSet | None = None) -> float:
     """Residual of [grad_X, c(w)] psi - c(grad_X w) psi on a flat chart.
 
-    omega_field(x) returns 1-form components (4,); X is a fixed direction
-    vector; psi is a fixed smooth spinor field; derivatives are central
-    differences along X.
+    omega_field(x) returns 1-form components (4,), another shape is a
+    ParameterError; X is a fixed direction vector; psi is a fixed smooth
+    spinor field; derivatives are central differences along X.
     """
     if gammas is None:
         gammas = build_gammas()
@@ -198,14 +198,15 @@ def clifford_connection_check(omega_field, X, x, gammas: GammaSet | None = None)
     X = np.asarray(X, dtype=float)
 
     def c_of(w):
-        return sum(wi * g for wi, g in zip(np.asarray(w, dtype=float), gammas.gammas))
+        return sum(wi * g for wi, g in zip(w, gammas.gammas))
 
     def along_X(F):
         """d/ds F(x + s X) at s = 0."""
         return central_difference(lambda s: F(x + s[0] * X), np.zeros(1), 0,
                                   CLIFFORD_FD_STEP)
 
+    omega0 = call_checked(omega_field, "omega_field", (4,), x)
     lhs1 = along_X(lambda p: c_of(omega_field(p)) @ _probe_spinor(p))  # grad_X (c(w) psi)
-    lhs2 = c_of(omega_field(x)) @ along_X(_probe_spinor)               # c(w) grad_X psi
+    lhs2 = c_of(omega0) @ along_X(_probe_spinor)                       # c(w) grad_X psi
     rhs = c_of(along_X(omega_field)) @ _probe_spinor(x)                # c(grad_X w) psi
     return float(np.linalg.norm(lhs1 - lhs2 - rhs))

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all fractoid modules."""
+"""Exception hierarchy shared by all fractoid modules, and call_checked."""
+
+import numpy as np
 
 
 class FractoidError(Exception):
@@ -43,3 +45,13 @@ class ResourceError(FractoidError):
 
 class ConfigError(FractoidError):
     """An experiment configuration is invalid or incomplete."""
+
+
+def call_checked(fn, name: str, shape: tuple, *args, error=ParameterError):
+    """fn(*args) as a float array of the given shape, else error naming fn as
+    name, the points (the last of args) and both shapes; for user functions."""
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != shape:
+        raise error(f"{name} returned shape {out.shape} for points of shape "
+                    f"{np.shape(args[-1])}; expected {shape}")
+    return out

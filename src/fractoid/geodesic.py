@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, call_checked
 from .geometry import (
     MetricChart,
     central_difference,
@@ -255,6 +255,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
          differences; a NaN residual is left out, and a warning counts them;
     (ii) Monte Carlo: the forward covariant mean derivative of w along the
          ensemble, which should vanish within statistical error.
+    w(t, x) maps points (..., n) to (..., n), else ParameterError.
     """
     dim = chart.dimension
     lo, hi = np.nanpercentile(ensemble.paths, [15, 85], axis=(0, 1))
@@ -266,12 +267,12 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     h = RESIDUAL_FD_STEP * np.maximum(1.0, np.abs(x))
     worst, n_nan = 0.0, 0
     for t in probe_times:
-        w_t = lambda p: np.asarray(w(t, p), dtype=float)
-        wx = w_t(x)
+        w_t = lambda p: w(t, p)
+        wx = call_checked(w, "w", x.shape, t, x)
         jac = np.stack([richardson_derivative(w_t, x, a, h[:, a]) for a in range(dim)],
                        axis=-1)
         adv = (jac @ wx[..., None])[..., 0]
-        dt_w = richardson_derivative(lambda tt: np.asarray(w(tt[0], x), dtype=float),
+        dt_w = richardson_derivative(lambda tt: w(tt[0], x),
                                      np.array([t]), 0, RESIDUAL_FD_STEP * max(1.0, abs(t)))
         lap = laplacian_fd(w_t, x, RESIDUAL_FD_STEP)
         ric = np.zeros_like(wx)

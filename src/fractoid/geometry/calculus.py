@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import SingularMetricError
+from ..errors import SingularMetricError, call_checked
 from .charts import MetricChart
 
 FD_STEP_FIRST = 1e-5
@@ -177,11 +177,11 @@ def richardson_derivative(f, x, k: int, h: float) -> np.ndarray:
 
 
 def laplace_beltrami(chart: MetricChart, f, x) -> float:
-    """g^{ii} (d^2 f / (dx^i)^2 - Gamma^k_{ii} d_k f) at a point."""
+    """g^{ii} (d^2 f / (dx^i)^2 - Gamma^k_{ii} d_k f) at a point; f(x) has shape ()."""
     x = chart.require_valid(x)
     ginv = chart.inverse_diag(x)
     h = _steps(x, FD_STEP_SECOND)
-    f0 = f(x)
+    f0 = call_checked(f, "f", (), x)
     second = np.array([second_difference(f, x, i, h[i], f0) for i in range(len(x))])
     grad = vector_jacobian_fd(f, x)
     # the full contraction, then its diagonal: "kii,k->i" rounds differently
@@ -206,8 +206,8 @@ def laplacian_fd(F, x, step=FD_STEP_SECOND) -> np.ndarray:
     at points (..., n), by central second differences."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, step)
-    f0 = np.asarray(F(x), dtype=float)
-    out = np.zeros_like(f0)
+    f0 = np.asarray(F(x))
+    out = np.zeros(f0.shape)
     for j in range(x.shape[-1]):
         out += second_difference(F, x, j, h[..., j], f0)
     return out
@@ -221,38 +221,33 @@ def covariant_derivative(connection_field, X, v, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    Xx = call_checked(X, "X", x.shape, x)
     gamma = np.asarray(connection_field(x))
     jac = vector_jacobian_fd(X, x)
-    return jac @ v + np.einsum("kij,i,j->k", gamma, v, np.asarray(X(x), dtype=float))
+    return jac @ v + np.einsum("kij,i,j->k", gamma, v, Xx)
 
 
 def commutator_fd(X, Y, x) -> np.ndarray:
     """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k by central differences."""
     x = np.asarray(x, dtype=float)
-    jx = vector_jacobian_fd(X, x)
-    jy = vector_jacobian_fd(Y, x)
-    return jy @ np.asarray(X(x), dtype=float) - jx @ np.asarray(Y(x), dtype=float)
+    Xx, Yx = call_checked(X, "X", x.shape, x), call_checked(Y, "Y", x.shape, x)
+    return vector_jacobian_fd(Y, x) @ Xx - vector_jacobian_fd(X, x) @ Yx
 
 
 def torsion(connection_field, X, Y, x) -> TorsionValue:
     """nabla_X Y - nabla_Y X - [X, Y] evaluated at a point."""
     x = np.asarray(x, dtype=float)
-    cxy = covariant_derivative(connection_field, Y, np.asarray(X(x), dtype=float), x)
-    cyx = covariant_derivative(connection_field, X, np.asarray(Y(x), dtype=float), x)
+    Xx, Yx = call_checked(X, "X", x.shape, x), call_checked(Y, "Y", x.shape, x)
+    cxy = covariant_derivative(connection_field, Y, Xx, x)
+    cyx = covariant_derivative(connection_field, X, Yx, x)
     return TorsionValue(components=cxy - cyx - commutator_fd(X, Y, x))
 
 
 def leibniz_residual(connection_field, f, X, Y, x) -> float:
     """|| nabla_X (f Y) - X(f) Y - f nabla_X Y || at a point."""
     x = np.asarray(x, dtype=float)
-    Xx = np.asarray(X(x), dtype=float)
-
-    def fY(p):
-        return f(p) * np.asarray(Y(p), dtype=float)
-
-    lhs = covariant_derivative(connection_field, fY, Xx, x)
+    Xx, Yx = call_checked(X, "X", x.shape, x), call_checked(Y, "Y", x.shape, x)
+    lhs = covariant_derivative(connection_field, lambda p: f(p) * np.asarray(Y(p)), Xx, x)
     df_along_X = float(vector_jacobian_fd(f, x) @ Xx)
-    rhs = df_along_X * np.asarray(Y(x), dtype=float) + f(x) * covariant_derivative(
-        connection_field, Y, Xx, x
-    )
+    rhs = df_along_X * Yx + f(x) * covariant_derivative(connection_field, Y, Xx, x)
     return float(np.linalg.norm(lhs - rhs))

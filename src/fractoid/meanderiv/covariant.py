@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import call_checked
 from ..geometry import (
     MetricChart,
     central_difference,
@@ -43,16 +44,11 @@ class CovariantMeanDerivative:
     drift: BinnedField            # estimated drift feeding the analytic form
 
 
-def _eval_field(X, t, pts) -> np.ndarray:
-    return np.asarray(X(t, pts), dtype=float)
-
-
 def _covariant_jacobian(chart, X, t, p):
     """V[..., k, b] = (nabla_b X)^k = d_b X^k + Gamma^k_{cb} X^c at points (..., n)."""
-    field = lambda q: _eval_field(X, t, q)
-    jac = vector_jacobian_fd(field, p)
+    jac = vector_jacobian_fd(lambda q: X(t, q), p)
     gam = christoffel_batch(chart, p)
-    return jac + np.einsum("...kcb,...c->...kb", gam, field(p))
+    return jac + np.einsum("...kcb,...c->...kb", gam, X(t, p))
 
 
 def _rough_laplacian(chart: MetricChart, X, t: float, x: np.ndarray) -> np.ndarray:
@@ -77,8 +73,8 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
                               epsilon: float | None = None) -> CovariantMeanDerivative:
     """Transported difference-quotient estimator plus the analytic form.
 
-    X(t, x) must be vectorized over points (x of shape (B, n)): each call
-    is one time step of one block of paths.  epsilon defaults to the
+    X(t, x) maps points (B, n) to (B, n), else ParameterError: each call is
+    one time step of one block of paths.  epsilon defaults to the
     ensemble's recorded diffusion constant.
     """
     if epsilon is None:
@@ -88,14 +84,17 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     steps = range(ensemble.n_steps + 1)
     ends = [steps[end] for end in samples.ends(direction)]   # (conditioning, far)
 
+    def field_at(paths, k):
+        return call_checked(X, "X", paths[:, k].shape, float(ensemble.times[k]), paths[:, k])
+
     def quotient(paths, near, far):
         """X at step far of paths (B, K+1, dim), transported one step at a
         time to step near, differenced with X at step near."""
-        vec = _eval_field(X, float(ensemble.times[far]), paths[:, far])
+        vec = field_at(paths, far)
         hop = 1 if near > far else -1
         for k in (() if flat else range(far, near, hop)):
             vec = transport_steps(chart, paths[:, k], paths[:, k + hop], vec)
-        here = _eval_field(X, float(ensemble.times[near]), paths[:, near])
+        here = field_at(paths, near)
         return (vec - here if direction == "forward" else here - vec) / samples.dtau
 
     def quotients(rows):
@@ -117,7 +116,7 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
         if not np.any(use[i]):
             continue
         x, beta = points[i][use[i]], drift.values[i][use[i]]
-        field = lambda p: _eval_field(X, t, p)
+        field = lambda p: X(t, p)
         adv = (vector_jacobian_fd(field, x) @ beta[..., None])[..., 0]
         if flat:
             lap = laplacian_fd(field, x)
@@ -126,7 +125,7 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
             adv = adv + np.einsum("...kij,...i,...j->...k", gam, field(x), beta)
             lap = _rough_laplacian(chart, X, t, x)
         # the time difference keeps an absolute step
-        dX_dt = central_difference(lambda s: _eval_field(X, s[0], x),
+        dX_dt = central_difference(lambda s: X(s[0], x),
                                    np.array([t]), 0, FD_STEP_FIRST)
         analytic[i][use[i]] = dX_dt + adv + sign * 0.5 * epsilon**2 * lap
     if dropped:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import call_checked
 from ..geometry import MetricChart
 from ..geometry.charts import diag_matrix
 from ..meanderiv import (
@@ -45,8 +46,8 @@ def newton_nelson_residual(ensemble: PathEnsemble, force, mass: float,
                            epsilon: float | None = None) -> NewtonNelsonResult:
     """Compare the estimated mean acceleration with force/mass per bin.
 
-    force(x) is vectorized over points.  With include_ricci the curvature
-    term (hbar/2m) Ric o w2 is added to the target, hbar = eps^2 m.
+    force(x) maps points (n, dim) to (n, dim).  With include_ricci the
+    curvature term (hbar/2m) Ric o w2 is added to the target, hbar = eps^2 m.
     """
     if epsilon is None:
         epsilon = float(ensemble.meta.get("epsilon", 1.0))
@@ -59,7 +60,7 @@ def newton_nelson_residual(ensemble: PathEnsemble, force, mass: float,
         ric_term = np.zeros_like(field.osmotic)
 
     pts = config.evaluation_points(field.cond_mean)[mask]
-    targ = np.asarray(force(pts), dtype=float) / mass + np.nan_to_num(ric_term[mask])
+    targ = call_checked(force, "force", pts.shape, pts) / mass + np.nan_to_num(ric_term[mask])
     acc = accel.values[mask]
     resid = np.linalg.norm(acc - targ, axis=-1)
     scale = np.maximum(np.linalg.norm(targ, axis=-1), RELATIVE_FLOOR)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, SimulationError
+from ..errors import ParameterError, SimulationError, call_checked
 from ..stochastic import integrator, make_stream
 from .wavefunctions import PotentialField
 
@@ -20,34 +20,25 @@ BLOCK_SIZE = 4096
 STEP_RUN = 16
 
 
-def _values(f, name: str, pos: np.ndarray) -> np.ndarray:
-    """f(pos) as one float per point of pos, else ParameterError naming f."""
-    out = np.asarray(f(pos), dtype=float)
-    if out.shape != pos.shape[:1]:
-        raise ParameterError(f"{name} returned shape {out.shape} for points of shape "
-                             f"{pos.shape}; expected {pos.shape[:1]}")
-    return out
-
-
 def _block_weights(V, phi, x: np.ndarray, t: float, n_steps: int, seed: int,
                    block: int, B: int) -> np.ndarray:
     """The B weights exp(-int V ds) phi(x + W_t) of one block of paths."""
     step = t / n_steps
     gen = make_stream(seed, block)
     pos = np.broadcast_to(x, (B, x.shape[0])).copy()
-    v_prev = _values(V, "V", pos)
+    v_prev = call_checked(V, "V", (B,), pos)
     integral = np.zeros(B)
     for k in range(0, n_steps, STEP_RUN):
         run = gen.normal(0.0, np.sqrt(step), (min(STEP_RUN, n_steps - k), *pos.shape))
         for dW in run:
             pos = pos + dW
-            v_next = _values(V, "V", pos)
+            v_next = call_checked(V, "V", (B,), pos)
             integral += 0.5 * step * (v_prev + v_next)
             v_prev = v_next
     if not np.all(np.isfinite(integral)):
         raise SimulationError("Feynman-Kac exponent became non-finite; "
                               "is the potential bounded below on the region?")
-    weights = np.exp(-integral) * _values(phi, "phi", pos)
+    weights = np.exp(-integral) * call_checked(phi, "phi", (B,), pos)
     if not np.all(np.isfinite(weights)):
         raise SimulationError("Feynman-Kac weight became non-finite")
     return weights

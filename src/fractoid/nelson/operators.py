@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, ResolutionError
+from ..errors import ParameterError, ResolutionError, call_checked
 from .wavefunctions import PotentialField, WaveFunctionGrid
 
 IDENTITY_REGIME_TOL = 1e-6
@@ -29,7 +29,7 @@ def grid_schrodinger_apply(psi: WaveFunctionGrid, V: PotentialField | None) -> W
     lap = _periodic_laplacian(psi.values, psi.spacings)
     out = -0.5 * psi.hbar**2 * lap
     if V is not None:
-        out = out + V(psi.mesh()) * psi.values
+        out = out + call_checked(V, "V", psi.values.shape, psi.mesh()) * psi.values
     return WaveFunctionGrid(axes=psi.axes, values=out, hbar=psi.hbar, mass=psi.mass)
 
 

@@ -97,13 +97,13 @@ class WaveFunctionGrid:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Scalar potential; fn is vectorized over points of shape (..., dim)."""
+    """Scalar potential; fn maps points (..., dim) to values (...)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
     def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        return self.fn(np.asarray(x, dtype=float))
 
 
 @dataclass

@@ -98,6 +98,8 @@ def read_table(path, n_cols=None):
     rows = 0
     with open(path, "rb") as fh:
         header = fh.readline()
+        if not header:
+            raise ParameterError(f"{path} is empty: it has no header line")
         n_cols = n_cols or header.count(b",") + 1
         while fh.peek(1):
             try:
@@ -119,7 +121,7 @@ def read_table(path, n_cols=None):
 def read_arrays(path, names) -> dict:
     """The named arrays of the .npz archive at path, loaded without pickles."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             return {name: data[name] for name in names}
     except KeyError as exc:
         raise ParameterError(f"{path} holds no array {exc}") from exc

@@ -58,9 +58,11 @@ class PathEnsemble:
         _check_grid(self.times, "time grid")
         from .integrator import path_blocks
         # block by block, so the check holds no ensemble-sized mask
-        if not all(np.isfinite(self.paths[rows]).all()
-                   for rows in path_blocks(self.n_paths)):
-            raise ParameterError("paths contain non-finite coordinates")
+        for rows in path_blocks(self.n_paths):
+            if not np.isfinite(self.paths[rows]).all():
+                p, k = np.argwhere(~np.isfinite(self.paths[rows]))[0, :2]
+                raise ParameterError("paths contain non-finite coordinates, first on "
+                                     f"path {rows.start + p} at step {k}")
 
     @property
     def n_paths(self) -> int:

@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..errors import BoundaryError, ParameterError, SimulationError
+from ..errors import BoundaryError, ParameterError, SimulationError, call_checked
 from .rng import make_stream, stream_normals
 
 BLOCK_PATHS = 4096   # paths per block; sets memory, not values
@@ -128,10 +128,7 @@ class Integrator:
 
     def drift(self, fn, k: int, x: np.ndarray) -> np.ndarray:
         """fn(t_k, x) as a float array of the positions' shape."""
-        b = np.asarray(fn(self.times[k], x), dtype=float)
-        if b.shape != x.shape:
-            raise SimulationError(f"drift returned shape {b.shape}, expected {x.shape}")
-        return b
+        return call_checked(fn, "drift", x.shape, self.times[k], x, error=SimulationError)
 
     def run(self, step, *starts: np.ndarray, report_every: int = 1, at_report=None):
         """Advance every path and return (report times, states at them).

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InstabilityError, ParameterError
+from ..errors import InstabilityError, ParameterError, call_checked
 from ..geometry import (
     MetricChart,
     christoffel_batch,
@@ -321,9 +321,11 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
 
 
 def generator_apply(chart: MetricChart, w, z, x) -> float:
-    """(L_w z)(x) = (1/2) Lap_g z(x) + (w . grad z)(x)."""
+    """(L_w z)(x) = (1/2) Lap_g z(x) + (w . grad z)(x) at a point x (n,);
+    z(x) has shape () and w(x), unless w is None, shape (n,)."""
     x = chart.require_valid(np.asarray(x, dtype=float))
+    call_checked(z, "z", (), x)    # so a wrong z is named z, not laplace_beltrami's f
     val = 0.5 * laplace_beltrami(chart, z, x)
     if w is not None:
-        val += float(np.dot(np.asarray(w(x), dtype=float), vector_jacobian_fd(z, x)))
+        val += float(np.dot(call_checked(w, "w", x.shape, x), vector_jacobian_fd(z, x)))
     return val

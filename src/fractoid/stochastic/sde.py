@@ -3,7 +3,9 @@ plus the semimartingale decomposition of a single path.
 
 Drift and diffusion callables are vectorized over paths: drift(t, x) takes
 x of shape (B, dim) and returns (B, dim); a Stratonovich diffusion field
-returns (B, dim, m) for m driving noises.
+returns (B, dim, m) for m driving noises, m read off one call at a start.
+Another shape raises SimulationError for a drift and ParameterError for a
+diffusion field, naming the function and both shapes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, call_checked
 from .ensemble import PathEnsemble
 from .integrator import Integrator, initial_points
 
@@ -55,19 +57,18 @@ def simulate_stratonovich(drift, diffusion_field, x0, T: float, dt: float,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = dimension or x0.shape[-1]
     starts = initial_points(x0, N, dim)
-    probe = np.asarray(diffusion_field(0.0, starts[:1]), dtype=float)
-    if probe.ndim != 3 or probe.shape[1] != dim:
-        raise ParameterError("diffusion_field must return (B, dim, m) matrices")
-    core = Integrator("stratonovich-heun", T, dt, seed, n_noise=probe.shape[2])
+    # one call at a start learns m; each step's calls are checked against (B, dim, m)
+    m = (np.shape(diffusion_field(0.0, starts[:1])) or (1,))[-1]
+    core = Integrator("stratonovich-heun", T, dt, seed, n_noise=m)
 
     def heun(k, dW, x):
         t0, t1 = core.times[k], core.times[k + 1]
         f0 = core.drift(drift, k, x)
-        G0 = np.asarray(diffusion_field(t0, x), dtype=float)
+        G0 = call_checked(diffusion_field, "diffusion_field", x.shape + (m,), t0, x)
         noise0 = np.einsum("bim,bm->bi", G0, dW)
         xp = x + f0 * dt + noise0
         f1 = core.drift(drift, k + 1, xp)
-        G1 = np.asarray(diffusion_field(t1, xp), dtype=float)
+        G1 = call_checked(diffusion_field, "diffusion_field", x.shape + (m,), t1, xp)
         noise1 = np.einsum("bim,bm->bi", G1, dW)
         return (core.accept(x + 0.5 * (f0 + f1) * dt + 0.5 * (noise0 + noise1)),)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ResourceError
+from .errors import ConfigError, ParameterError, ResourceError, call_checked
 from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream, stream_normals
 
@@ -123,7 +123,7 @@ def _on_lattice(lattice: SpaceTimeLattice, w) -> np.ndarray:
     """w as a float array of the lattice's shape: the array itself, or a
     callable's values on lattice.mesh(); another shape is a ParameterError."""
     if callable(w):
-        w = w(lattice.mesh())
+        return call_checked(w, "test function", lattice.shape, lattice.mesh())
     w = np.asarray(w, dtype=float)
     if w.shape != lattice.shape:
         raise ParameterError(f"test function shape {w.shape} does not match "

@@ -343,3 +343,41 @@ def test_suite_report_rejects_duplicate_names():
 def test_run_suite_unknown_name():
     with pytest.raises(ConfigError, match="feynman-kac"):
         run_suite("bogus", ExperimentConfig(seed=1))
+
+
+_OUT_ARGS = {
+    "simulate": ["--set", "n_paths=5", "--set", "t_final=0.1"],
+    "estimate": ["--ensemble", "{run}/ensemble.csv", "--set", "min_count=20"],
+    "verify": ["--suite", "dirac-algebra"],
+    "noise": [],
+    "dirac": [],
+    "report": ["--dir", "{run}"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """An ensemble and a suite report for the commands that read them."""
+    run = tmp_path_factory.mktemp("run")
+    assert main(["simulate", "--seed", "7", "--set", "chart=sphere2", "--set", "n_paths=50",
+                 "--set", "t_final=0.5", "--out", str(run)]) == 0
+    assert main(["verify", "--suite", "dirac-algebra", "--seed", "7",
+                 "--out", str(run)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", _OUT_ARGS)
+def test_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, cli_inputs, command,
+                                               under):
+    # the directory was made with mkdir, whose FileExistsError or
+    # NotADirectoryError ended in a traceback and exit 1
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    argv = [command, "--seed", "7", "--out", str(out)]
+    argv += [a.format(run=cli_inputs) for a in _OUT_ARGS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot make output directory '{out}': ")
+    assert "Traceback" not in err

@@ -442,8 +442,22 @@ def test_ensemble_finiteness_check_holds_one_block(monkeypatch):
     assert peak <= 0.05 * paths.nbytes
     # the last sample of the last block is checked too
     paths[-1, -1, -1] = np.inf
-    with pytest.raises(ParameterError, match="^paths contain non-finite coordinates$"):
+    with pytest.raises(ParameterError, match="^paths contain non-finite coordinates, "
+                       "first on path 999 at step 99$"):
         PathEnsemble(times, paths, seed=1)
+
+
+def test_ensemble_names_the_first_non_finite_path_and_step(monkeypatch):
+    # the first in path order, inside the second block of two paths; the
+    # message named neither
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 2)
+    paths = np.zeros((5, 4, 2))
+    paths[3, 2, 1] = np.nan
+    paths[3, 1, 0] = np.nan
+    paths[4, 0, 0] = np.inf
+    with pytest.raises(ParameterError, match="^paths contain non-finite coordinates, "
+                       "first on path 3 at step 1$"):
+        PathEnsemble(np.arange(4) * 0.1, paths, seed=1)
 
 
 def test_ensemble_csv_roundtrip(tmp_path):
@@ -570,6 +584,17 @@ def test_ensemble_csv_rejects_damaged_rows(tmp_path, seven_row_blocks, damage, m
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match=match):
+        PathEnsemble.read_csv(path)
+
+
+def test_ensemble_csv_of_zero_bytes_is_empty(tmp_path):
+    # it said "must hold rows of 1 numbers, found none": the 1 came from the
+    # missing header line
+    path = tmp_path / "ens.csv"
+    _ou_csv(path)
+    path.write_bytes(b"")
+    with pytest.raises(ParameterError,
+                       match=f"^{re.escape(str(path))} is empty: it has no header line$"):
         PathEnsemble.read_csv(path)
 
 

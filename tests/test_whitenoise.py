@@ -123,7 +123,8 @@ def test_test_function_values_of_the_wrong_shape_are_rejected():
     # (4, 4, 4, 4) product, which summed to 3.107 in place of 0.874
     f = lambda m: np.exp(-np.sum(m**2, axis=-1, keepdims=True))
     g = np.exp(-np.sum(LAT.mesh() ** 2, axis=-1))
-    match = r"^test function shape \(4, 4, 4, 1\) does not match lattice \(4, 4, 4\)$"
+    match = (r"^test function returned shape \(4, 4, 4, 1\) for points of shape "
+             r"\(4, 4, 4, 3\); expected \(4, 4, 4\)$")
     with pytest.raises(ParameterError, match=match):
         lattice_inner_product(LAT, f, g)
     with pytest.raises(ParameterError, match=match):
