@@ -127,6 +127,7 @@ def _default_start(chart) -> np.ndarray:
 def cmd_estimate(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
+    out = _out_dir(cfg)
     try:
         ens = PathEnsemble.read_csv(args.ensemble)
     except (OSError, ValueError, ParameterError) as exc:   # missing or malformed
@@ -136,7 +137,7 @@ def cmd_estimate(args) -> int:
         (cfg.est_x_min, cfg.est_x_max), cfg.est_x_bins, dim=ens.dimension,
         min_count=cfg.min_count, lag=cfg.lag, causal_split=cfg.causal_split)
     field = estimate_velocity_fields(ens, est)
-    path = _out_dir(cfg) / "meanderiv.csv"
+    path = out / "meanderiv.csv"
     write_field_csv(field, path)
     print(f"wrote {path}")
     return EXIT_OK
@@ -146,8 +147,9 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     cfg.suite = args.suite or cfg.suite
     cfg.validate(need_suite=True)
+    out = _out_dir(cfg)
     report = run_suite(cfg.suite, cfg)
-    jpath, tpath = report.write(_out_dir(cfg))
+    jpath, tpath = report.write(out)
     print(report.to_table())
     print(f"wrote {jpath} and {tpath}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -34,14 +34,13 @@ class GammaSet:
     gammas: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     gamma5: np.ndarray
 
-    def __iter__(self):
-        return iter(self.gammas)
+    def clifford(self, w) -> np.ndarray:
+        """c(w) = w_mu gamma^mu of components w (4,)."""
+        return sum(wm * g for wm, g in zip(w, self.gammas))
 
     def slash(self, p) -> np.ndarray:
         """gamma^mu p_mu with the index lowered by eta = diag(+,-,-,-)."""
-        p = np.asarray(p, dtype=float)
-        p_lower = ETA_GAMMA @ p
-        return sum(pl * g for pl, g in zip(p_lower, self.gammas))
+        return self.clifford(ETA_GAMMA @ np.asarray(p, dtype=float))
 
     def to_json(self) -> str:
         def enc(m):
@@ -67,7 +66,7 @@ class PlaneWaveSpinor:
 
 
 def build_gammas() -> GammaSet:
-    """Standard Dirac-basis gamma matrices, self-checked before returning."""
+    """Standard Dirac-basis gamma matrices."""
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -81,19 +80,7 @@ def build_gammas() -> GammaSet:
     g1 = block(zero, s1, -s1, zero)
     g2 = block(zero, s2, -s2, zero)
     g3 = block(zero, s3, -s3, zero)
-    gammas = (g0, g1, g2, g3)
-    g5 = 1j * g0 @ g1 @ g2 @ g3
-    out = GammaSet(gammas=gammas, gamma5=g5)
-    # construction self-check: both invariants must hold exactly
-    eye4 = np.eye(4, dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            anti = gammas[mu] @ gammas[nu] + gammas[nu] @ gammas[mu]
-            if not np.array_equal(anti, 2.0 * ETA_GAMMA[mu, nu] * eye4):
-                raise FractoidError(f"gamma anticommutator ({mu},{nu}) failed self-check")
-    if not np.array_equal(g5, block(zero, eye2, eye2, zero)):
-        raise FractoidError("gamma5 block form failed self-check")
-    return out
+    return GammaSet(gammas=(g0, g1, g2, g3), gamma5=1j * g0 @ g1 @ g2 @ g3)
 
 
 def klein_gordon_residual(p, m: float) -> float:
@@ -104,33 +91,30 @@ def klein_gordon_residual(p, m: float) -> float:
     return float(abs(-p[0] ** 2 + np.sum(p[1:] ** 2) + m**2))
 
 
-def dirac_plane_wave(p_vec, m: float, gammas: GammaSet) -> PlaneWaveSpinor:
-    """On-shell spinor from the null space of gamma.p - m (SVD thresholded)."""
+def _on_shell(p_vec, m: float) -> np.ndarray:
+    """The 4-momentum (p0, p_vec) with p0 = sqrt(|p_vec|^2 + m^2), m > 0."""
     if m <= 0:
         raise ParameterError("mass must be positive")
     p_vec = np.asarray(p_vec, dtype=float)
     if p_vec.shape != (3,):
         raise ParameterError("p_vec must be a 3-vector")
-    p0 = float(np.sqrt(np.sum(p_vec**2) + m**2))
-    p = np.concatenate([[p0], p_vec])
-    op = gammas.slash(p) - m * np.eye(4)
-    u_svd, s, vh = np.linalg.svd(op)
-    null_mask = s <= NULLSPACE_RTOL * s[0]
-    if not np.any(null_mask):
-        raise FractoidError("no null space found: inconsistent metric/gamma pairing")
-    spinor = vh.conj().T[:, -1]
-    return PlaneWaveSpinor(momentum=p, spinor=spinor, mass=m)
+    return np.concatenate([[np.sqrt(np.sum(p_vec**2) + m**2)], p_vec])
 
 
 def plane_wave_null_space(p_vec, m: float, gammas: GammaSet) -> np.ndarray:
-    """All null directions of gamma.p - m (columns); dimension 2 on shell."""
-    p_vec = np.asarray(p_vec, dtype=float)
-    p0 = float(np.sqrt(np.sum(p_vec**2) + m**2))
-    p = np.concatenate([[p0], p_vec])
-    op = gammas.slash(p) - m * np.eye(4)
-    _, s, vh = np.linalg.svd(op)
-    null_mask = s <= NULLSPACE_RTOL * max(s[0], 1.0)
-    return vh.conj().T[:, null_mask]
+    """All null directions of gamma.p - m on shell (columns, dimension 2),
+    the singular vectors whose singular value is at most NULLSPACE_RTOL
+    times the largest, smallest last."""
+    _, s, vh = np.linalg.svd(gammas.slash(_on_shell(p_vec, m)) - m * np.eye(4))
+    return vh.conj().T[:, s <= NULLSPACE_RTOL * s[0]]
+
+
+def dirac_plane_wave(p_vec, m: float, gammas: GammaSet) -> PlaneWaveSpinor:
+    """On-shell spinor: the last direction of :func:`plane_wave_null_space`."""
+    null = plane_wave_null_space(p_vec, m, gammas)
+    if null.shape[1] == 0:
+        raise FractoidError("no null space found: inconsistent metric/gamma pairing")
+    return PlaneWaveSpinor(momentum=_on_shell(p_vec, m), spinor=null[:, -1], mass=m)
 
 
 def dirac_operator_fd(field: np.ndarray, gammas: GammaSet, spacings) -> np.ndarray:
@@ -157,22 +141,19 @@ def dirac_operator_fd(field: np.ndarray, gammas: GammaSet, spacings) -> np.ndarr
     return out
 
 
-def clifford_relation_check(omega1, omega2, gammas: GammaSet,
-                            chart_metric_inv: np.ndarray | None = None) -> float:
+def clifford_relation_check(omega1, omega2, gammas: GammaSet) -> float:
     """Residual ||c(w1)c(w2) + c(w2)c(w1) + 2 (w1, w2) I||.
 
     c(w) = w_mu gamma^mu; the pairing uses the chart-convention inverse
-    metric (default diag(-1,1,1,1)), the unique choice that makes the
-    residual vanish for the Dirac-basis algebra.
+    metric diag(-1,1,1,1), the unique choice that makes the residual vanish
+    for the Dirac-basis algebra.
     """
     w1 = np.asarray(omega1, dtype=float)
     w2 = np.asarray(omega2, dtype=float)
     if w1.shape != (4,) or w2.shape != (4,):
         raise ParameterError("1-form components must be 4-vectors")
-    ginv = ETA_CHART if chart_metric_inv is None else np.asarray(chart_metric_inv)
-    c1 = sum(w * g for w, g in zip(w1, gammas.gammas))
-    c2 = sum(w * g for w, g in zip(w2, gammas.gammas))
-    pairing = float(w1 @ ginv @ w2)
+    c1, c2 = gammas.clifford(w1), gammas.clifford(w2)
+    pairing = float(w1 @ ETA_CHART @ w2)
     resid = c1 @ c2 + c2 @ c1 + 2.0 * pairing * np.eye(4)
     return float(np.linalg.norm(resid))
 
@@ -197,16 +178,14 @@ def clifford_connection_check(omega_field, X, x, gammas: GammaSet | None = None)
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
 
-    def c_of(w):
-        return sum(wi * g for wi, g in zip(w, gammas.gammas))
-
     def along_X(F):
         """d/ds F(x + s X) at s = 0."""
         return central_difference(lambda s: F(x + s[0] * X), np.zeros(1), 0,
                                   CLIFFORD_FD_STEP)
 
     omega0 = call_checked(omega_field, "omega_field", (4,), x)
-    lhs1 = along_X(lambda p: c_of(omega_field(p)) @ _probe_spinor(p))  # grad_X (c(w) psi)
-    lhs2 = c_of(omega0) @ along_X(_probe_spinor)                       # c(w) grad_X psi
-    rhs = c_of(along_X(omega_field)) @ _probe_spinor(x)                # c(grad_X w) psi
+    c = gammas.clifford
+    lhs1 = along_X(lambda p: c(omega_field(p)) @ _probe_spinor(p))  # grad_X (c(w) psi)
+    lhs2 = c(omega0) @ along_X(_probe_spinor)                       # c(w) grad_X psi
+    rhs = c(along_X(omega_field)) @ _probe_spinor(x)                # c(grad_X w) psi
     return float(np.linalg.norm(lhs1 - lhs2 - rhs))

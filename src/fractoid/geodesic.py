@@ -34,6 +34,7 @@ from .geometry import (
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
 from .meanderiv.estimators import LaggedSamples
 from .stochastic import PathEnsemble
+from .stochastic.integrator import step_count
 
 VARIATION_STEP = 1e-5
 RESIDUAL_FD_STEP = 1e-3
@@ -116,9 +117,7 @@ def classical_geodesic(chart: MetricChart, x0, v0, T: float, dt: float) -> PathC
     """
     x0 = chart.require_valid(np.asarray(x0, dtype=float))
     v0 = np.asarray(v0, dtype=float)
-    K = int(round(T / dt))
-    if K < 1 or abs(K * dt - T) > 1e-9 * max(1.0, T):
-        raise ParameterError(f"T={T} is not an integer multiple of dt={dt}")
+    K = step_count(T, dt)
 
     def acc(x, v):
         gamma = christoffel_batch(chart, x)

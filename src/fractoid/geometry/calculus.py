@@ -178,15 +178,21 @@ def richardson_derivative(f, x, k: int, h: float) -> np.ndarray:
 
 def laplace_beltrami(chart: MetricChart, f, x) -> float:
     """g^{ii} (d^2 f / (dx^i)^2 - Gamma^k_{ii} d_k f) at a point; f(x) has shape ()."""
+    return _laplace_beltrami_grad(chart, f, x)[0]
+
+
+def _laplace_beltrami_grad(chart: MetricChart, f, x, name: str = "f"):
+    """laplace_beltrami of f at x and f's gradient (n,) there, from one set
+    of calls of f; name labels f in the shape message."""
     x = chart.require_valid(x)
     ginv = chart.inverse_diag(x)
     h = _steps(x, FD_STEP_SECOND)
-    f0 = call_checked(f, "f", (), x)
+    f0 = call_checked(f, name, (), x)
     second = np.array([second_difference(f, x, i, h[i], f0) for i in range(len(x))])
     grad = vector_jacobian_fd(f, x)
     # the full contraction, then its diagonal: "kii,k->i" rounds differently
     gamma_grad = np.einsum("kij,k->ij", christoffel_batch(chart, x), grad)
-    return float(np.sum(ginv * (second - np.diagonal(gamma_grad))))
+    return float(np.sum(ginv * (second - np.diagonal(gamma_grad)))), grad
 
 
 def vector_jacobian_fd(X, x, step=FD_STEP_FIRST) -> np.ndarray:

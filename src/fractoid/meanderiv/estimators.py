@@ -14,9 +14,9 @@ causal split and the quadratic variation read the same block index.  No
 index is stored for the whole ensemble: :meth:`LaggedSamples.blocks` bins
 each block of paths as a walk reaches it.  Only that binning runs on the
 block pool (``stochastic.map_blocks``), a window of blocks ahead of the
-walk, into caller-allocated buffers; everything else runs on the calling
-thread in block order, so user fields and covariant transport are never
-called concurrently.
+walk, each block's index in an array of its own; everything else runs on
+the calling thread in block order, so user fields and covariant transport
+are never called concurrently.
 
 Values are never held for the whole ensemble, by the estimators or by the
 covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
@@ -42,14 +42,14 @@ import numpy as np
 from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
-from ..stochastic import PathEnsemble, integrator, map_blocks, path_blocks
+from ..stochastic import PathEnsemble, map_blocks, path_blocks
 
 # samples per chunk of whole paths, for bin_index's rows and the
 # accumulator's sums; each chunk's temporaries (bin_index's int64 searches,
 # the sums' bins, shifted values and points) stay cache-sized
 BIN_CHUNK = 1 << 16
 # blocks binned ahead of the one being summed (a window of 1 measured
-# slower); each of the window + 1 blocks in flight has its own index buffer
+# slower); it bounds the block indexes in flight
 BIN_WINDOW = 2
 
 
@@ -151,17 +151,15 @@ class EstimatorConfig:
         return all(np.array_equal(a, b)
                    for a, b in zip(self.space_edges, other.space_edges))
 
-    def bin_index(self, times: np.ndarray, paths: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+    def bin_index(self, times: np.ndarray, paths: np.ndarray) -> np.ndarray:
         """(N, K+1) flattened bin of every sample of paths (N, K+1, dim)
         taken at times (K+1,), n_bins outside the grid, in the smallest
-        unsigned type that holds n_bins; written into out when given.  Bins
-        are half-open [lo, hi); the time bin is found once per step.  The
-        index is built in its own type, in place, over row chunks of about
-        BIN_CHUNK samples, so it allocates nothing of the paths' size."""
+        unsigned type that holds n_bins.  Bins are half-open [lo, hi); the
+        time bin is found once per step.  The index is built in its own
+        type, in place, over row chunks of about BIN_CHUNK samples, so the
+        result is its only array of the paths' size."""
         n_bins = self.n_bins
-        if out is None:
-            out = np.empty(paths.shape[:2], np.min_scalar_type(n_bins))
+        out = np.empty(paths.shape[:2], np.min_scalar_type(n_bins))
         it = np.searchsorted(self.time_edges, times, side="right") - 1
         t_outside = (it < 0) | (it >= self.n_time_bins)
         it = np.clip(it, 0, self.n_time_bins - 1)
@@ -361,25 +359,12 @@ class LaggedSamples:
     def blocks(self):
         """(rows, index) for each slice rows of :func:`path_blocks`, in
         order: index[p, k] is the bin of sample (rows.start + p, k), the
-        overflow bin n_bins outside the grid.  The indexes are formed on the
-        block pool, BIN_WINDOW blocks ahead, in a ring of BIN_WINDOW + 1
-        block buffers, so a block's index holds until the next block is
-        asked for.
+        overflow bin n_bins outside the grid.  Each index is a new array,
+        formed on the block pool at most BIN_WINDOW blocks ahead.
         """
         ens, config = self.ensemble, self.config
-        # full blocks whatever the ensemble size: rows no block reaches are
-        # never written, so they take address space but no memory (a ring
-        # cut to a small ensemble measured a higher peak RSS, from where the
-        # allocator then placed later arrays)
-        ring = np.empty((BIN_WINDOW + 1, integrator.BLOCK_PATHS, ens.n_steps + 1),
-                        np.min_scalar_type(config.n_bins))
-
-        def index(job):
-            j, rows = job
-            out = ring[j % len(ring), :rows.stop - rows.start]
-            return rows, config.bin_index(ens.times, ens.paths[rows], out=out)
-
-        return map_blocks(index, enumerate(path_blocks(ens.n_paths)), BIN_WINDOW)
+        return map_blocks(lambda rows: (rows, config.bin_index(ens.times, ens.paths[rows])),
+                          path_blocks(ens.n_paths), BIN_WINDOW)
 
     def ends(self, direction: str) -> tuple[slice, slice]:
         """Step slices of a direction's (conditioning, displaced) ends."""

@@ -121,7 +121,8 @@ def read_table(path, n_cols=None):
 def read_arrays(path, names) -> dict:
     """The named arrays of the .npz archive at path, loaded without pickles."""
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+        # NpzFile, not np.load, which returns a .npy file's array instead
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
             return {name: data[name] for name in names}
     except KeyError as exc:
         raise ParameterError(f"{path} holds no array {exc}") from exc

@@ -42,6 +42,17 @@ def path_blocks(n_paths: int):
         yield slice(lo, min(lo + BLOCK_PATHS, n_paths))
 
 
+def step_count(span: float, step: float, names=("T", "dt")) -> int:
+    """The number of steps of size step in span, which must be a whole
+    number of them (to 1e-9 relative) and at least one; names label the two
+    in the ParameterError."""
+    n = int(round(span / step))
+    if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, span):
+        raise ParameterError(f"{names[0]}={span} is not an integer multiple of "
+                             f"{names[1]}={step}")
+    return n
+
+
 def worker_count() -> int:
     """Threads of the block pool: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -53,11 +64,10 @@ def map_blocks(fn, items, window: int):
     """Yield fn(item) for each item, in item order, with fn running on a
     pool of min(window, worker_count()) threads.
 
-    At most window items are submitted ahead of the one the caller holds, so
-    a caller may hand fn window + 1 buffers in turn and reuse one as soon as
-    it asks for the next result.  The first item in order whose fn raises
-    raises its error here, and the items not yet started are cancelled.
-    The pool shuts down when the walk ends, fails or is closed.
+    At most window items are submitted ahead of the one the caller holds.
+    The first item in order whose fn raises raises its error here, and the
+    items not yet started are cancelled.  The pool shuts down when the walk
+    ends, fails or is closed.
     """
     # here, not at module level: the import loads logging (~11 ms)
     from concurrent.futures import ThreadPoolExecutor
@@ -114,9 +124,7 @@ class Integrator:
                  chart=None):
         if T <= 0 or dt <= 0:
             raise ParameterError("T and dt must be positive")
-        K = int(round(T / dt))
-        if K < 1 or abs(K * dt - T) > 1e-9 * max(1.0, T):
-            raise ParameterError(f"T={T} is not an integer multiple of dt={dt}")
+        K = step_count(T, dt)
         self.name = name
         self.K = K
         self.dt = dt

@@ -30,9 +30,8 @@ from ..geometry import (
     MetricChart,
     christoffel_batch,
     diag_derivative,
-    laplace_beltrami,
-    vector_jacobian_fd,
 )
+from ..geometry.calculus import _laplace_beltrami_grad
 from ..geometry.charts import diag_matrix
 from .ensemble import PathEnsemble
 from .integrator import Integrator, initial_points
@@ -323,9 +322,9 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
 def generator_apply(chart: MetricChart, w, z, x) -> float:
     """(L_w z)(x) = (1/2) Lap_g z(x) + (w . grad z)(x) at a point x (n,);
     z(x) has shape () and w(x), unless w is None, shape (n,)."""
-    x = chart.require_valid(np.asarray(x, dtype=float))
-    call_checked(z, "z", (), x)    # so a wrong z is named z, not laplace_beltrami's f
-    val = 0.5 * laplace_beltrami(chart, z, x)
+    x = np.asarray(x, dtype=float)
+    lap, grad = _laplace_beltrami_grad(chart, z, x, "z")
+    val = 0.5 * lap
     if w is not None:
-        val += float(np.dot(call_checked(w, "w", x.shape, x), vector_jacobian_fd(z, x)))
+        val += float(np.dot(call_checked(w, "w", x.shape, x), grad))
     return val

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, ParameterError, ResourceError, call_checked
 from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream, stream_normals
+from .stochastic.integrator import step_count
 
 DEFAULT_CELL_CAP = 10_000_000
 # lattice values paley_wiener_samples draws per block of samples (1 MiB)
@@ -42,14 +43,17 @@ class SpaceTimeLattice:
             raise ParameterError("dt and dx must be positive")
         if self.t_extent <= 0 or self.half_width <= 0 or self.d < 1:
             raise ParameterError("extents must be positive and d >= 1")
+        # each raises unless its step divides its extent: rounded counts
+        # would give cells that do not cover the box
+        self.n_t, self.n_x
 
     @property
     def n_t(self) -> int:
-        return int(round(self.t_extent / self.dt))
+        return step_count(self.t_extent, self.dt, ("t_extent", "dt"))
 
     @property
     def n_x(self) -> int:
-        return int(round(2.0 * self.half_width / self.dx))
+        return step_count(2.0 * self.half_width, self.dx, ("2*half_width", "dx"))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fractoid.cli.config import ExperimentConfig, load_config, make_drift
+from fractoid.cli import main as cli_main
 from fractoid.cli.main import main
 from fractoid.cli.suites import SuiteReport, run_suite
 from fractoid.errors import ConfigError
@@ -324,6 +325,13 @@ def test_verify_values_identical_on_repeat(tmp_path):
     assert a == b
 
 
+def test_noise_lattice_step_that_does_not_divide_exit_2(tmp_path, capsys):
+    assert main(["noise", "--seed", "1", "--set", "lattice_dt=0.3",
+                 "--out", str(tmp_path)]) == 2
+    assert "dt=0.3" in capsys.readouterr().err
+    assert not (tmp_path / "whitenoise.bin").exists()
+
+
 def test_noise_resource_error_exit_3(tmp_path, capsys):
     code = main(["noise", "--seed", "1", "--out", str(tmp_path),
                  "--set", "lattice_d=4", "--set", "lattice_dx=0.01",
@@ -369,9 +377,16 @@ def cli_inputs(tmp_path_factory):
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 @pytest.mark.parametrize("command", _OUT_ARGS)
 def test_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, cli_inputs, command,
-                                               under):
+                                               under, monkeypatch):
     # the directory was made with mkdir, whose FileExistsError or
-    # NotADirectoryError ended in a traceback and exit 1
+    # NotADirectoryError ended in a traceback and exit 1; and the output
+    # directory is made before the work, so a bad --out costs no suite run
+    # and no estimate
+    def not_called(*args, **kwargs):
+        raise AssertionError("the work ran before the output directory was made")
+
+    monkeypatch.setattr(cli_main, "run_suite", not_called)
+    monkeypatch.setattr(cli_main, "estimate_velocity_fields", not_called)
     blocker = tmp_path / "taken"
     blocker.write_text("a file\n")
     out = blocker / "sub" if under else blocker

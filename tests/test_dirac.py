@@ -83,10 +83,13 @@ def test_clifford_relation_basis_and_random():
 def test_clifford_sign_convention_bridge():
     # the chart pairing is exactly minus the gamma-algebra metric
     assert np.array_equal(ETA_CHART, -ETA_GAMMA)
-    # flipping the pairing leaves 4 (w1, w2) I, Frobenius norm 8
-    r = clifford_relation_check([1, 0, 0, 0], [1, 0, 0, 0], G,
-                                chart_metric_inv=ETA_GAMMA)
-    assert abs(r - 8.0) < 1e-12
+    w = np.array([1.0, 0.0, 0.0, 0.0])
+    assert clifford_relation_check(w, w, G) == 0.0
+    # pairing with the gamma-algebra metric instead leaves 4 (w, w) I,
+    # Frobenius norm 8
+    c = G.clifford(w)
+    flipped = c @ c + c @ c + 2.0 * float(w @ ETA_GAMMA @ w) * EYE
+    assert abs(np.linalg.norm(flipped) - 8.0) < 1e-12
 
 
 def test_dirac_operator_constant_spinor():
@@ -165,3 +168,20 @@ def test_shape_validation():
         klein_gordon_residual([1.0, 0.0], 1.0)
     with pytest.raises(ParameterError):
         dirac_plane_wave([0.1, 0.2], 1.0, G)
+
+
+@pytest.mark.parametrize("p_vec, m, message", [
+    ([0.1, 0.2], 1.0, "3-vector"), ([0.1, 0.2, 0.3], 0.0, "positive"),
+    ([0.1, 0.2, 0.3], -1.0, "positive")], ids=["2-vector", "massless", "negative-mass"])
+def test_plane_wave_null_space_validates_like_the_plane_wave(p_vec, m, message):
+    # a 2-vector raised a bare numpy ValueError, and m <= 0 was accepted
+    for fn in (plane_wave_null_space, dirac_plane_wave):
+        with pytest.raises(ParameterError, match=message):
+            fn(p_vec, m, G)
+
+
+def test_clifford_map_is_the_gamma_combination():
+    w = np.array([0.5, -1.0, 2.0, 0.25])
+    assert np.array_equal(G.clifford(w), sum(wm * g for wm, g in zip(w, G.gammas)))
+    # the slash lowers the index first
+    assert np.array_equal(G.slash(w), G.clifford(ETA_GAMMA @ w))

@@ -78,6 +78,19 @@ def test_generator_apply_examples():
     assert abs(val - (-np.cos(1.0))) < 1e-6
 
 
+def test_generator_apply_calls_z_nine_times_on_sphere2():
+    # one value, two second differences and two central differences; the
+    # Laplacian's gradient serves the drift term too
+    calls = []
+
+    def z(p):
+        calls.append(p)
+        return np.cos(p[..., 0])
+
+    generator_apply(get_chart("sphere2"), lambda p: np.array([0.5, 0.2]), z, [1.0, 0.3])
+    assert len(calls) == 9
+
+
 def test_boundary_rejection_keeps_paths_inside():
     chart = get_chart("sphere2")
     ens = simulate_manifold_diffusion(chart, None, [0.12, 0.0], T=0.5, dt=0.002,

@@ -20,12 +20,14 @@ from fractoid.meanderiv import (
     estimate_velocity_fields,
     mean_acceleration,
     quadratic_variation_matrix,
+    relativistic_mean_derivatives,
     ricci_correction,
     spacelike_fraction,
     velocity_fields,
     write_field_csv,
 )
-from fractoid.meanderiv.estimators import BIN_CHUNK, LaggedSamples
+from fractoid.meanderiv import estimators
+from fractoid.meanderiv.estimators import BIN_CHUNK, BinnedField, LaggedSamples
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -231,12 +233,179 @@ def test_bin_index_matches_the_int64_formula(n_t, n_x, n_paths):
     assert ref.dtype == (np.uint8 if cfg.n_bins == 255 else np.uint16)
     got = cfg.bin_index(times, paths)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    # into one buffer of a ring, leaving the rest of the ring alone
-    ring = np.full((2, n_paths + 1, 41), 7, ref.dtype)
-    out = ring[1, 1:]
-    assert cfg.bin_index(times, paths, out=out) is out
-    assert np.array_equal(out, ref)
-    assert np.all(ring[0] == 7) and np.all(ring[1, 0] == 7)
+
+
+def _bin_sums_reference(config, bins, values, points):
+    """The BinnedField of one term from whole-ensemble sums: bins (N, M)
+    holding the overflow bin n_bins for samples the term drops, values
+    (N, M, ...), conditioning points (N, M, dim).  One np.add.at per sum,
+    from zero, over the path-major raveled samples; each bin's shift is its
+    first sample; mean, se and cond_mean as _accumulate documents them."""
+    n_bins, dim = config.n_bins, points.shape[-1]
+    idx = bins.astype(np.int64).ravel()
+    v = values.reshape(idx.size, -1)
+    count = np.zeros(n_bins + 1, np.int64)
+    np.add.at(count, idx, 1)
+    seen, first = np.unique(idx, return_index=True)
+    shift = np.zeros((v.shape[1], n_bins + 1))
+    shift[:, seen] = v[first].T
+    s1, s2 = np.zeros_like(shift), np.zeros_like(shift)
+    pts = np.zeros((dim, n_bins + 1))
+    for c in range(v.shape[1]):
+        np.add.at(s1[c], idx, v[:, c])
+        np.add.at(s2[c], idx, (v[:, c] - shift[c, idx]) ** 2)
+    for a in range(dim):
+        np.add.at(pts[a], idx, points[..., a].ravel())
+    n = np.maximum(count, 1)
+    mean = np.where(count > 0, s1 / n, np.nan)
+    cond_mean = np.where(count > 0, pts / n, np.nan)
+    m2 = np.maximum(s2 - count * (mean - shift) ** 2, 0.0)
+    se = np.sqrt(np.where(count > 1, m2 / np.maximum(count - 1, 1), np.nan) / n)
+    empty = count[:n_bins] < config.min_count
+    mean, se, cond_mean = (np.where(empty, np.nan, a[:, :n_bins]).T
+                           for a in (mean, se, cond_mean))
+    return BinnedField(config=config, values=mean.reshape(config.shape + values.shape[2:]),
+                       se=se.reshape(config.shape + values.shape[2:]),
+                       count=count[:n_bins].reshape(config.shape),
+                       cond_mean=cond_mean.reshape(config.shape + (dim,)))
+
+
+def _reference_terms(ens, config, values, terms):
+    """_bin_sums_reference of values for each (direction, split) term."""
+    lag = config.lag
+    index = _bin_index_reference(config, ens.times, ens.paths)
+    inc = ens.paths[:, lag:] - ens.paths[:, :-lag]
+    fields = []
+    for direction, split in terms:
+        near = slice(None, -lag) if direction == "forward" else slice(lag, None)
+        bins = index[:, near]
+        if split != "off":
+            norm2 = np.sum(inc * inc * np.diag(get_chart(ens.chart_name).signature_matrix()),
+                           axis=-1)
+            keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
+            bins = np.where(keep, bins, config.n_bins)
+        fields.append(_bin_sums_reference(config, bins, values, ens.paths[:, near]))
+    return fields
+
+
+def _reference_cases():
+    """Small seeded cases: (id, ensemble, config, what) with what one of
+    velocity, qv, average (values, or a constant or 1e8-offset kind) and
+    relativistic."""
+    cases = []
+
+    def case(i, what, dim, lag, offset=0.0, split="off", chart=None):
+        rng = np.random.default_rng([SEED, i])
+        n, k, dt = int(rng.integers(20, 41)), int(rng.integers(8, 17)), 0.1
+        steps = rng.normal(0.0, np.sqrt(dt), (n, k, dim))
+        if chart:
+            # slower in space than in time: both causal classes are common
+            steps[..., 1:] *= 0.5
+        start = rng.uniform(-1.0, 1.0, (n, 1, dim)) + offset
+        paths = np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
+        ens = PathEnsemble(np.arange(k + 1) * dt, paths, seed=i,
+                           chart_name=chart or f"euclidean:{dim}")
+        # t = 0 and the last steps lie outside the time grid, the tails of
+        # the walk outside the space grid
+        cfg = EstimatorConfig.regular((0.05, (k - 1.5) * dt), int(rng.integers(2, 4)),
+                                      (offset - 1.2, offset + 1.2), 2 if dim > 3 else 6 - dim,
+                                      dim=dim, lag=lag, causal_split=split,
+                                      min_count=int(rng.integers(2, 5)))
+        cases.append((f"{i}-{what}-{dim}d-lag{lag}-{split}", ens, cfg, what))
+
+    i = 0
+    for dim in (1, 2, 3):
+        for lag in (1, 2, 3):
+            for what in ("velocity", "qv", "average"):
+                case(i, what, dim, lag)
+                i += 1
+        case(i, "average-equal", dim, 1)
+        case(i + 1, "average-1e8", dim, 2, offset=1e8)
+        case(i + 2, "velocity", dim, 1, offset=1e8)
+        i += 3
+    for lag in (1, 2):
+        for what, split in (("velocity", "timelike"), ("velocity", "spacelike"),
+                            ("relativistic", "off"), ("average", "timelike")):
+            case(i, what, 4, lag, split=split, chart="minkowski:1+3")
+            i += 1
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+def _same_bits(pairs):
+    for name, got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def _same_field(got, ref):
+    _same_bits((name, getattr(got, name), getattr(ref, name))
+               for name in ("values", "se", "count", "cond_mean"))
+
+
+@pytest.mark.parametrize("blocks", ["default", "7-path blocks"])
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_estimator_sums_match_the_whole_ensemble_reference(case, blocks, monkeypatch):
+    # the module promises path-major sums, so the block walk, its chunks and
+    # the pool must give the reference's bits, not merely close values
+    _, ens, cfg, what = case
+    if blocks != "default":
+        # 7-path blocks, each summed in chunks of a few paths
+        monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+        monkeypatch.setattr(estimators, "BIN_CHUNK", 32)
+    lag = cfg.lag
+    quotients = (ens.paths[:, lag:] - ens.paths[:, :-lag]) / (lag * ens.dt)
+    split = cfg.causal_split
+    if what == "velocity":
+        got = estimate_velocity_fields(ens, cfg)
+        fwd, bwd = _reference_terms(ens, cfg, quotients, [("forward", split),
+                                                          ("backward", split)])
+        _same_bits([("forward", got.forward, fwd.values), ("forward_se", got.forward_se, fwd.se),
+                    ("backward", got.backward, bwd.values),
+                    ("backward_se", got.backward_se, bwd.se),
+                    ("count", got.count, np.minimum(fwd.count, bwd.count)),
+                    ("cond_mean", got.cond_mean, fwd.cond_mean)])
+    elif what == "qv":
+        inc = ens.paths[:, lag:] - ens.paths[:, :-lag]
+        outer = inc[..., :, None] * inc[..., None, :] / (lag * ens.dt)
+        _same_field(quadratic_variation_matrix(ens, cfg, "backward"),
+                    *_reference_terms(ens, cfg, outer, [("backward", "off")]))
+    elif what == "relativistic":
+        got = relativistic_mean_derivatives(ens, cfg)
+        terms = _reference_terms(ens, cfg, quotients, [
+            ("forward", "timelike"), ("backward", "spacelike"),
+            ("backward", "timelike"), ("forward", "spacelike")])
+        for g, (a, b) in zip(got, (terms[:2], terms[2:])):
+            count = np.minimum(a.count, b.count)
+            empty = (count < cfg.min_count)[..., None]
+            _same_field(g, BinnedField(cfg, np.where(empty, np.nan, a.values + b.values),
+                                       np.where(empty, np.nan, np.sqrt(a.se**2 + b.se**2)),
+                                       count, a.cond_mean))
+    else:
+        rng = np.random.default_rng([SEED, len(ens.times)])
+        user = {"average": 0.0, "average-1e8": 1e8}
+        vals = (np.full(quotients.shape[:2] + (2,), 0.1) if what == "average-equal"
+                else user[what] + rng.normal(0.0, 1.0, quotients.shape[:2] + (2,)))
+        _same_field(LaggedSamples(ens, cfg).average("forward", lambda rows: vals[rows], split),
+                    *_reference_terms(ens, cfg, vals, [("forward", split)]))
+
+
+def test_estimator_reference_cases_reach_sparse_bins():
+    # samples outside the grid in every case; across the cases, bins holding
+    # 0 samples, 1 sample and min_count - 1 > 1 samples
+    seen = set()
+    for _, ens, cfg, _ in REFERENCE_CASES:
+        index = _bin_index_reference(cfg, ens.times, ens.paths)
+        per_bin = np.bincount(index.ravel(), minlength=cfg.n_bins + 1)
+        assert per_bin[-1] > 0
+        per_bin = per_bin[:-1]
+        seen |= {"0"} if np.any(per_bin == 0) else set()
+        seen |= {"1"} if np.any(per_bin == 1) else set()
+        if cfg.min_count > 2 and np.any(per_bin == cfg.min_count - 1):
+            seen.add("min_count - 1")
+    assert seen == {"0", "1", "min_count - 1"}
 
 
 def test_average_forms_each_block_of_values_once(monkeypatch):
@@ -335,7 +504,7 @@ def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
 
 def test_one_block_estimate_peak_memory_within_three_times_the_ensemble():
     # sphere-io's estimate: one block of sphere2 paths, N = 1000, K = 1000.
-    # The peak is the block's quotients and the bin-index ring; the sums run
+    # The peak is the block's quotients and its bin index; the sums run
     # over path chunks of at most BIN_CHUNK samples and add nothing of the
     # block's size
     ens = simulate_manifold_diffusion(get_chart("sphere2"), None, [np.pi / 2, 0.0],

@@ -3,7 +3,6 @@ fractal diagnostics, ensemble persistence and the ordered block pool."""
 
 import json
 import re
-import sys
 import threading
 import time
 import tracemalloc
@@ -214,30 +213,6 @@ def test_map_blocks_cancels_the_items_behind_a_failure(monkeypatch):
     with pytest.raises(ValueError, match="^item 0$"):
         list(map_blocks(fn, range(10), 4))
     assert started in ([0], [0, 1])
-
-
-def test_map_blocks_never_overwrites_the_buffer_the_caller_holds(monkeypatch):
-    # window + 1 buffers used in turn, six threads on fewer CPUs and a short
-    # switch interval: a buffer rewritten while the caller reads it would
-    # show the later item's number
-    monkeypatch.setattr(integrator, "worker_count", lambda: 8)
-    window = 6
-    ring = np.full((window + 1, 256), -1)
-
-    def fn(i):
-        ring[i % len(ring)] = i
-        return i
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i in map_blocks(fn, range(2000), window):
-            held = ring[i % len(ring)]
-            assert np.all(held == i)
-            time.sleep(0)
-            assert np.all(held == i)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n_items", [0, 1, 2, 50])
@@ -651,6 +626,13 @@ def _npz_not_an_archive(path, arrays):
     path.write_text("path_id,step,t,x0\n0,0,0,0\n")
 
 
+def _npz_a_npy_file(path, arrays):
+    # np.load returns a .npy file's array, which a with statement rejects
+    # with a bare TypeError
+    with open(path, "wb") as fh:
+        np.save(fh, arrays["paths"])
+
+
 @pytest.mark.parametrize("damage", [
     _npz_missing_array,
     lambda path, arrays: arrays.update(meta=np.array("not json")),
@@ -658,9 +640,10 @@ def _npz_not_an_archive(path, arrays):
     lambda path, arrays: arrays.update(seed=np.array([1, 2])),
     _npz_truncated,
     _npz_not_an_archive,
+    _npz_a_npy_file,
     lambda path, arrays: arrays.update(times=np.arange(4) * 0.1),
 ], ids=["missing-array", "meta-not-json", "meta-a-list", "seed-not-scalar", "truncated",
-        "not-an-archive", "times-not-the-path-grid"])
+        "not-an-archive", "a-npy-file", "times-not-the-path-grid"])
 def test_ensemble_npz_rejects_what_it_cannot_load(tmp_path, damage):
     path = tmp_path / "ens.npz"
     arrays = {"times": np.arange(3) * 0.1, "paths": np.zeros((2, 3, 1)),

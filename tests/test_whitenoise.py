@@ -58,6 +58,18 @@ def test_read_rejects_truncated_file(tmp_path):
         WhiteNoiseSample.read(p)
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(dt=0.3), "t_extent=1.0 is not an integer multiple of dt=0.3"),
+    (dict(dx=0.3), "2\\*half_width=2.0 is not an integer multiple of dx=0.3"),
+], ids=["dt", "dx"])
+def test_lattice_steps_must_divide_the_extents(kw, message):
+    # rounded counts gave a (3, 7) lattice whose cells cover t in [0, 0.9]
+    # and x in [-1, 1.1]
+    with pytest.raises(ParameterError, match=message):
+        SpaceTimeLattice(**{**dict(t_extent=1.0, dt=0.25, half_width=1.0, dx=0.25, d=1),
+                            **kw})
+
+
 def test_cell_cap():
     lat = SpaceTimeLattice(t_extent=1.0, dt=0.001, half_width=10.0, dx=0.01,
                            d=3, cell_cap=10_000)
