@@ -231,7 +231,7 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
     # show up in the path-to-path spread; add it explicitly.
     mask = fwd.mask
     weights = fwd.count / max(int(np.sum(fwd.count[mask])), 1)
-    duration = ensemble.t_final
+    duration = ensemble.times[-1] - ensemble.times[0]
     grad = 2.0 * np.abs(np.nan_to_num(fwd.values[mask]))
     var_bins = np.sum((weights[mask, None] * grad * fwd.se[mask]) ** 2) * duration**2
     return est, float(np.sqrt(se_paths**2 + var_bins))

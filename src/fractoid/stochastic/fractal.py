@@ -6,6 +6,14 @@ l(delta_t) ~ delta_t^(1/D_f - 1), since each coarse increment fluctuates
 like delta_t^(1/D_f); the fitted log-log slope s therefore gives
 D_f = 1/(1 + s).  A rectifiable curve has s = 0 (D_f = 1), a Wiener path
 s = -1/2 (D_f = 2).
+
+The paths are read one block at a time through :func:`path_blocks`, as
+every ensemble consumer reads them.  Each path leaves one entry per figure
+(its length at each scale, its displacement, its sum of squared centred
+increments), and each figure is one reduction over those entries, so the
+largest temporary is one block's increments, not the ensemble's.  The diffusion coefficient divides
+by the elapsed time times[-1] - times[0], so a restricted ensemble that
+starts after t = 0 reads the same coefficient.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .ensemble import PathEnsemble
+from .integrator import path_blocks
 
 MIN_SCALES = 4
 
@@ -26,47 +35,58 @@ class FractalScalingReport:
     lengths: np.ndarray                # mean measured length per scale
     fitted_dimension: float            # D_f
     fluctuation_amplitudes: tuple[float, float]   # RMS forward/backward amplitudes
-    diffusion_coefficient: float       # D_m = Var(displacement)/(2 t)
+    diffusion_coefficient: float       # D_m = Var(displacement)/(2 elapsed time)
     reference_time: float              # tau scale used to normalize fluctuations
 
 
 def fractal_scaling(ensemble: PathEnsemble, scales, reference_time: float = 1.0) -> FractalScalingReport:
-    """Resample paths at the given step multiples and fit the length scaling."""
-    scales = [int(m) for m in scales]
-    if len(scales) < MIN_SCALES:
-        raise ParameterError(f"need at least {MIN_SCALES} scales, got {len(scales)}")
+    """Resample paths at the given step multiples and fit the length scaling.
+
+    scales needs at least MIN_SCALES distinct steps in [1, K/2], and
+    reference_time must be positive and finite, else ParameterError.
+    """
+    scales = sorted(int(m) for m in scales)
+    if len(set(scales)) < MIN_SCALES:
+        raise ParameterError(f"need at least {MIN_SCALES} distinct scales, got {scales}")
     K = ensemble.n_steps
     for m in scales:
         if m < 1 or m > K // 2:
             raise ParameterError(f"scale {m} must be in [1, K/2] for K={K} steps")
+    if not (np.isfinite(reference_time) and reference_time > 0):
+        raise ParameterError(f"reference_time must be positive and finite, got {reference_time}")
     dt = ensemble.dt
     paths = ensemble.paths
+    n, dim = ensemble.n_paths, ensemble.dimension
 
-    lengths = []
-    for m in sorted(scales):
-        sub = paths[:, ::m, :]
-        seg = np.linalg.norm(np.diff(sub, axis=1), axis=-1)
-        lengths.append(float(np.mean(np.sum(seg, axis=1))))
-    delta_ts = np.array(sorted(scales)) * dt
-    lengths = np.array(lengths)
+    # The mean increment over all paths and steps, by telescoping each path.
+    disp = paths[:, -1, :] - paths[:, 0, :]
+    mean_inc = np.sum(disp, axis=0) / (n * K)
+    per_path = np.empty((len(scales), n))      # path length at each scale
+    sq_dev = np.empty(n)                       # squared centred increments
+    for rows in path_blocks(n):
+        block = paths[rows]
+        inc = np.diff(block, axis=1)
+        for i, m in enumerate(scales):
+            step = inc if m == 1 else np.diff(block[:, ::m, :], axis=1)
+            per_path[i, rows] = np.sum(np.linalg.norm(step, axis=-1), axis=1)
+        sq_dev[rows] = np.sum((inc - mean_inc) ** 2, axis=(1, 2))
+    lengths = np.array([np.mean(row) for row in per_path])
+    delta_ts = np.array(scales) * dt
 
     slope = np.polyfit(np.log(delta_ts), np.log(lengths), 1)[0]
     fitted_dimension = 1.0 / max(1.0 + slope, 1e-12)
 
     # RMS fluctuation amplitude at the base resolution, drift removed,
     # normalized by (dt / tau)^(1/D_f).
-    inc = np.diff(paths, axis=1)
-    fwd = inc - inc.mean(axis=(0, 1), keepdims=True)
-    rms = float(np.sqrt(np.mean(np.sum(fwd**2, axis=-1) / paths.shape[2])))
+    rms = float(np.sqrt(np.sum(sq_dev) / (n * K * dim)))
     norm = (dt / reference_time) ** (1.0 / fitted_dimension)
     sigma = rms / norm
     # Forward and backward increments coincide on a uniform grid; both
     # amplitudes are reported for symmetry with the two difference quotients.
     amplitudes = (sigma, sigma)
 
-    disp = paths[:, -1, :] - paths[:, 0, :]
     var = np.mean(np.var(disp, axis=0, ddof=1))
-    diffusion = float(var / (2.0 * ensemble.t_final))
+    diffusion = float(var / (2.0 * (ensemble.times[-1] - ensemble.times[0])))
 
     return FractalScalingReport(
         scales=delta_ts,

@@ -19,7 +19,7 @@ from fractoid.geodesic import (
 )
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import EstimatorConfig
-from fractoid.stochastic import ItoProcessSpec, make_stream, simulate_ito
+from fractoid.stochastic import ItoProcessSpec, PathEnsemble, make_stream, simulate_ito
 
 SEED = 4321
 E1 = get_chart("euclidean:1")
@@ -187,6 +187,19 @@ def test_stochastic_energy_additive_over_halves():
     half2, se2 = stochastic_energy(ens.restrict(50, 100), E1, cfg)
     combined_se = np.sqrt(se_full**2 + se1**2 + se2**2)
     assert abs(full - (half1 + half2)) <= 3.0 * combined_se + 1e-3
+
+
+def test_stochastic_energy_bin_noise_uses_elapsed_time():
+    # paths on t in [1, 2] and the same paths re-based to [0, 1] span the
+    # same time, so the estimate and its standard error agree bit for bit
+    spec = ItoProcessSpec(drift=lambda t, x: np.full_like(x, 0.5),
+                          diffusion_const=1.0, dimension=1)
+    ens = simulate_ito(spec, 0.0, T=2.0, dt=1.0 / 64, N=5000, seed=SEED + 11)
+    late = ens.restrict(64, 128)
+    based = PathEnsemble(late.times - 1.0, late.paths, seed=late.seed)
+    late_cfg = EstimatorConfig.regular((1.0, 2.0), 1, (-3.0, 5.0), 16, min_count=100)
+    based_cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 5.0), 16, min_count=100)
+    assert stochastic_energy(late, E1, late_cfg) == stochastic_energy(based, E1, based_cfg)
 
 
 def test_stochastic_energy_jensen_bound():

@@ -2,6 +2,7 @@
 Newton-Nelson closure checks."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fractoid.nelson import (
     newton_nelson_residual,
     quadratic_variation_law,
 )
+from fractoid.nelson import operators
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -207,6 +209,35 @@ def test_free_propagator_resolution_guard():
     # is too structured for the identity branch
     with pytest.raises(ResolutionError):
         free_propagator(psi, 2e-3)
+
+
+@pytest.mark.parametrize("n, last_rows", [(1537, 25), (100, 100), (571, 1)],
+                         ids=["suite-grid", "one-block", "one-row-last"])
+def test_free_propagator_matches_dense_kernel(n, last_rows):
+    per = operators.KERNEL_CHUNK // n    # rows per block
+    assert n - (n - 1) // per * per == last_rows
+    x = np.linspace(-12.0, 12.0, n)
+    h, t = x[1] - x[0], 0.5
+    # no symmetry in x, complex phase varying across the grid
+    vals = (np.exp(-(x - 1.3) ** 2 / 3.0) * (1.0 + 0.5j * np.sin(2.0 * x + 0.3))
+            + 0.2j * np.exp(-(x + 4.0) ** 2))
+    out = free_propagator(WaveFunctionGrid((x,), vals), t)
+    kernel = (4.0j * np.pi * t) ** -0.5 * np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (4.0 * t))
+    dense = kernel @ vals * h
+    assert np.max(np.abs(out.values - dense)) <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_free_propagator_memory_is_one_row_block():
+    # the dense 1537 x 1537 complex kernel and its temporaries peak near 90 MiB
+    ax = (np.linspace(-12.0, 12.0, 1537),)
+    psi0 = WaveFunctionGrid(ax, np.exp(-ax[0] ** 2 / 2.0).astype(complex))
+    tracemalloc.start()
+    try:
+        free_propagator(psi0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_feynman_kac_flat_and_constant():

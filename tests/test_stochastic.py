@@ -392,6 +392,57 @@ def test_fractal_requires_scales():
     ens = PathEnsemble(np.arange(65) / 64.0, np.zeros((2, 65, 1)), seed=0)
     with pytest.raises(ParameterError):
         fractal_scaling(ens, scales=[1, 2, 4])
+    # only distinct scales count: two points cannot make a fit of four
+    with pytest.raises(ParameterError):
+        fractal_scaling(ens, scales=[1, 1, 2, 2])
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            fractal_scaling(ens, scales=[1, 2, 4, 8], reference_time=tau)
+
+
+def test_fractal_scaling_blocks_match_whole_ensemble(monkeypatch):
+    # 7-path blocks over 50 paths, a last block of one path, against the
+    # formulas on the whole (N, K+1, dim) array
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+    spec = ItoProcessSpec(drift=lambda t, x: np.full_like(x, 0.3),
+                          diffusion_const=1.0, dimension=2)
+    ens = simulate_ito(spec, np.zeros(2), T=1.0, dt=1.0 / 128, N=50, seed=SEED)
+    assert [r.stop - r.start for r in integrator.path_blocks(50)] == [7] * 7 + [1]
+    scales = [1, 2, 3, 8, 16]
+    rep = fractal_scaling(ens, scales, reference_time=0.7)
+
+    paths = ens.paths
+    lengths = np.array([
+        float(np.mean(np.sum(np.linalg.norm(np.diff(paths[:, ::m, :], axis=1), axis=-1),
+                             axis=1)))
+        for m in scales])
+    slope = np.polyfit(np.log(np.array(scales) * ens.dt), np.log(lengths), 1)[0]
+    dimension = 1.0 / max(1.0 + slope, 1e-12)
+    inc = np.diff(paths, axis=1)
+    fwd = inc - inc.mean(axis=(0, 1), keepdims=True)
+    rms = np.sqrt(np.mean(np.sum(fwd**2, axis=-1) / 2))
+    sigma = rms / (ens.dt / 0.7) ** (1.0 / dimension)
+    disp = paths[:, -1, :] - paths[:, 0, :]
+    diffusion = np.mean(np.var(disp, axis=0, ddof=1)) / (2.0 * ens.t_final)
+
+    assert np.array_equal(rep.lengths, lengths)
+    assert rep.fitted_dimension == float(dimension)
+    assert rep.diffusion_coefficient == float(diffusion)
+    for amp in rep.fluctuation_amplitudes:
+        assert abs(amp / sigma - 1.0) <= 1e-14
+
+
+def test_fractal_diffusion_divides_by_elapsed_time():
+    # t in [1, 2] spans one unit of time, not two: the same paths re-based to
+    # start at t = 0 read the same coefficient, near eps^2 / 2 = 0.5
+    spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
+                          diffusion_const=1.0, dimension=1)
+    ens = simulate_ito(spec, 0.0, T=2.0, dt=1.0 / 64, N=4000, seed=SEED + 6)
+    late = ens.restrict(64, 128)
+    based = PathEnsemble(late.times - 1.0, late.paths, seed=late.seed)
+    d_late = fractal_scaling(late, [1, 2, 4, 8]).diffusion_coefficient
+    assert d_late == fractal_scaling(based, [1, 2, 4, 8]).diffusion_coefficient
+    assert abs(d_late - 0.5) <= 0.05
 
 
 def test_ensemble_grid_validation():
