@@ -133,7 +133,7 @@ def cmd_estimate(args) -> int:
     except (OSError, ValueError, ParameterError) as exc:   # missing or malformed
         raise ConfigError(f"cannot read ensemble '{args.ensemble}': {exc}") from exc
     est = EstimatorConfig.regular(
-        (0.0, ens.t_final), cfg.est_t_bins,
+        (float(ens.times[0]), ens.t_final), cfg.est_t_bins,
         (cfg.est_x_min, cfg.est_x_max), cfg.est_x_bins, dim=ens.dimension,
         min_count=cfg.min_count, lag=cfg.lag, causal_split=cfg.causal_split)
     field = estimate_velocity_fields(ens, est)

@@ -160,15 +160,16 @@ def divergence_form_laplacian(chart: MetricChart, f, x, h: float = 1e-4) -> floa
 
 
 def schrodinger_expm_oracle(x_grid: np.ndarray, potential, t: float) -> np.ndarray:
-    """Dense matrix exponential of -(1/2) Lap_h + V on a truncated grid."""
-    from scipy.linalg import expm   # here, so only the feynman-kac suite loads scipy
-
+    """exp(-t H) for H = -(1/2) Lap_h + V on a truncated grid, from a dense
+    eigendecomposition H = Q diag(lam) Q^T; H is real symmetric, so this is
+    its exact exponential up to rounding."""
     n = len(x_grid)
     h = x_grid[1] - x_grid[0]
     lap = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
            + np.diag(np.ones(n - 1), -1)) / h**2
     H = -0.5 * lap + np.diag(potential(x_grid[:, None]))
-    return expm(-t * H)
+    lam, Q = np.linalg.eigh(H)
+    return (Q * np.exp(-t * lam)) @ Q.T
 
 
 # --- suites ------------------------------------------------------------------

@@ -49,9 +49,11 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     """Estimate (exp(-tS) phi)(x) = E[exp(-int V(x+W_s) ds) phi(x+W_t)].
 
     V and phi map points of shape (B, dim) to values of shape (B,); another
-    shape is a ParameterError.  The time integral uses the trapezoid rule
-    along each Brownian path; paths are drawn in blocks of BLOCK_SIZE with
-    one counter stream per block, so the result depends only on the seed.
+    shape is a ParameterError, and so is a dt that does not divide t
+    (integrator.step_count, the integrator's rule).  The time integral uses
+    the trapezoid rule along each Brownian path; paths are drawn in blocks
+    of BLOCK_SIZE with one counter stream per block, so the result depends
+    only on the seed.
     The blocks run on the block pool, stochastic.integrator.map_blocks,
     with one thread per CPU the process may use, so V and phi are called
     concurrently on different blocks and must not mutate shared state; the
@@ -66,7 +68,7 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     if N < 2:
         raise ParameterError("N must be >= 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_steps = max(1, int(round(t / dt)))
+    n_steps = integrator.step_count(t, dt, ("t", "dt"))
 
     def weights(lo: int) -> np.ndarray:
         return _block_weights(V, phi, x, t, n_steps, seed, lo // BLOCK_SIZE,

@@ -8,12 +8,15 @@ D_f = 1/(1 + s).  A rectifiable curve has s = 0 (D_f = 1), a Wiener path
 s = -1/2 (D_f = 2).
 
 The paths are read one block at a time through :func:`path_blocks`, as
-every ensemble consumer reads them.  Each path leaves one entry per figure
-(its length at each scale, its displacement, its sum of squared centred
-increments), and each figure is one reduction over those entries, so the
-largest temporary is one block's increments, not the ensemble's.  The diffusion coefficient divides
-by the elapsed time times[-1] - times[0], so a restricted ensemble that
-starts after t = 0 reads the same coefficient.
+every ensemble consumer reads them, and each block in chunks of whole
+paths of at most PATH_CHUNK samples (at least one path).  Each path leaves
+one entry per figure (its length at each scale, its displacement, its sum
+of squared centred increments), and each figure is one reduction over
+those entries, so the largest temporary is one chunk's increments, not the
+ensemble's or a block's, and no figure depends on the block or chunk
+size.  The diffusion coefficient divides by the elapsed time
+times[-1] - times[0], so a restricted ensemble that starts after t = 0
+reads the same coefficient.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .ensemble import PathEnsemble
 from .integrator import path_blocks
 
 MIN_SCALES = 4
+# samples per chunk of whole paths; each chunk's increments, their centred
+# squares and a coarse scale's increments stay cache-sized however long
+# the paths
+PATH_CHUNK = 1 << 16
 
 
 @dataclass
@@ -63,13 +70,16 @@ def fractal_scaling(ensemble: PathEnsemble, scales, reference_time: float = 1.0)
     mean_inc = np.sum(disp, axis=0) / (n * K)
     per_path = np.empty((len(scales), n))      # path length at each scale
     sq_dev = np.empty(n)                       # squared centred increments
-    for rows in path_blocks(n):
-        block = paths[rows]
-        inc = np.diff(block, axis=1)
-        for i, m in enumerate(scales):
-            step = inc if m == 1 else np.diff(block[:, ::m, :], axis=1)
-            per_path[i, rows] = np.sum(np.linalg.norm(step, axis=-1), axis=1)
-        sq_dev[rows] = np.sum((inc - mean_inc) ** 2, axis=(1, 2))
+    per = max(1, PATH_CHUNK // (K + 1))        # whole paths per chunk
+    for block in path_blocks(n):
+        for lo in range(block.start, block.stop, per):
+            rows = slice(lo, min(lo + per, block.stop))
+            chunk = paths[rows]
+            inc = np.diff(chunk, axis=1)
+            for i, m in enumerate(scales):
+                step = inc if m == 1 else np.diff(chunk[:, ::m, :], axis=1)
+                per_path[i, rows] = np.sum(np.linalg.norm(step, axis=-1), axis=1)
+            sq_dev[rows] = np.sum((inc - mean_inc) ** 2, axis=(1, 2))
     lengths = np.array([np.mean(row) for row in per_path])
     delta_ts = np.array(scales) * dt
 

@@ -10,6 +10,7 @@ from fractoid.cli import main as cli_main
 from fractoid.cli.main import main
 from fractoid.cli.suites import SuiteReport, run_suite
 from fractoid.errors import ConfigError
+from fractoid.stochastic import ItoProcessSpec, simulate_ito
 
 
 def test_load_config_json_and_overrides(tmp_path):
@@ -132,6 +133,22 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert code == 0
     header = (out / "meanderiv.csv").read_text().splitlines()[0]
     assert header.startswith("t,x0,count,D+_0")
+
+
+def test_estimate_bins_time_from_the_ensembles_first_time(tmp_path, capsys):
+    # a Wiener ensemble restricted to t in [1, 2]: binning from t = 0 left
+    # the two early time bins, 32 of the 64 field rows, without a sample
+    spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
+                          diffusion_const=1.0, dimension=1)
+    ens = simulate_ito(spec, 0.0, T=2.0, dt=1.0 / 64, N=2000, seed=5).restrict(64, 128)
+    path = tmp_path / "late.csv"
+    ens.write_csv(path)
+    assert main(["estimate", "--ensemble", str(path), "--out", str(tmp_path),
+                 "--seed", "5", "--set", "min_count=20"]) == 0
+    rows = np.loadtxt(tmp_path / "meanderiv.csv", delimiter=",", skiprows=1)
+    t, count = rows[:, 0], rows[:, 2]
+    assert np.array_equal(np.unique(t), [1.125, 1.375, 1.625, 1.875])
+    assert all(count[t == c].sum() > 0 for c in np.unique(t))
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt manifest", "manifest without seed",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fractoid.cli.suites import schrodinger_expm_oracle
 from fractoid.errors import ConfigError, ParameterError, ResolutionError
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import EstimatorConfig, estimate_velocity_fields
@@ -330,6 +331,26 @@ def test_feynman_kac_vs_matrix_exponential():
     mc, se = feynman_kac_semigroup(V, phi, 0.5, float(grid[j]), 50_000,
                                    seed=SEED + 3)
     assert abs(mc - oracle[j]) <= 3.0 * se + 5e-3
+
+
+def test_expm_oracle_matches_scipy_on_the_suite_grid():
+    # the feynman-kac suite's grid, potential and time
+    grid = np.linspace(-8.0, 8.0, 400)
+    h = grid[1] - grid[0]
+    lap = (np.diag(-2.0 * np.ones(400)) + np.diag(np.ones(399), 1)
+           + np.diag(np.ones(399), -1)) / h**2
+    V = PotentialField(lambda x: 0.5 * np.sum(x**2, axis=-1), "harmonic")
+    U = schrodinger_expm_oracle(grid, V, 0.5)
+    assert np.max(np.abs(U - expm(-0.5 * (-0.5 * lap + np.diag(0.5 * grid**2))))) <= 1e-13
+
+
+@pytest.mark.parametrize("t, dt", [(0.5, 0.3), (0.1, 0.3)])
+def test_feynman_kac_rejects_a_step_that_does_not_divide_t(t, dt):
+    # 0.5 / 0.3 used to take 2 steps of 0.25, and 0.1 / 0.3 one step of 0.1
+    with pytest.raises(ParameterError,
+                       match=rf"^t={t} is not an integer multiple of dt={dt}$"):
+        feynman_kac_semigroup(_FLAT, lambda x: np.ones(len(x)), t, 0.0, N=100,
+                              seed=SEED, dt=dt)
 
 
 def test_quadratic_variation_law_flat():

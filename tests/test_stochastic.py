@@ -31,6 +31,7 @@ from fractoid.stochastic import (
     wiener_increments,
 )
 from fractoid.stochastic import ensemble as ensemble_module
+from fractoid.stochastic import fractal
 
 SEED = 977
 
@@ -430,6 +431,44 @@ def test_fractal_scaling_blocks_match_whole_ensemble(monkeypatch):
     assert rep.diffusion_coefficient == float(diffusion)
     for amp in rep.fluctuation_amplitudes:
         assert abs(amp / sigma - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("block_paths", [7, integrator.BLOCK_PATHS])
+@pytest.mark.parametrize("chunk", [1, 3 * 129], ids=["one-path", "three-paths"])
+def test_fractal_scaling_chunks_keep_the_whole_block_bits(block_paths, chunk, monkeypatch):
+    # 50 paths of 129 samples: chunks of three paths leave a partial last
+    # chunk in every block, against one chunk per default block
+    spec = ItoProcessSpec(drift=lambda t, x: np.full_like(x, 0.3),
+                          diffusion_const=1.0, dimension=2)
+    ens = simulate_ito(spec, np.zeros(2), T=1.0, dt=1.0 / 128, N=50, seed=SEED)
+    scales = [1, 2, 3, 8, 16]
+    monkeypatch.setattr(fractal, "PATH_CHUNK", ens.paths.shape[0] * ens.paths.shape[1])
+    whole = fractal_scaling(ens, scales, reference_time=0.7)
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", block_paths)
+    monkeypatch.setattr(fractal, "PATH_CHUNK", chunk)
+    rep = fractal_scaling(ens, scales, reference_time=0.7)
+    assert np.array_equal(rep.scales, whole.scales)
+    assert np.array_equal(rep.lengths, whole.lengths)
+    assert rep.fitted_dimension == whole.fitted_dimension
+    assert rep.fluctuation_amplitudes == whole.fluctuation_amplitudes
+    assert rep.diffusion_coefficient == whole.diffusion_coefficient
+
+
+def test_fractal_scaling_memory_is_a_chunk_beside_the_paths():
+    # fractal-dim's long-path shape, 8 MiB of paths; whole blocks traced
+    # about 32 MiB, four copies of the paths
+    rng = np.random.default_rng(SEED)
+    K = 4096
+    ens = PathEnsemble(np.arange(K + 1) / K,
+                       np.cumsum(rng.standard_normal((256, K + 1, 1)), axis=1) / np.sqrt(K),
+                       seed=1)
+    tracemalloc.start()
+    try:
+        fractal_scaling(ens, scales=[1, 2, 4, 8, 16, 32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_fractal_diffusion_divides_by_elapsed_time():
