@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, call_checked
+from .errors import DomainError, ParameterError, call_checked
 from .geometry import (
     MetricChart,
     central_difference,
@@ -34,6 +34,7 @@ from .geometry import (
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
 from .meanderiv.estimators import LaggedSamples
 from .stochastic import PathEnsemble
+from .stochastic.ensemble import check_grid
 from .stochastic.integrator import step_count
 
 VARIATION_STEP = 1e-5
@@ -60,9 +61,10 @@ class PathCurve:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.times.shape != (self.points.shape[0],):
             raise ParameterError("curve needs times (K+1,) and points (K+1, dim)")
-        d = np.diff(self.times)
-        if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-12:
-            raise ParameterError("curve time grid must be uniform and increasing")
+        if len(self.times) < (2 if self.velocity_data is not None else 3):
+            raise ParameterError(f"a curve needs at least 3 nodes, 2 with velocity_data, "
+                                 f"got {len(self.times)}")
+        check_grid(self.times, "curve time grid")
         if self.velocity_data is not None:
             self.velocity_data = np.asarray(self.velocity_data, dtype=float)
             if self.velocity_data.shape != self.points.shape:
@@ -113,7 +115,7 @@ def classical_geodesic(chart: MetricChart, x0, v0, T: float, dt: float) -> PathC
     """RK4 integration of xddot^k + Gamma^k_{ij} xdot^i xdot^j = 0.
 
     If the trajectory leaves the valid region the curve is truncated at the
-    last valid node with a warning.
+    last valid node with a warning, or a DomainError at the first step.
     """
     x0 = chart.require_valid(np.asarray(x0, dtype=float))
     v0 = np.asarray(v0, dtype=float)
@@ -134,8 +136,10 @@ def classical_geodesic(chart: MetricChart, x0, v0, T: float, dt: float) -> PathC
         x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not np.all(chart.is_valid(x)):
-            warnings.warn(f"geodesic left the valid region of '{chart.name}' at "
-                          f"step {k + 1}; curve truncated", stacklevel=2)
+            left = f"geodesic left the valid region of '{chart.name}' at step {k + 1}"
+            if k == 0:
+                raise DomainError(f"{left}: no curve but its start point remains")
+            warnings.warn(f"{left}; curve truncated", stacklevel=2)
             break
         xs.append(x.copy())
         vs.append(v.copy())
@@ -262,7 +266,7 @@ def stochastic_geodesic_criterion(chart: MetricChart, w, ensemble: PathEnsemble,
     probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     probe_times = np.linspace(ensemble.times[1], ensemble.times[-2], 3)
 
-    x = probes[np.asarray(chart.is_valid(probes), dtype=bool)]
+    x = probes[chart.is_valid(probes)]
     h = RESIDUAL_FD_STEP * np.maximum(1.0, np.abs(x))
     worst, n_nan = 0.0, 0
     for t in probe_times:

@@ -90,8 +90,9 @@ class MetricChart:
         return 1.0 / self.checked_diag(x)
 
     def is_valid(self, x) -> np.ndarray:
+        """One bool per point of x (..., n), shape x.shape[:-1], whatever valid returns."""
         x = np.asarray(x, dtype=float)
-        return np.asarray(self.valid(x))
+        return np.broadcast_to(np.asarray(self.valid(x), dtype=bool), x.shape[:-1])
 
     def require_valid(self, x) -> np.ndarray:
         """Return x as an array, raising DomainError if any point is outside."""

@@ -166,13 +166,13 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
     good = field.mask
     w1, w2 = field.current, field.osmotic
     centers = cfg.center_mesh
-    region = np.broadcast_to(chart.is_valid(centers), cfg.shape[1:])
+    region = chart.is_valid(centers)
     flat = chart.is_flat
 
     gamma = ginv = None
     if not flat:
         pts = centers.reshape(-1, cfg.dimension)
-        inside = np.asarray(chart.is_valid(pts), dtype=bool)
+        inside = region.ravel()
         gamma = np.full(pts.shape[:1] + (cfg.dimension,) * 3, np.nan)
         ginv = np.full(pts.shape, np.nan)          # the diagonal of g^{-1}
         if np.any(inside):
@@ -208,7 +208,7 @@ def acceleration_decomposed(field: MeanDerivativeField, chart: MetricChart,
     values = dt_w1 + adv1 - adv2 - 0.5 * epsilon**2 * lap_w2
     mask = good & ok_t & ok1 & ok2 & ok_lap
     if not flat:
-        mask &= np.broadcast_to(region, cfg.shape)
+        mask &= region
     dropped = int(np.count_nonzero(good & ~mask))
     if dropped:
         warnings.warn(f"{dropped} populated bins excluded from the decomposed "
@@ -225,7 +225,7 @@ def ricci_correction(chart: MetricChart, field: MeanDerivativeField,
     centers = np.broadcast_to(cfg.center_mesh, cfg.shape + (cfg.dimension,))
     out = np.full(cfg.shape + (cfg.dimension,), np.nan)
     use = field.mask.copy()
-    use[use] = np.asarray(chart.is_valid(centers[use]), dtype=bool)
+    use[use] = chart.is_valid(centers[use])
     ric = ricci_operator(chart, centers[use])
     out[use] = ((0.5 * hbar_over_m * ric) @ field.osmotic[use][..., None])[..., 0]
     return out

@@ -109,7 +109,7 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     sign = 1.0 if direction == "forward" else -1.0
     points = config.evaluation_points(mc.cond_mean)
     use = mc.mask & drift.mask
-    inside = np.asarray(chart.is_valid(points[use]), dtype=bool)
+    inside = chart.is_valid(points[use])
     dropped = int(np.count_nonzero(~inside))
     use[use] = inside
     for i, t in enumerate(config.t_centers.tolist()):

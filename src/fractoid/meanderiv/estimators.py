@@ -26,10 +26,10 @@ block's values once for every average that reads them (both directions of
 a velocity field, the four causal terms of the relativistic sums), and sums
 per bin the counts, the values, the conditioning points and the squares of
 the values about a fixed shift, the bin's first sample.  It sums each block
-in chunks of whole paths of at most BIN_CHUNK samples, so its temporaries
-are chunk-sized, not block-sized.  A sample a causal split drops goes to the
-overflow bin of its block.  Sums run in path-major order, so no result
-depends on the block or chunk size.
+in the row chunks of ``integrator.row_chunks``, whole paths of at most
+CHUNK_VALUES samples, so its temporaries are chunk-sized, not block-sized.
+A sample a causal split drops goes to the overflow bin of its block.  Sums
+run in path-major order, so no result depends on the block or chunk size.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
 from ..stochastic import PathEnsemble, map_blocks, path_blocks
+from ..stochastic.integrator import row_chunks
 
-# samples per chunk of whole paths, for bin_index's rows and the
-# accumulator's sums; each chunk's temporaries (bin_index's int64 searches,
-# the sums' bins, shifted values and points) stay cache-sized
-BIN_CHUNK = 1 << 16
 # blocks binned ahead of the one being summed (a window of 1 measured
 # slower); it bounds the block indexes in flight
 BIN_WINDOW = 2
@@ -156,16 +153,15 @@ class EstimatorConfig:
         taken at times (K+1,), n_bins outside the grid, in the smallest
         unsigned type that holds n_bins.  Bins are half-open [lo, hi); the
         time bin is found once per step.  The index is built in its own
-        type, in place, over row chunks of about BIN_CHUNK samples, so the
+        type, in place, over the row chunks of :func:`row_chunks`, so the
         result is its only array of the paths' size."""
         n_bins = self.n_bins
         out = np.empty(paths.shape[:2], np.min_scalar_type(n_bins))
         it = np.searchsorted(self.time_edges, times, side="right") - 1
         t_outside = (it < 0) | (it >= self.n_time_bins)
         it = np.clip(it, 0, self.n_time_bins - 1)
-        step = max(1, BIN_CHUNK // len(times))
-        for lo in range(0, len(out), step):
-            idx, x = out[lo:lo + step], paths[lo:lo + step]
+        for rows in row_chunks(len(out), len(times)):
+            idx, x = out[rows], paths[rows]
             idx[...] = it
             outside = np.repeat(t_outside[None], len(idx), axis=0)
             for a, edges in enumerate(self.space_edges):
@@ -258,8 +254,8 @@ def _accumulate(config: EstimatorConfig, blocks,
     One walk sums counts (exact integers), values, points and the squares
     of the values about a per-bin shift, the bin's first sample in
     path-major order; the squared deviations from the bin mean follow as
-    s2 - n (mean - shift)^2.  Each block is summed in chunks of whole paths
-    of at most BIN_CHUNK samples, in path order, so np.add.at adds samples
+    s2 - n (mean - shift)^2.  Each block is summed in the chunks of whole
+    paths of :func:`row_chunks`, in path order, so np.add.at adds samples
     in path-major order, as one bincount over the whole ensemble would, and
     the result is bit-identical for every block size, chunk size and worker
     count.
@@ -279,10 +275,7 @@ def _accumulate(config: EstimatorConfig, blocks,
             shift = np.zeros_like(s1)
             pts = np.zeros((len(points), dim, n_bins + 1))
         block_pts = [p[rows] for p in points]
-        # at least one path per chunk, however long the paths
-        per = max(1, BIN_CHUNK // vals.shape[1])
-        for lo in range(0, len(vals), per):
-            chunk = slice(lo, lo + per)
+        for chunk in row_chunks(len(vals), vals.shape[1]):
             v = vals[chunk].reshape(-1, m)
             for j, idx in enumerate(bins):
                 idx = idx[chunk].ravel()

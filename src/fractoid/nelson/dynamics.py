@@ -124,7 +124,7 @@ def quadratic_variation_law(ensemble: PathEnsemble, config: EstimatorConfig,
 
     centers = np.broadcast_to(config.center_mesh, config.shape + (dim,))
     use = mask.copy()
-    use[use] = np.asarray(chart.is_valid(centers[use]), dtype=bool)
+    use[use] = chart.is_valid(centers[use])
     target = np.full(qv.values.shape, np.nan)
     target[use] = eps**2 * diag_matrix(chart.inverse_diag(centers[use]))
     # matmuls of the raveled bins reduce as np.linalg.norm's dot does: same bits

@@ -21,10 +21,10 @@ STEP_RUN = 16
 
 
 def _block_weights(V, phi, x: np.ndarray, t: float, n_steps: int, seed: int,
-                   block: int, B: int) -> np.ndarray:
-    """The B weights exp(-int V ds) phi(x + W_t) of one block of paths."""
-    step = t / n_steps
-    gen = make_stream(seed, block)
+                   rows: slice) -> np.ndarray:
+    """The weights exp(-int V ds) phi(x + W_t) of the paths in rows, one block."""
+    step, B = t / n_steps, rows.stop - rows.start
+    gen = make_stream(seed, rows.start // BLOCK_SIZE)
     pos = np.broadcast_to(x, (B, x.shape[0])).copy()
     v_prev = call_checked(V, "V", (B,), pos)
     integral = np.zeros(B)
@@ -70,13 +70,10 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = integrator.step_count(t, dt, ("t", "dt"))
 
-    def weights(lo: int) -> np.ndarray:
-        return _block_weights(V, phi, x, t, n_steps, seed, lo // BLOCK_SIZE,
-                              min(BLOCK_SIZE, N - lo))
-
     sums, s2 = [], 0.0
-    for w in integrator.map_blocks(weights, range(0, N, BLOCK_SIZE),
-                                   integrator.worker_count()):
+    for w in integrator.map_blocks(
+            lambda rows: _block_weights(V, phi, x, t, n_steps, seed, rows),
+            integrator.row_chunks(N, budget=BLOCK_SIZE), integrator.worker_count()):
         if not sums:
             shift = float(w[0])
         sums.append(np.sum(w))

@@ -6,13 +6,14 @@ The propagator convention is U_t = exp(i t Lap): the kernel is
 spreads to (1 + 2it)^(-1/2) exp(-x^2 / (2 (1 + 2it))).
 
 The kernel is never held whole: it is formed one block of rows at a time,
-at most KERNEL_CHUNK entries, and each block is applied to psi before the
-next is formed.  Each entry is formed as in the dense formula; only the
-BLAS split of the row sums depends on the block, so the result agrees with
-the dense product to rounding, not bit for bit.  With numpy 2.4.6 and its
-OpenBLAS 0.3.31 on x86-64, on a 1537-point grid, the 42-row blocks of
-KERNEL_CHUNK gave the dense product's bits, 128-row blocks differed by up
-to 1.6e-17 of max|psi| and one-row blocks by up to 9e-16.
+the chunks of ``stochastic.integrator.row_chunks`` of at most CHUNK_VALUES
+entries, and each block is applied to psi before the next is formed.  Each
+entry is formed as in the dense formula; only the BLAS split of the row
+sums depends on the block, so the result agrees with the dense product to
+rounding, not bit for bit.  With numpy 2.4.6 and its OpenBLAS 0.3.31 on
+x86-64, on a 1537-point grid, the 42-row blocks of CHUNK_VALUES gave the
+dense product's bits, 128-row blocks differed by up to 1.6e-17 of
+max|psi| and one-row blocks by up to 9e-16.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError, ResolutionError, call_checked
+from ..stochastic.integrator import row_chunks
 from .wavefunctions import PotentialField, WaveFunctionGrid
 
 IDENTITY_REGIME_TOL = 1e-6
-KERNEL_CHUNK = 1 << 16   # kernel entries per row block (1 MiB complex)
 
 
 def _periodic_laplacian(values: np.ndarray, spacings) -> np.ndarray:
@@ -96,9 +97,7 @@ def free_propagator(psi0: WaveFunctionGrid, t: float) -> WaveFunctionGrid:
     x = psi0.axes[0]
     prefactor = (4.0j * np.pi * t) ** -0.5
     values = np.empty_like(psi0.values)
-    per = max(1, KERNEL_CHUNK // len(x))      # rows per block
-    for lo in range(0, len(x), per):
-        rows = slice(lo, lo + per)
+    for rows in row_chunks(len(x), len(x)):
         diff = x[rows, None] - x[None, :]
         kernel = prefactor * np.exp(1j * diff**2 / (4.0 * t))
         values[rows] = kernel @ psi0.values * h

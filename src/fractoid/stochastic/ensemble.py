@@ -3,12 +3,13 @@
 Persistence goes through :mod:`fractoid.persistence`: a CSV table
 ``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step) in path-major
 order, plus a JSON manifest holding chart, seed, dt, T, N and the meta
-entries.  Both sides stream the table in blocks of about ROW_CHUNK rows
-(the writer's hold whole paths), so neither holds more of it than one block
-beside the paths.  The reader rejects a manifest without chart, seed or N or
-with N < 1, a row out of path-major order (missing, repeated, swapped or
-with a non-integer id), a row whose t differs from path 0's at the same
-step, and a path count other than N, naming the row.
+entries.  Both sides stream the table in blocks of about ROW_CHUNK rows (the
+writer's are the row chunks of ``integrator.row_chunks``, whole paths), so
+neither holds more of it than one block beside the paths.  The reader
+rejects a manifest without chart, seed or N or with N < 1, a row out of
+path-major order (missing, repeated, swapped or with a non-integer id), a
+row whose t differs from path 0's at the same step, and a path count other
+than N, naming the row.
 ``write_npz``/``read_npz`` keep a binary column format that round-trips
 bit-exactly; its reader rejects what it cannot load as by ``read_arrays``,
 a ``meta`` that is not a JSON object and a ``seed`` that is not one integer.
@@ -22,14 +23,16 @@ from itertools import chain
 
 import numpy as np
 
+from .. import persistence
 from ..errors import ParameterError
-from ..persistence import (ROW_CHUNK, float_text, manifest_for, read_arrays,
-                           read_manifest, read_table, write_manifest, write_table)
+from ..persistence import (float_text, manifest_for, read_arrays, read_manifest,
+                           read_table, write_manifest, write_table)
+from .integrator import path_blocks, row_chunks
 
 GRID_UNIFORMITY_TOL = 1e-12
 
 
-def _check_grid(times, name) -> None:
+def check_grid(times, name) -> None:
     """A time grid must be finite, strictly increasing and uniform within
     GRID_UNIFORMITY_TOL; name leads the error message."""
     if not np.all(np.isfinite(times)):          # NaN passes the comparisons below
@@ -55,8 +58,7 @@ class PathEnsemble:
             raise ParameterError("paths must have shape (N, K+1, dim)")
         if self.times.shape != (self.paths.shape[1],):
             raise ParameterError("times length must match the path grid")
-        _check_grid(self.times, "time grid")
-        from .integrator import path_blocks
+        check_grid(self.times, "time grid")
         # block by block, so the check holds no ensemble-sized mask
         for rows in path_blocks(self.n_paths):
             if not np.isfinite(self.paths[rows]).all():
@@ -109,16 +111,15 @@ class PathEnsemble:
 
     def write_csv(self, path) -> None:
         n, k1, dim = self.paths.shape
-        per = max(1, ROW_CHUNK // k1)           # whole paths per block
         # the step and t fields of each step as one text, formatted once
         step_t = np.array([f"{k},{t}" for k, t in enumerate(float_text(self.times))],
                           dtype=object)
 
         def blocks():
-            for p in range(0, n, per):
-                m = min(per, n - p)
-                yield [np.repeat(np.arange(p, p + m), k1), np.tile(step_t, m),
-                       *self.paths[p:p + m].reshape(-1, dim).T]
+            for rows in row_chunks(n, k1, persistence.ROW_CHUNK):
+                ids = np.arange(rows.start, rows.stop)
+                yield [np.repeat(ids, k1), np.tile(step_t, len(ids)),
+                       *self.paths[rows].reshape(-1, dim).T]
 
         write_table(path, ["path_id", "step", "t"] + [f"x{i}" for i in range(dim)],
                     blocks())
@@ -162,7 +163,7 @@ class PathEnsemble:
                 raise ParameterError(f"{path}: row {total} begins path {n}, but its "
                                      f"manifest says N = {n}")
             if r == 0:                          # path 0's rows, which set the grid
-                _check_grid(times, f"{path}: the time grid of path 0")
+                check_grid(times, f"{path}: the time grid of path 0")
             off = np.flatnonzero(block[:, 2] != times[step])
             if off.size:
                 i = off[0]

@@ -8,13 +8,13 @@ D_f = 1/(1 + s).  A rectifiable curve has s = 0 (D_f = 1), a Wiener path
 s = -1/2 (D_f = 2).
 
 The paths are read one block at a time through :func:`path_blocks`, as
-every ensemble consumer reads them, and each block in chunks of whole
-paths of at most PATH_CHUNK samples (at least one path).  Each path leaves
-one entry per figure (its length at each scale, its displacement, its sum
-of squared centred increments), and each figure is one reduction over
-those entries, so the largest temporary is one chunk's increments, not the
-ensemble's or a block's, and no figure depends on the block or chunk
-size.  The diffusion coefficient divides by the elapsed time
+every ensemble consumer reads them, and each block in the row chunks of
+:func:`row_chunks`, whole paths of at most CHUNK_VALUES samples.  Each path
+leaves one entry per figure (its length at each scale, its displacement,
+its sum of squared centred increments), and each figure is one reduction
+over those entries, so the largest temporary is one chunk's increments,
+not the ensemble's or a block's, and no figure depends on the block or
+chunk size.  The diffusion coefficient divides by the elapsed time
 times[-1] - times[0], so a restricted ensemble that starts after t = 0
 reads the same coefficient.
 """
@@ -27,13 +27,9 @@ import numpy as np
 
 from ..errors import ParameterError
 from .ensemble import PathEnsemble
-from .integrator import path_blocks
+from .integrator import path_blocks, row_chunks
 
 MIN_SCALES = 4
-# samples per chunk of whole paths; each chunk's increments, their centred
-# squares and a coarse scale's increments stay cache-sized however long
-# the paths
-PATH_CHUNK = 1 << 16
 
 
 @dataclass
@@ -70,10 +66,8 @@ def fractal_scaling(ensemble: PathEnsemble, scales, reference_time: float = 1.0)
     mean_inc = np.sum(disp, axis=0) / (n * K)
     per_path = np.empty((len(scales), n))      # path length at each scale
     sq_dev = np.empty(n)                       # squared centred increments
-    per = max(1, PATH_CHUNK // (K + 1))        # whole paths per chunk
     for block in path_blocks(n):
-        for lo in range(block.start, block.stop, per):
-            rows = slice(lo, min(lo + per, block.stop))
+        for rows in row_chunks(block, K + 1):
             chunk = paths[rows]
             inc = np.diff(chunk, axis=1)
             for i, m in enumerate(scales):

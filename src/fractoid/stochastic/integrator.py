@@ -6,13 +6,15 @@ per-path noise, the non-finite check, reject-and-resample at chart
 boundaries and the reporting grid.
 
 Paths run one block of BLOCK_PATHS at a time, through :func:`path_blocks`,
-the walk every ensemble consumer reads the paths with.  Path p draws all K
-of its Wiener increments up front from the stream make_stream(seed, p), and
-a boundary retry continues that same stream, so every sampled value depends
-only on the seed and the path index.  The block's increments come from one
-generator re-keyed per path (rng.stream_normals); a path's first boundary
-retry rebuilds its stream on demand, skips the K rows already drawn and
-keeps the stream for the path's later retries in the block.
+the walk every ensemble consumer reads the paths with, each block in the
+row chunks of :func:`row_chunks`; neither size changes a value.  Path p
+draws all K of its Wiener increments up front from the stream
+make_stream(seed, p), and a boundary retry continues that same stream, so
+every sampled value depends only on the seed and the path index.  The
+block's increments come from one generator re-keyed per path
+(rng.stream_normals); a path's first boundary retry rebuilds its stream on
+demand, skips the K rows already drawn and keeps the stream for the path's
+later retries in the block.
 
 Work that needs no other block, such as a block's Feynman-Kac weights or
 its bin index, runs on one ordered thread pool, :func:`map_blocks`.  The
@@ -31,15 +33,24 @@ from ..errors import BoundaryError, ParameterError, SimulationError, call_checke
 from .rng import make_stream, stream_normals
 
 BLOCK_PATHS = 4096   # paths per block; sets memory, not values
+CHUNK_VALUES = 1 << 16   # values per row chunk, row_chunks' default budget
 MAX_BOUNDARY_RETRIES = 100
+
+
+def row_chunks(rows, row_size: int = 1, budget: int | None = None):
+    """Slices that walk rows (a count n, or a slice with a start and stop) in
+    order, each of whole rows, at most budget (default CHUNK_VALUES, read
+    at the call) values of row_size each, and at least one row."""
+    rows = rows if isinstance(rows, slice) else slice(0, rows)
+    per = max(1, (CHUNK_VALUES if budget is None else budget) // row_size)
+    return (slice(lo, min(lo + per, rows.stop)) for lo in range(rows.start, rows.stop, per))
 
 
 def path_blocks(n_paths: int):
     """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time;
     the one way the simulators, the estimators and their consumers group
     paths."""
-    for lo in range(0, n_paths, BLOCK_PATHS):
-        yield slice(lo, min(lo + BLOCK_PATHS, n_paths))
+    return row_chunks(n_paths, budget=BLOCK_PATHS)
 
 
 def step_count(span: float, step: float, names=("T", "dt")) -> int:
@@ -99,7 +110,7 @@ def initial_points(x0, n_paths: int, dim: int, chart=None) -> np.ndarray:
     elif x0.shape != (n_paths, dim):
         raise ParameterError(f"x0 must be ({n_paths}, {dim}), got {x0.shape}")
     if chart is not None:
-        outside = ~np.asarray(chart.is_valid(x0), dtype=bool)
+        outside = ~chart.is_valid(x0)
         if np.any(outside):
             raise ParameterError(f"chart '{chart.name}': start {x0[outside][0].tolist()} "
                                  "lies outside the valid region")
@@ -199,7 +210,7 @@ class Integrator:
         step = self._k + 1
         if self.chart is None:
             return cand
-        bad = ~np.asarray(self.chart.is_valid(cand), dtype=bool)
+        bad = ~self.chart.is_valid(cand)
         retries = 0
         while np.any(bad):
             retries += 1
@@ -212,7 +223,7 @@ class Integrator:
                 self._dW[p] = self._retry_stream(int(p)).normal(0.0, self.sqdt,
                                                                (self.n_noise,))
                 cand[p] = redraw(p, self._dW[p])
-            bad = ~np.asarray(self.chart.is_valid(cand), dtype=bool)
+            bad = ~self.chart.is_valid(cand)
         return cand
 
     def _retry_stream(self, p: int) -> np.random.Generator:

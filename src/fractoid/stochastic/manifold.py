@@ -301,7 +301,7 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
         pred = core.accept(x + dx0, redraw)
         e_pred = transport(x, pred) @ e
         x_new = x + 0.5 * (dx0 + np.einsum("bij,bj->bi", e_pred, dW))
-        invalid = ~np.asarray(chart.is_valid(x_new), dtype=bool)
+        invalid = ~chart.is_valid(x_new)
         x_new[invalid] = pred[invalid]  # fall back to the predictor point
         return x_new, transport(x, x_new) @ e
 

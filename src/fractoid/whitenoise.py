@@ -6,13 +6,14 @@ W_w = sum w * noise * cell_volume is a Gaussian isometry: cov(W_w, W_v)
 equals the discrete Euclidean L2 inner product <w, v>.  The indefinite
 signature form is exposed separately as :func:`signature_inner_product`
 (an indefinite bilinear form is not a valid covariance).
+:func:`paley_wiener_samples` draws its lattices in the row chunks of
+``stochastic.integrator.row_chunks``, at most CHUNK_VALUES cell values each.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,9 @@ import numpy as np
 from .errors import ConfigError, ParameterError, ResourceError, call_checked
 from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream, stream_normals
-from .stochastic.integrator import step_count
+from .stochastic.integrator import row_chunks, step_count
 
 DEFAULT_CELL_CAP = 10_000_000
-# lattice values paley_wiener_samples draws per block of samples (1 MiB)
-BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -153,19 +152,18 @@ def paley_wiener_samples(lattice: SpaceTimeLattice, fns, n_samples: int,
                          seed: int) -> np.ndarray:
     """(n_samples, len(fns)) integrals W_f; sample i draws its lattice from
     the stream make_stream(seed, i), so the integrals depend only on the
-    seed.  One generator re-keyed per sample draws them all, into a block of
-    about BLOCK_VALUES lattice values; each integral is one row sum over the
-    block, with the bits of a sum over that sample's lattice alone."""
+    seed.  Each block's lattices, one a row, come from one generator
+    re-keyed per sample; each integral is one row sum over the block, with
+    the bits of a sum over that sample's lattice alone."""
     fns = [_on_lattice(lattice, f) for f in fns]
     vol = lattice.cell_volume
     sigma = 1.0 / np.sqrt(vol)
-    per_block = max(1, BLOCK_VALUES // lattice.n_cells)
-    noise = stream_normals(seed, range(n_samples), sigma, lattice.shape)
     out = np.empty((n_samples, len(fns)))
-    for lo in range(0, n_samples, per_block):
-        rows = np.stack(list(islice(noise, per_block))).reshape(-1, lattice.n_cells)
+    for rows in row_chunks(n_samples, lattice.n_cells):
+        noise = np.stack(list(stream_normals(seed, range(n_samples)[rows], sigma,
+                                             lattice.n_cells)))
         for j, f in enumerate(fns):
-            out[lo:lo + len(rows), j] = (f.ravel() * rows).sum(axis=-1) * vol
+            out[rows, j] = (f.ravel() * noise).sum(axis=-1) * vol
     return out
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fractoid.errors import ParameterError
+from fractoid.errors import DomainError, ParameterError
 from fractoid.geodesic import (
     LagrangianSpec,
     PathCurve,
@@ -75,6 +75,29 @@ def test_classical_geodesic_speed_conservation():
     g = SPH.metric(curve.points)
     speed = np.einsum("ki,kij,kj->k", v, g, v)
     assert np.max(np.abs(speed[2:-2] - speed[2])) < 1e-8
+
+
+def test_classical_geodesic_truncates_where_it_leaves_the_chart():
+    # a meridian toward the pole: theta = 0.13 - 5 t leaves the valid region
+    # (theta > 0.05) at step 2, so the curve keeps the start and step 1
+    with pytest.warns(UserWarning, match="step 2; curve truncated"):
+        curve = classical_geodesic(SPH, [0.13, 0.0], [-5.0, 0.0], T=1.0, dt=0.01)
+    assert curve.points.shape == (2, 2)
+    # leaving at step 1 leaves no curve
+    with pytest.raises(DomainError, match="step 1: no curve but its start point"):
+        classical_geodesic(SPH, [0.06, 0.0], [-10.0, 0.0], T=1.0, dt=0.01)
+
+
+def test_curve_rejects_a_non_finite_or_too_short_grid():
+    with pytest.raises(ParameterError, match="non-finite times"):
+        PathCurve([0.0, np.nan, 2.0], np.zeros((3, 1)))
+    with pytest.raises(ParameterError, match="at least 3 nodes, 2 with velocity_data, got 1"):
+        PathCurve([0.0], np.zeros((1, 1)), velocity_data=np.zeros((1, 1)))
+    # finite-difference velocities take 3 nodes, stored ones 2
+    with pytest.raises(ParameterError, match="got 2"):
+        PathCurve([0.0, 1.0], np.zeros((2, 1)))
+    two = PathCurve([0.0, 1.0], np.zeros((2, 1)), velocity_data=np.ones((2, 1)))
+    assert energy_functional(E1, two) == 1.0
 
 
 def test_euler_lagrange_free_line():

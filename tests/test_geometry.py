@@ -6,6 +6,7 @@ import pytest
 
 from fractoid.errors import ConfigError, DomainError, SingularMetricError
 from fractoid.geometry import (
+    MetricChart,
     chart_from_json,
     christoffel,
     christoffel_batch,
@@ -13,9 +14,12 @@ from fractoid.geometry import (
     laplace_beltrami,
     leibniz_residual,
     levi_civita_field,
+    register_chart,
     ricci,
     torsion,
 )
+from fractoid.geometry import charts as charts_module
+from fractoid.stochastic import simulate_manifold_diffusion
 
 
 def brute_force_ricci(chart, x, h=1e-4):
@@ -102,6 +106,26 @@ def test_valid_region_boundaries():
     assert not polar.is_valid([1e-4, 0.0])
     with pytest.raises(DomainError):
         christoffel(sph, [0.01, 0.0])
+
+
+def test_is_valid_gives_one_bool_per_point_whatever_valid_returns(monkeypatch):
+    monkeypatch.setattr(charts_module, "_CUSTOM", {})
+    register_chart(MetricChart("half-plane", 2, (0, 2), diag=lambda x: np.ones(np.shape(x)),
+                               valid=lambda x: (x[..., 0] > 0).astype(int)))
+    chart = get_chart("half-plane")
+    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 5.0]])
+    ok = chart.is_valid(pts)
+    assert ok.dtype == bool and ok.tolist() == [True, False, True]
+    # as a mask it selects points; 0/1 ints would pick rows 1, 0 and 1
+    assert pts[ok].tolist() == [[1.0, 0.0], [2.0, 5.0]]
+    assert chart.is_valid(pts[None]).shape == (1, 3)
+    # the boundary retries read the mask too: every accepted step stays inside
+    ens = simulate_manifold_diffusion(chart, None, [0.3, 0.0], T=0.5, dt=0.01, N=50, seed=5)
+    assert np.all(ens.paths[..., 0] > 0)
+    # one truth value for the whole batch is one per point
+    everywhere = MetricChart("plane", 2, (0, 2), diag=lambda x: np.ones(np.shape(x)),
+                             valid=lambda x: 1)
+    assert everywhere.is_valid(pts).tolist() == [True] * 3
 
 
 def test_custom_chart_from_json():

@@ -27,7 +27,7 @@ from fractoid.meanderiv import (
     write_field_csv,
 )
 from fractoid.meanderiv import estimators
-from fractoid.meanderiv.estimators import BIN_CHUNK, BinnedField, LaggedSamples
+from fractoid.meanderiv.estimators import BinnedField, LaggedSamples
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -215,7 +215,7 @@ def _bin_index_reference(config, times, paths):
 def test_bin_index_matches_the_int64_formula(n_t, n_x, n_paths):
     # 255 bins fit uint8 with the overflow bin, 256 need uint16; 41 steps of
     # 2000 paths span more than one row chunk, the last one partial
-    assert 3 * 41 < BIN_CHUNK < 2000 * 41
+    assert 3 * 41 < integrator.CHUNK_VALUES < 2000 * 41
     dim = len(n_x)
     cfg = EstimatorConfig.regular((0.0, 1.0), n_t, (-1.0, 1.0), list(n_x), dim=dim)
     rng = np.random.default_rng(SEED)
@@ -354,7 +354,7 @@ def test_estimator_sums_match_the_whole_ensemble_reference(case, blocks, monkeyp
     if blocks != "default":
         # 7-path blocks, each summed in chunks of a few paths
         monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
-        monkeypatch.setattr(estimators, "BIN_CHUNK", 32)
+        monkeypatch.setattr(integrator, "CHUNK_VALUES", 32)
     lag = cfg.lag
     quotients = (ens.paths[:, lag:] - ens.paths[:, :-lag]) / (lag * ens.dt)
     split = cfg.causal_split
@@ -505,7 +505,7 @@ def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
 def test_one_block_estimate_peak_memory_within_three_times_the_ensemble():
     # sphere-io's estimate: one block of sphere2 paths, N = 1000, K = 1000.
     # The peak is the block's quotients and its bin index; the sums run
-    # over path chunks of at most BIN_CHUNK samples and add nothing of the
+    # over path chunks of at most CHUNK_VALUES samples and add nothing of the
     # block's size
     ens = simulate_manifold_diffusion(get_chart("sphere2"), None, [np.pi / 2, 0.0],
                                       T=5.0, dt=0.005, N=1000, seed=SEED)

@@ -24,7 +24,6 @@ from fractoid.nelson import (
     newton_nelson_residual,
     quadratic_variation_law,
 )
-from fractoid.nelson import operators
 from fractoid.stochastic import (
     ItoProcessSpec,
     PathEnsemble,
@@ -215,7 +214,7 @@ def test_free_propagator_resolution_guard():
 @pytest.mark.parametrize("n, last_rows", [(1537, 25), (100, 100), (571, 1)],
                          ids=["suite-grid", "one-block", "one-row-last"])
 def test_free_propagator_matches_dense_kernel(n, last_rows):
-    per = operators.KERNEL_CHUNK // n    # rows per block
+    per = integrator.CHUNK_VALUES // n    # rows per block
     assert n - (n - 1) // per * per == last_rows
     x = np.linspace(-12.0, 12.0, n)
     h, t = x[1] - x[0], 0.5

@@ -54,7 +54,6 @@ from fractoid.meanderiv import (
     EstimatorConfig,
     covariant_mean_derivative,
     estimate_velocity_fields,
-    estimators,
     quadratic_variation_matrix,
     relativistic_mean_derivatives,
     ricci_correction,
@@ -458,7 +457,7 @@ def test_estimator_digest_independent_of_block_size(name, monkeypatch):
 def test_estimator_digest_independent_of_sum_chunks(name, monkeypatch):
     # one path per sum chunk (and per bin_index row chunk) inside 7-path
     # blocks: every sum crosses a chunk boundary at each path
-    monkeypatch.setattr(estimators, "BIN_CHUNK", 1)
+    monkeypatch.setattr(integrator, "CHUNK_VALUES", 1)
     monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     _estimator_digests_at_every_worker_count(name, monkeypatch)
 

@@ -30,8 +30,6 @@ from fractoid.stochastic import (
     stream_normals,
     wiener_increments,
 )
-from fractoid.stochastic import ensemble as ensemble_module
-from fractoid.stochastic import fractal
 
 SEED = 977
 
@@ -225,6 +223,29 @@ def test_map_blocks_leaves_no_thread_behind(n_items):
     assert next(walk, None) == (0 if n_items else None)
     walk.close()   # the caller abandons the walk
     assert threading.active_count() == threads
+
+
+def test_row_chunks_walk_whole_rows_within_the_budget(monkeypatch):
+    def walk(*args, **kw):
+        return [(r.start, r.stop) for r in integrator.row_chunks(*args, **kw)]
+
+    assert walk(0, 3, budget=12) == []
+    # rows longer than the budget: one row a chunk
+    assert walk(3, 20, budget=12) == [(0, 1), (1, 2), (2, 3)]
+    # an exact multiple of 4 rows of 3 values, then a remainder
+    assert walk(8, 3, budget=12) == [(0, 4), (4, 8)]
+    assert walk(9, 3, budget=12) == [(0, 4), (4, 8), (8, 9)]
+    # nested in a block: the walk covers the slice alone
+    assert walk(slice(7, 14), 3, budget=12) == [(7, 11), (11, 14)]
+    # the default budget is CHUNK_VALUES, read when the walk is made
+    monkeypatch.setattr(integrator, "CHUNK_VALUES", 6)
+    assert walk(5, 3) == [(0, 2), (2, 4), (4, 5)]
+    # path_blocks is the walk of one-value rows with the BLOCK_PATHS budget
+    for block_paths in (7, integrator.BLOCK_PATHS):
+        monkeypatch.setattr(integrator, "BLOCK_PATHS", block_paths)
+        for n in (0, 1, block_paths, 2 * block_paths + 5):
+            assert (walk(n, budget=integrator.BLOCK_PATHS)
+                    == [(r.start, r.stop) for r in integrator.path_blocks(n)])
 
 
 def test_ito_deterministic_drift():
@@ -442,10 +463,10 @@ def test_fractal_scaling_chunks_keep_the_whole_block_bits(block_paths, chunk, mo
                           diffusion_const=1.0, dimension=2)
     ens = simulate_ito(spec, np.zeros(2), T=1.0, dt=1.0 / 128, N=50, seed=SEED)
     scales = [1, 2, 3, 8, 16]
-    monkeypatch.setattr(fractal, "PATH_CHUNK", ens.paths.shape[0] * ens.paths.shape[1])
+    monkeypatch.setattr(integrator, "CHUNK_VALUES", ens.paths.shape[0] * ens.paths.shape[1])
     whole = fractal_scaling(ens, scales, reference_time=0.7)
     monkeypatch.setattr(integrator, "BLOCK_PATHS", block_paths)
-    monkeypatch.setattr(fractal, "PATH_CHUNK", chunk)
+    monkeypatch.setattr(integrator, "CHUNK_VALUES", chunk)
     rep = fractal_scaling(ens, scales, reference_time=0.7)
     assert np.array_equal(rep.scales, whole.scales)
     assert np.array_equal(rep.lengths, whole.lengths)
@@ -598,7 +619,6 @@ def test_ensemble_npz_roundtrip(tmp_path):
 def seven_row_blocks(monkeypatch):
     """Tables read and written in blocks of 7 rows."""
     monkeypatch.setattr(persistence, "ROW_CHUNK", 7)
-    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 7)
 
 
 def _ou_csv(path, n=3, t_final=0.05):
@@ -616,7 +636,6 @@ def test_ensemble_csv_roundtrip_in_small_blocks(tmp_path, monkeypatch, t_final):
     # inside path 2
     ens = _ou_csv(tmp_path / "whole.csv", n=4, t_final=t_final)
     monkeypatch.setattr(persistence, "ROW_CHUNK", 7)
-    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 7)
     path = tmp_path / "ens.csv"
     ens.write_csv(path)
     assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -683,7 +702,6 @@ def test_ensemble_csv_memory_is_one_block_beside_the_paths(tmp_path, monkeypatch
     block; tracemalloc peaks as multiples of the paths' bytes.  512-row blocks
     give the 40 000-row table 78 blocks and keep the traced run short."""
     monkeypatch.setattr(persistence, "ROW_CHUNK", 512)
-    monkeypatch.setattr(ensemble_module, "ROW_CHUNK", 512)
     rng = np.random.default_rng(SEED)
     ens = PathEnsemble(np.arange(100) * 0.01, rng.standard_normal((400, 100, 2)), seed=1)
     path = tmp_path / "ens.csv"

@@ -4,9 +4,8 @@ and the signature-aware inner product."""
 import numpy as np
 import pytest
 
-from fractoid import whitenoise
 from fractoid.errors import ParameterError, ResourceError
-from fractoid.stochastic import make_stream
+from fractoid.stochastic import integrator, make_stream
 from fractoid.whitenoise import (
     SpaceTimeLattice,
     WhiteNoiseSample,
@@ -167,7 +166,7 @@ def test_paley_wiener_samples_sum_each_sample_alone(per_block, monkeypatch):
     # a row sum over a block of lattices has the bits of np.sum over the
     # one sample's lattice, whatever the block size
     if per_block is not None:
-        monkeypatch.setattr(whitenoise, "BLOCK_VALUES", per_block * LAT.n_cells)
+        monkeypatch.setattr(integrator, "CHUNK_VALUES", per_block * LAT.n_cells)
     fns = [make_test_function("bump(0.0,0.4)")(LAT.mesh()),
            make_stream(SEED, 9).normal(size=LAT.shape)]
     n = 30
