@@ -18,10 +18,6 @@ try:
 except ModuleNotFoundError:                      # Python < 3.11
     tomllib = None
 
-KNOWN_SUITES = ("nelson-ho", "wiener-meanderiv", "sphere-geometry",
-                "geodesic-variational", "whitenoise-cov", "dirac-algebra",
-                "fractal-dim", "feynman-kac")
-
 
 @dataclass
 class ExperimentConfig:
@@ -49,7 +45,7 @@ class ExperimentConfig:
     lattice_d: int = 2
     out_dir: str = "."
 
-    def validate(self, need_suite: bool = False) -> None:
+    def validate(self) -> None:
         if self.seed is None:
             raise ConfigError("config key 'seed' is required (no implicit randomness)")
         try:
@@ -59,10 +55,9 @@ class ExperimentConfig:
         make_drift(self.drift, self.omega)  # raises ConfigError on bad names
         if self.n_paths < 0:
             raise ConfigError("config key 'n_paths' must be >= 0 (0 = suite default)")
-        if need_suite and self.suite not in KNOWN_SUITES:
-            raise ConfigError(f"unknown suite '{self.suite}'; available: "
-                              + ", ".join(KNOWN_SUITES))
 
+
+_FLOAT_MAX = float(np.finfo(float).max)   # NaN compares false, inf and huge ints above
 
 # the values each annotated field type accepts (bool is never a number)
 _FIELD_TYPES = {
@@ -75,12 +70,12 @@ _FIELD_TYPES = {
 
 
 def _is_start(x0: list) -> bool:
-    """One point (a list of numbers) or one per path (equal-length lists of
-    numbers); a bool is not a number."""
+    """One point (a list of finite numbers) or one per path (equal-length
+    lists of them); a bool is not a number."""
     rows = x0 if x0 and all(isinstance(r, list) for r in x0) else [x0]
     return (len({len(r) for r in rows}) == 1
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for r in rows for v in r))
+                    and abs(v) <= _FLOAT_MAX for r in rows for v in r))
 
 
 def resolve_chart(name: str):
@@ -158,6 +153,8 @@ def load_config(path: str | None, overrides: list[str] | None = None,
         types, expected = _FIELD_TYPES[ftype]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"config key '{key}' expects {expected}, got {value!r}")
+        if ftype == "float" and not abs(value) <= _FLOAT_MAX:
+            raise ConfigError(f"config key '{key}' expects a finite number, got {value!r}")
         if key == "x0" and value is not None and not _is_start(value):
             raise ConfigError("config key 'x0' expects a list of numbers or a list of "
                               f"equal-length lists of numbers, got {value!r}")

@@ -29,7 +29,7 @@ from ..stochastic import (
 )
 from ..whitenoise import SpaceTimeLattice, sample_white_noise
 from .config import ExperimentConfig, load_config, make_drift, resolve_chart
-from .suites import run_suite
+from .suites import check_suite, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -146,7 +146,8 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     cfg.suite = args.suite or cfg.suite
-    cfg.validate(need_suite=True)
+    cfg.validate()
+    check_suite(cfg.suite)                  # before --out is made
     out = _out_dir(cfg)
     report = run_suite(cfg.suite, cfg)
     jpath, tpath = report.write(out)

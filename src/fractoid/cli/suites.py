@@ -47,7 +47,7 @@ from ..stochastic import (
     parallel_transport,
     simulate_ito,
 )
-from .config import KNOWN_SUITES, ExperimentConfig
+from .config import ExperimentConfig
 
 
 @dataclass
@@ -574,10 +574,14 @@ DEFAULT_PATHS = {
 }
 
 
-def run_suite(name: str, cfg: ExperimentConfig) -> SuiteReport:
+def check_suite(name: str) -> None:
+    """A ConfigError that lists the suites, unless name is one."""
     if name not in _SUITES:
-        raise ConfigError(f"unknown suite '{name}'; available: "
-                          + ", ".join(KNOWN_SUITES))
+        raise ConfigError(f"unknown suite '{name}'; available: " + ", ".join(_SUITES))
+
+
+def run_suite(name: str, cfg: ExperimentConfig) -> SuiteReport:
+    check_suite(name)
     if cfg.n_paths == 0:
         cfg = replace(cfg, n_paths=DEFAULT_PATHS.get(name, 10_000))
     return _SUITES[name](cfg)

@@ -34,7 +34,7 @@ from .geometry import (
 from .meanderiv import EstimatorConfig, covariant_mean_derivative
 from .meanderiv.estimators import LaggedSamples
 from .stochastic import PathEnsemble
-from .stochastic.ensemble import check_grid
+from .stochastic.ensemble import uniform_step
 from .stochastic.integrator import step_count
 
 VARIATION_STEP = 1e-5
@@ -44,7 +44,8 @@ POTENTIAL_FD_STEP = 1e-6           # absolute step of the Euler-Lagrange potenti
 
 @dataclass
 class PathCurve:
-    """A single discretized curve on a chart.
+    """A single discretized curve on a chart, on a uniform time grid by the
+    grid rule of :mod:`fractoid.stochastic.ensemble`.
 
     velocity_data, when present (e.g. from the geodesic integrator), is
     used verbatim; otherwise velocities are finite differences of the
@@ -64,7 +65,7 @@ class PathCurve:
         if len(self.times) < (2 if self.velocity_data is not None else 3):
             raise ParameterError(f"a curve needs at least 3 nodes, 2 with velocity_data, "
                                  f"got {len(self.times)}")
-        check_grid(self.times, "curve time grid")
+        uniform_step(self.times, "times of the curve")
         if self.velocity_data is not None:
             self.velocity_data = np.asarray(self.velocity_data, dtype=float)
             if self.velocity_data.shape != self.points.shape:

@@ -27,26 +27,19 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import SingularMetricError, call_checked
+from ..errors import call_checked
 from .charts import MetricChart
 
 FD_STEP_FIRST = 1e-5
 FD_STEP_SECOND = 1e-4
-LEVI_CIVITA_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """Levi-Civita Gamma^k_{ij} at a point; gamma[k, i, j], symmetric in (i, j)."""
+    """Levi-Civita Gamma^k_{ij} at a point; gamma[k, i, j], symmetric in (i, j)
+    by construction in :func:`christoffel_batch`."""
 
     gamma: np.ndarray
-
-    def __post_init__(self):
-        skew = np.max(np.abs(self.gamma - np.swapaxes(self.gamma, -1, -2)))
-        if skew > LEVI_CIVITA_SYMMETRY_TOL:
-            raise SingularMetricError(
-                f"Levi-Civita coefficients not symmetric (defect {skew:.2e})"
-            )
 
 
 @dataclass(frozen=True)

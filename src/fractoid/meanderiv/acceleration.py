@@ -10,7 +10,8 @@ Two routes are provided and must agree on flat charts:
   (Laplace-Beltrami) vector Laplacian on curved charts.
 
 A grid with a single time bin asserts stationarity: the time-derivative
-term is taken to be zero there.
+term is taken to be zero there; otherwise the time bin centers must be
+uniform (:func:`fractoid.stochastic.ensemble.uniform_step`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..geometry import MetricChart, christoffel_batch, ricci_operator
+from ..stochastic.ensemble import uniform_step
 from .estimators import EstimatorConfig, MeanDerivativeField
 
 
@@ -33,56 +35,31 @@ class AccelerationField:
     method: str                 # "composition" | "decomposition"
 
 
-def _time_step(config: EstimatorConfig) -> float:
-    tc = config.t_centers
-    if len(tc) < 2:
-        return 0.0
-    steps = np.diff(tc)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-        raise ParameterError("time derivative needs uniformly spaced time bins")
-    return float(steps[0])
-
-
-def _axis_slices(values: np.ndarray, axis: int):
-    sl = [slice(None)] * values.ndim
-
-    def ax(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
-
-    return ax(slice(1, -1)), ax(slice(2, None)), ax(slice(None, -2))
-
-
-def _bin_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float,
+def _bin_diff(values: np.ndarray, good: np.ndarray, axis: int, step: float | None = None,
               coords: np.ndarray | None = None, second: bool = False):
-    """Masked central first (or, with second=True, second) difference along
-    a bin axis.
-
-    With coords given (one abscissa per bin along this axis, e.g. the
-    conditional means), the three-point nonuniform formula is used; bins
-    need both neighbors populated to be valid.
+    """Masked central difference along a bin axis: the first difference over
+    a uniform step, or, with coords given (one abscissa per bin along this
+    axis, e.g. the conditional means), the three-point nonuniform first (or,
+    with second=True, second) difference.  Bins need both neighbors
+    populated to be valid.
     """
     der = np.full_like(values, np.nan)
     valid = np.zeros(good.shape, dtype=bool)
     if values.shape[axis] < 3:
         return der, valid
-    mid, up, down = _axis_slices(values, axis)
-    gmid, gup, gdown = _axis_slices(good, axis)
-    if coords is None and second:
-        der[mid] = (values[up] - 2.0 * values[mid] + values[down]) / step**2
-    elif coords is None:
+    lead = (slice(None),) * axis                # the stencil's index tuples
+    mid, up, down = (lead + (s,) for s in (slice(1, -1), slice(2, None), slice(None, -2)))
+    if coords is None:
         der[mid] = (values[up] - values[down]) / (2.0 * step)
     else:
-        cmid, cup, cdown = _axis_slices(coords, axis)
-        hp = (coords[cup] - coords[cmid])[..., None]
-        hm = (coords[cmid] - coords[cdown])[..., None]
+        hp = (coords[up] - coords[mid])[..., None]
+        hm = (coords[mid] - coords[down])[..., None]
         if second:
             num = 2.0 * (hm * values[up] + hp * values[down] - (hp + hm) * values[mid])
         else:
             num = hm**2 * values[up] - hp**2 * values[down] + (hp**2 - hm**2) * values[mid]
         der[mid] = num / (hp * hm * (hp + hm))
-    valid[gmid] = good[gmid] & good[gup] & good[gdown]
+    valid[mid] = good[mid] & good[up] & good[down]
     return der, valid
 
 
@@ -91,12 +68,11 @@ def _grad_fields(values: np.ndarray, good: np.ndarray, config: EstimatorConfig,
     """Spatial derivatives d_a w^c (or, with second=True, d_a d_a w^c) per
     bin on the per-bin abscissas points (shape + (dim,)); returns
     (derivative list, joint validity)."""
-    steps = config.x_steps
     grads = []
     valid = good.copy()
     for a in range(config.dimension):
-        der, ok = _bin_diff(values, good, axis=1 + a, step=steps[a],
-                            coords=points[..., a], second=second)
+        der, ok = _bin_diff(values, good, axis=1 + a, coords=points[..., a],
+                            second=second)
         grads.append(der)
         valid &= ok
     return grads, valid
@@ -120,7 +96,8 @@ def _time_derivative(values: np.ndarray, good: np.ndarray, config: EstimatorConf
     if config.n_time_bins == 1:
         # Single time bin: stationary grid, the time term is zero.
         return np.zeros_like(values), good.copy()
-    return _bin_diff(values, good, axis=0, step=_time_step(config))
+    return _bin_diff(values, good, axis=0,
+                     step=uniform_step(config.t_centers, "time bin centers"))
 
 
 def mean_acceleration(field: MeanDerivativeField, epsilon: float) -> AccelerationField:

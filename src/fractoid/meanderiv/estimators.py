@@ -43,6 +43,7 @@ from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
 from ..stochastic import PathEnsemble, map_blocks, path_blocks
+from ..stochastic.ensemble import check_grid, uniform_step
 from ..stochastic.integrator import row_chunks
 
 # blocks binned ahead of the one being summed (a window of 1 measured
@@ -52,7 +53,8 @@ BIN_WINDOW = 2
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Rectangular (t, x) bin specification for conditional averages."""
+    """Rectangular (t, x) bin specification for conditional averages; each
+    axis's edges are a grid (:func:`fractoid.stochastic.ensemble.check_grid`)."""
 
     time_edges: np.ndarray
     space_edges: tuple[np.ndarray, ...]
@@ -61,18 +63,16 @@ class EstimatorConfig:
     causal_split: str = "off"          # off | timelike | spacelike
 
     def __post_init__(self):
-        object.__setattr__(self, "time_edges", np.asarray(self.time_edges, dtype=float))
+        object.__setattr__(self, "time_edges", check_grid(self.time_edges, "time edges"))
         object.__setattr__(self, "space_edges",
-                           tuple(np.asarray(e, dtype=float) for e in self.space_edges))
+                           tuple(check_grid(e, f"space edges of axis {a}")
+                                 for a, e in enumerate(self.space_edges)))
         if self.min_count < 2:
             raise ParameterError("min_count must be >= 2")
         if self.lag < 1:
             raise ParameterError("lag must be >= 1")
         if self.causal_split not in ("off", "timelike", "spacelike"):
             raise ParameterError(f"bad causal_split '{self.causal_split}'")
-        for e in (self.time_edges, *self.space_edges):
-            if len(e) < 2 or np.any(np.diff(e) <= 0):
-                raise ParameterError("bin edges must be increasing with >= 2 entries")
 
     @classmethod
     def regular(cls, t_range, n_t, x_range, n_x, dim=None, **kw) -> "EstimatorConfig":
@@ -132,13 +132,9 @@ class EstimatorConfig:
 
     @property
     def x_steps(self) -> tuple[float, ...]:
-        steps = []
-        for e in self.space_edges:
-            w = np.diff(e)
-            if np.max(np.abs(w - w[0])) > 1e-9 * max(1.0, abs(w[0])):
-                raise ParameterError("finite differences need uniform bin widths")
-            steps.append(float(w[0]))
-        return tuple(steps)
+        """Each space axis's bin width; its edges must be uniform."""
+        return tuple(uniform_step(e, f"space edges of axis {a}")
+                     for a, e in enumerate(self.space_edges))
 
     def same_grid(self, other: "EstimatorConfig") -> bool:
         if self.shape != other.shape:

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ConfigError, ParameterError
 from ..persistence import (NUMBER, manifest_for, read_manifest, read_table,
                            write_manifest, write_table)
+from ..stochastic.ensemble import uniform_step
 
 NODAL_FLOOR = 1e-12
 EPSILON_CONSISTENCY_TOL = 1e-12
@@ -25,7 +26,8 @@ GRID_COORD_TOL = 1e-6   # in grid steps: the manifest rebuilds axes by linspace
 
 @dataclass
 class WaveFunctionGrid:
-    """Complex values on a uniform rectangular spatial grid (1-D to 3-D)."""
+    """Complex values on a uniform rectangular spatial grid (1-D to 3-D); each
+    axis is uniform by the grid rule of :mod:`fractoid.stochastic.ensemble`."""
 
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
@@ -34,15 +36,13 @@ class WaveFunctionGrid:
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        for i, a in enumerate(self.axes):
+            uniform_step(a, f"grid axis {i}")
         self.values = np.asarray(self.values, dtype=complex)
         if self.hbar <= 0 or self.mass <= 0:
             raise ParameterError("hbar and mass must be positive")
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise ParameterError("values shape must match the grid axes")
-        for a in self.axes:
-            d = np.diff(a)
-            if len(d) < 1 or np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
-                raise ParameterError("grid axes must be uniform and increasing")
         if not np.all(np.isfinite(self.values)):
             raise ParameterError("wavefunction values must be finite")
         if self.l2_norm() <= 0:
@@ -79,13 +79,19 @@ class WaveFunctionGrid:
     @classmethod
     def read_csv(cls, path) -> "WaveFunctionGrid":
         """Rows must follow the manifest grid in C order: a missing row or a
-        coordinate off its node by GRID_COORD_TOL steps is a ParameterError."""
-        manifest = read_manifest(manifest_for(path),
-                                 {"hbar": NUMBER, "mass": NUMBER, "grid": list})
-        axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
+        coordinate off its node by GRID_COORD_TOL steps is a ParameterError, and
+        so is a manifest grid of other than [first, last, nodes] per axis or
+        whose axes break the grid rule."""
+        mpath = manifest_for(path)
+        manifest = read_manifest(mpath, {"hbar": NUMBER, "mass": NUMBER, "grid": list})
+        try:
+            axes = tuple(np.linspace(a, b, int(n)) for a, b, n in manifest["grid"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"{mpath}: bad grid entry: {exc}") from exc
+        steps = np.array([uniform_step(a, f"grid axis {i} of {mpath}")
+                          for i, a in enumerate(axes)])
         raw = np.concatenate(list(read_table(path, len(axes) + 2)))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        steps = np.array([(a[-1] - a[0]) / max(len(a) - 1, 1) for a in axes])
         if len(raw) != len(mesh) or np.any(np.abs(raw[:, :-2] - mesh)
                                            > GRID_COORD_TOL * steps):
             raise ParameterError(f"{path}: the rows do not follow the manifest grid "

@@ -1,5 +1,11 @@
 """PathEnsemble: N discretized sample paths on a uniform time grid.
 
+The grid rule holds for every 1-d grid in the package: time grids, bin
+edges and wavefunction axes.  A grid (:func:`check_grid`) is one axis of at
+least 2 finite, strictly increasing nodes.  A uniform grid
+(:func:`uniform_step`) also has every step within GRID_RTOL times its first
+step of the first step, which is its step.
+
 Persistence goes through :mod:`fractoid.persistence`: a CSV table
 ``path_id,step,t,x0,...,x{n-1}`` with one row per (path, step) in path-major
 order, plus a JSON manifest holding chart, seed, dt, T, N and the meta
@@ -29,18 +35,30 @@ from ..persistence import (float_text, manifest_for, read_arrays, read_manifest,
                            read_table, write_manifest, write_table)
 from .integrator import path_blocks, row_chunks
 
-GRID_UNIFORMITY_TOL = 1e-12
+GRID_RTOL = 1e-9   # a uniform grid's steps, relative to its first step
 
 
-def check_grid(times, name) -> None:
-    """A time grid must be finite, strictly increasing and uniform within
-    GRID_UNIFORMITY_TOL; name leads the error message."""
-    if not np.all(np.isfinite(times)):          # NaN passes the comparisons below
-        raise ParameterError(f"{name} contains non-finite times")
-    diffs = np.diff(times)
-    if len(diffs) and (np.any(diffs <= 0)
-                       or np.max(np.abs(diffs - diffs[0])) > GRID_UNIFORMITY_TOL):
-        raise ParameterError(f"{name} must be strictly increasing and uniform")
+def check_grid(values, name) -> np.ndarray:
+    """values as floats, if they are a grid by the grid rule; else a
+    ParameterError that names the grid by name."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < 2:
+        raise ParameterError(f"{name} must be one axis of at least 2 nodes, "
+                             f"got shape {values.shape}")
+    if not np.isfinite(values).all():           # NaN passes the comparison below
+        raise ParameterError(f"non-finite {name}")
+    if np.any(np.diff(values) <= 0):
+        raise ParameterError(f"{name} must be strictly increasing")
+    return values
+
+
+def uniform_step(values, name) -> float:
+    """The step of a uniform grid by the grid rule; else a ParameterError that
+    names the grid by name."""
+    steps = np.diff(check_grid(values, name))
+    if np.max(np.abs(steps - steps[0])) > GRID_RTOL * steps[0]:
+        raise ParameterError(f"{name} must be uniform to {GRID_RTOL:g} of its first step")
+    return float(steps[0])
 
 
 @dataclass
@@ -58,7 +76,7 @@ class PathEnsemble:
             raise ParameterError("paths must have shape (N, K+1, dim)")
         if self.times.shape != (self.paths.shape[1],):
             raise ParameterError("times length must match the path grid")
-        check_grid(self.times, "time grid")
+        uniform_step(self.times, "times")
         # block by block, so the check holds no ensemble-sized mask
         for rows in path_blocks(self.n_paths):
             if not np.isfinite(self.paths[rows]).all():
@@ -163,7 +181,7 @@ class PathEnsemble:
                 raise ParameterError(f"{path}: row {total} begins path {n}, but its "
                                      f"manifest says N = {n}")
             if r == 0:                          # path 0's rows, which set the grid
-                check_grid(times, f"{path}: the time grid of path 0")
+                uniform_step(times, f"times of path 0 in {path}")
             off = np.flatnonzero(block[:, 2] != times[step])
             if off.size:
                 i = off[0]

@@ -113,6 +113,28 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, argv, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "t_final", "NaN"),
+    ("simulate", "dt", "NaN"),
+    ("simulate", "epsilon", "NaN"),
+    ("simulate", "t_final", "Infinity"),
+    ("simulate", "x0", "[NaN]"),
+    ("simulate", "t_final", str(10**400)),    # an integer no float holds
+    ("estimate", "est_x_min", "NaN"),
+], ids=["t_final", "dt", "epsilon", "t_final-inf", "x0", "t_final-huge-int", "est_x_min"])
+def test_config_non_finite_number_exit_2(tmp_path, capsys, command, key, value):
+    argv = [command, "--seed", "1", "--set", f"{key}={value}",
+            "--out", str(tmp_path / "out")]
+    if command == "estimate":
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "1",
+                     "--set", "n_paths=5", "--set", "t_final=0.05"]) == 0
+        capsys.readouterr()
+        argv += ["--ensemble", str(tmp_path / "ensemble.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"'{key}'" in err
+
+
 def test_load_config_type_rules(tmp_path):
     cfg_file = tmp_path / "run.json"
     cfg_file.write_text(json.dumps({"epsilon": 2, "x0": None, "seed": 3}))
@@ -152,13 +174,18 @@ def test_estimate_bins_time_from_the_ensembles_first_time(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt manifest", "manifest without seed",
-                                    "list manifest", "list seed"])
+                                    "list manifest", "list seed", "one row per path"])
 def test_estimate_unreadable_ensemble_exit_2(tmp_path, capsys, damage):
     path = tmp_path / "ensemble.csv"
     mpath = tmp_path / "ensemble.manifest.json"
     if damage != "missing":
         assert main(["simulate", "--out", str(tmp_path), "--seed", "3",
                      "--set", "n_paths=4", "--set", "t_final=0.1"]) == 0
+    if damage == "one row per path":       # each path's step 0 only: a one-node grid
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [r for r in rows if r.split(",")[1] == "0"])
+                        + "\n")
+    elif damage != "missing":
         manifest = json.loads(mpath.read_text())
         seed = manifest.pop("seed")
         mpath.write_text({"corrupt manifest": "not json",
@@ -208,6 +235,10 @@ def test_verify_unknown_suite_lists_options(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "dirac-algebra" in err and "nelson-ho" in err
+    # the suite name is checked before the output directory is made
+    assert main(["verify", "--suite", "made-up", "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_json_byte_identical(tmp_path):

@@ -88,6 +88,14 @@ def test_classical_geodesic_truncates_where_it_leaves_the_chart():
         classical_geodesic(SPH, [0.06, 0.0], [-10.0, 0.0], T=1.0, dt=0.01)
 
 
+@pytest.mark.parametrize("k", [10**5, 10**6])
+def test_curve_accepts_a_rounded_time_grid(k):
+    # np.arange's steps of 0.1 differ from the first by rounding, up to
+    # 1.5e-12 (k = 1e5) and 8.7e-12 (k = 1e6)
+    curve = PathCurve(np.arange(k + 1) * 0.1, np.zeros((k + 1, 1)))
+    assert curve.dt == 0.1
+
+
 def test_curve_rejects_a_non_finite_or_too_short_grid():
     with pytest.raises(ParameterError, match="non-finite times"):
         PathCurve([0.0, np.nan, 2.0], np.zeros((3, 1)))

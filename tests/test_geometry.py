@@ -181,6 +181,20 @@ def test_christoffel_analytic_vs_fd_paths():
             assert np.max(np.abs(a - b)) < 1e-4
 
 
+def test_christoffel_is_exactly_symmetric_in_its_lower_indices():
+    # Gamma^k_{ik} and Gamma^k_{ki} come from one d_i g_kk and one factor
+    # g^kk / 2, so they are equal to the bit, with analytic or
+    # finite-difference metric derivatives
+    warped = chart_from_json({"name": "warped3", "dimension": 3, "signature": [0, 3],
+                              "diagonal_entries": ["1 + x1^2", "exp(x2)", "cosh(x0) * x1"]})
+    charts = [get_chart(name) for name in ("euclidean:3", "polar2", "sphere2",
+                                           "hyperbolic2", "minkowski:1+3")] + [warped]
+    rng = np.random.default_rng(7)
+    for chart in charts:
+        g = christoffel_batch(chart, rng.uniform(0.3, 1.2, (64, chart.dimension)))
+        assert np.array_equal(g, g.swapaxes(-1, -2)), chart.name
+
+
 def test_degenerate_metric_raises():
     spec = {"name": "flatline", "dimension": 2, "signature": [0, 2],
             "diagonal_entries": ["1", "x0^2"]}

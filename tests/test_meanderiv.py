@@ -682,6 +682,35 @@ def test_acceleration_decomposed_linear_field_exact():
     assert np.allclose(a2.values[m][:, 0], expect, atol=1e-12)
 
 
+def test_mean_acceleration_on_nonuniform_space_edges():
+    # the conditional-mean stencil takes any bin widths: w2 = -x/2, w1 = 0
+    # gives a = -w2 dw2/dx = -x/4 at every interior bin
+    from fractoid.meanderiv.estimators import MeanDerivativeField
+    cfg = EstimatorConfig([0.0, 1.0], ([-2.0, -1.2, -0.5, 0.0, 0.4, 1.1, 2.0],),
+                          min_count=2)
+    xc = cfg.x_centers[0][None, :, None]
+    shape = cfg.shape + (1,)
+    w2 = np.broadcast_to(-0.5 * xc, shape).copy()
+    zeros = np.zeros(shape)
+    fld = MeanDerivativeField(cfg, zeros, zeros, zeros, zeros, zeros.copy(),
+                              w2, zeros, np.full(cfg.shape, 10))
+    with pytest.warns(UserWarning, match="excluded"):      # the two end bins
+        acc = mean_acceleration(fld, epsilon=1.0)
+    assert acc.mask[0].tolist() == [False, True, True, True, True, False]
+    assert np.allclose(acc.values[acc.mask][:, 0], -0.25 * xc[0, 1:-1, 0],
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("time_edges,space_edges,match", [
+    ([0.0, np.nan, 1.0], [-1.0, 0.0, 1.0], "non-finite time edges"),
+    ([0.0, 1.0], [-1.0, np.nan, 1.0], "non-finite space edges of axis 0"),
+    ([np.nan, 1.0], [-1.0, 1.0], "non-finite time edges"),
+], ids=["nan-time-edge", "nan-space-edge", "nan-first-time-edge"])
+def test_estimator_config_rejects_non_finite_edges(time_edges, space_edges, match):
+    with pytest.raises(ParameterError, match=match):
+        EstimatorConfig(time_edges, (space_edges,))
+
+
 def test_acceleration_decomposed_outside_chart_fully_masked():
     # every bin center lies below the sphere's pole margin: no bin may take
     # the flat formula and report a value

@@ -1,6 +1,7 @@
 """Wavefunction-driven diffusions, the Schrodinger operator family, and the
 Newton-Nelson closure checks."""
 
+import json
 import threading
 import tracemalloc
 
@@ -424,6 +425,27 @@ def test_wavefunction_csv_roundtrip(tmp_path):
     back = WaveFunctionGrid.read_csv(path)
     assert np.allclose(back.values, psi.values)
     assert back.hbar == psi.hbar and back.mass == psi.mass
+
+
+@pytest.mark.parametrize("grid", [None, [np.nan, 1.0, 5], [-1.0, np.nan, 5],
+                                  [-1.0, 1.0, np.nan], [-1.0, 1.0, 1], [-1.0, 1.0]],
+                         ids=["nan-axis", "manifest-nan-first", "manifest-nan-last",
+                              "manifest-nan-nodes", "manifest-one-node",
+                              "manifest-no-node-count"])
+def test_wavefunction_grid_rule(tmp_path, grid):
+    if grid is None:
+        with pytest.raises(ParameterError, match="non-finite grid axis 0"):
+            WaveFunctionGrid((np.array([-1.0, np.nan, 1.0]),), np.ones(3))
+        return
+    # the manifest's grid, not the table's rows, sets the axes
+    psi = make_wavefunction("gaussian-packet(0.8)", (np.linspace(-1, 1, 5),))
+    path = tmp_path / "psi.csv"
+    psi.write_csv(path)
+    mpath = tmp_path / "psi.manifest.json"
+    manifest = json.loads(mpath.read_text())
+    mpath.write_text(json.dumps({**manifest, "grid": [grid]}))
+    with pytest.raises(ParameterError, match=str(mpath)):
+        WaveFunctionGrid.read_csv(path)
 
 
 @pytest.mark.parametrize("edit", ["swap", "delete"])

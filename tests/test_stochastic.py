@@ -604,6 +604,27 @@ def test_ensemble_rejects_nan_times(tmp_path):
         PathEnsemble.read_csv(path)
 
 
+def _rounded_grid_ensemble(k):
+    """k steps of 0.1 as np.arange gives them: away from t = 0 the steps
+    differ from the first by rounding, up to 1.5e-12 (k = 1e5) and 8.7e-12
+    (k = 1e6)."""
+    return PathEnsemble(np.arange(k + 1) * 0.1, np.zeros((1, k + 1, 1)), seed=0)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: _rounded_grid_ensemble(10**5), None),
+    (lambda: _rounded_grid_ensemble(10**6), None),
+    (lambda: PathEnsemble([0.0], np.zeros((3, 1, 1)), seed=1), "at least 2 nodes"),
+    (lambda: _rounded_grid_ensemble(4).restrict(2, 2), "at least 2 nodes"),
+], ids=["rounded-1e5", "rounded-1e6", "one-node", "restrict-k-k"])
+def test_ensemble_time_grid_rule(make, error):
+    if error is None:
+        assert make().dt == 0.1
+    else:
+        with pytest.raises(ParameterError, match=error):
+            make()
+
+
 def test_ensemble_npz_roundtrip(tmp_path):
     spec = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x),
                           diffusion_const=1.0, dimension=1)
