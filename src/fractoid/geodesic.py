@@ -35,7 +35,7 @@ from .meanderiv import EstimatorConfig, covariant_mean_derivative
 from .meanderiv.estimators import LaggedSamples
 from .stochastic import PathEnsemble
 from .stochastic.ensemble import uniform_step
-from .stochastic.integrator import step_count
+from .stochastic.integrator import row_chunks, step_count
 
 VARIATION_STEP = 1e-5
 RESIDUAL_FD_STEP = 1e-3
@@ -205,8 +205,8 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
 
     The integrand uses the per-bin forward mean derivative of the ensemble
     itself, with the estimator variance subtracted so the plug-in square is
-    unbiased, read through each block's bin index and summed per path one
-    block of paths at a time.  Returns (estimate, standard error over paths).
+    unbiased, read through each block's bin index and summed per path in
+    the row chunks of each block.  Returns (estimate, standard error).
     """
     samples = LaggedSamples(ensemble, config)
     fwd = samples.mean_derivative("forward")
@@ -218,15 +218,18 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
     known_of = np.isfinite(vals_of).all(axis=1)
     vals_of, se2_of = np.nan_to_num(vals_of), np.nan_to_num(ses_of) ** 2
     per_path, finite = np.empty(n), 0
-    for rows, index in samples.blocks():
-        bins = index[:, near]
-        gdiag = chart.diag(ensemble.paths[rows, near])
-        norm2 = np.einsum("...i,...i,...i->...", vals_of[bins], gdiag, vals_of[bins])
-        # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
-        corr = np.sum(gdiag * se2_of[bins], axis=-1)
-        integrand = np.where(known_of[bins], norm2 - corr, np.nan)
-        per_path[rows] = np.nansum(integrand, axis=1) * ensemble.dt
-        finite += int(np.count_nonzero(np.isfinite(integrand)))
+    for rows, paths, index in samples.blocks():
+        out = per_path[rows]
+        for chunk in row_chunks(len(paths), ensemble.n_steps + 1 - config.lag):
+            bins = index[chunk, near]
+            gdiag = chart.diag(paths[chunk, near])
+            vals = vals_of[bins]
+            norm2 = np.einsum("...i,...i,...i->...", vals, gdiag, vals)
+            # E||Dhat||^2 exceeds ||D||^2 by the estimator variance; subtract it.
+            corr = np.sum(gdiag * se2_of[bins], axis=-1)
+            integrand = np.where(known_of[bins], norm2 - corr, np.nan)
+            out[chunk] = np.nansum(integrand, axis=1) * ensemble.dt
+            finite += int(np.count_nonzero(np.isfinite(integrand)))
     frac = finite / (n * (ensemble.n_steps + 1 - config.lag))
     if frac < 1.0:
         per_path = per_path / max(frac, 1e-12)   # renormalize for excluded bins

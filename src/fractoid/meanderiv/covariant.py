@@ -97,9 +97,8 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
         here = field_at(paths, near)
         return (vec - here if direction == "forward" else here - vec) / samples.dtau
 
-    def quotients(rows):
+    def quotients(rows, paths):
         # one time step per call, so the transport holds B segments, not B K
-        paths = ensemble.paths[rows]
         return np.stack([quotient(paths, *ks) for ks in zip(*ends)], axis=1)
 
     mc = samples.average(direction, quotients)

@@ -10,24 +10,22 @@ smallest unsigned type that holds the bin count; samples outside the grid
 carry the overflow bin n_bins, which no estimate reads.  An increment
 x(t + lag dt) - x(t) is conditioned on its early end for the forward
 quotient and on its late end for the backward one, so both directions, the
-causal split and the quadratic variation read the same block index.  No
-index is stored for the whole ensemble: :meth:`LaggedSamples.blocks` bins
-each block of paths as a walk reaches it.  Only that binning runs on the
-block pool (``stochastic.map_blocks``), a window of blocks ahead of the
-walk, each block's index in an array of its own; everything else runs on
-the calling thread in block order, so user fields and covariant transport
-are never called concurrently.
+causal split and the quadratic variation read the same block index.
 
-Values are never held for the whole ensemble, by the estimators or by the
-covariant, energy and causal-class consumers: ``stochastic.path_blocks``,
-the simulators' block walk, takes them ``stochastic.integrator.BLOCK_PATHS``
-paths at a time.  The accumulator walks the blocks once.  It forms each
-block's values once for every average that reads them (both directions of
-a velocity field, the four causal terms of the relativistic sums), and sums
-per bin the counts, the values, the conditioning points and the squares of
-the values about a fixed shift, the bin's first sample.  It sums each block
-in the row chunks of ``integrator.row_chunks``, whole paths of at most
-CHUNK_VALUES samples, so its temporaries are chunk-sized, not block-sized.
+The estimators and their covariant, energy and causal-class consumers read
+an ensemble's paths only through its one walk, ``PathEnsemble.blocks()``,
+views of BLOCK_PATHS paths in path order, and hold no value or bin index
+for the whole ensemble: :meth:`LaggedSamples.blocks` bins each block as the
+walk reaches it.  Only that binning runs on the block pool
+(``stochastic.map_blocks``), a window of blocks ahead; everything else runs
+on the calling thread in block order, so user fields and covariant
+transport are never called concurrently.  The accumulator walks the blocks
+once.  It forms each block's values once for every average that reads them
+(both directions of a velocity field, the four causal terms of the
+relativistic sums), and sums per bin the counts, the values, the
+conditioning points and the squares of the values about a fixed shift, the
+bin's first sample, in the row chunks of ``integrator.row_chunks``, whole
+paths of at most CHUNK_VALUES samples, so its temporaries are chunk-sized.
 A sample a causal split drops goes to the overflow bin of its block.  Sums
 run in path-major order, so no result depends on the block or chunk size.
 """
@@ -42,7 +40,7 @@ import numpy as np
 from ..errors import EstimationError, ParameterError
 from ..geometry import get_chart
 from ..persistence import manifest_for, write_manifest, write_table
-from ..stochastic import PathEnsemble, map_blocks, path_blocks
+from ..stochastic import PathEnsemble, map_blocks
 from ..stochastic.ensemble import check_grid, uniform_step
 from ..stochastic.integrator import row_chunks
 
@@ -238,39 +236,35 @@ def _minkowski_norm2(ensemble: PathEnsemble) -> Callable[[np.ndarray], np.ndarra
     return lambda inc: np.einsum("...i,i,...i->...", inc, eta, inc)
 
 
-def _accumulate(config: EstimatorConfig, blocks,
-                points: list[np.ndarray]) -> list[BinnedField]:
+def _accumulate(config: EstimatorConfig, blocks) -> list[BinnedField]:
     """Per-bin count, mean, standard error and conditioning mean, per term.
 
-    Every term averages the same per-sample values.  points[j] (N, M, dim)
-    holds term j's conditioning points of N paths; blocks yields, for each
-    slice rows of :func:`path_blocks` in order, (rows, bins (B, M) per term,
-    values (B, M, ...)), with the overflow bin n_bins for samples a term
-    does not take, so each block's values are formed once for all terms.
-    One walk sums counts (exact integers), values, points and the squares
-    of the values about a per-bin shift, the bin's first sample in
-    path-major order; the squared deviations from the bin mean follow as
-    s2 - n (mean - shift)^2.  Each block is summed in the chunks of whole
-    paths of :func:`row_chunks`, in path order, so np.add.at adds samples
-    in path-major order, as one bincount over the whole ensemble would, and
-    the result is bit-identical for every block size, chunk size and worker
-    count.
+    Every term averages the same per-sample values.  blocks yields, for each
+    block of B paths of the ensemble's walk in order, (bins (B, M) per term,
+    conditioning points (B, M, dim) per term, values (B, M, ...)), with the
+    overflow bin n_bins for samples a term does not take, so each block's
+    values are formed once for all terms.  One walk sums counts (exact
+    integers), values, points and the squares of the values about a per-bin
+    shift, the bin's first sample in path-major order; the squared
+    deviations from the bin mean follow as s2 - n (mean - shift)^2.  Each
+    block is summed in the chunks of whole paths of :func:`row_chunks`, in
+    path order, so np.add.at adds samples in path-major order, as one
+    bincount over the whole ensemble would, and the result is bit-identical
+    for every block size, chunk size and worker count.
     """
     n_bins = config.n_bins
-    dim = points[0].shape[2]
     count = None
-    for rows, bins, vals in blocks:
+    for bins, points, vals in blocks:
         if count is None:
-            # the value shape, from the first block; (term, value component,
-            # bin), and count's unit axis broadcasts over values
-            vshape = vals.shape[2:]
+            # the value and point shapes, from the first block; (term, value
+            # component, bin), and count's unit axis broadcasts over values
+            vshape, dim, terms = vals.shape[2:], points[0].shape[2], len(bins)
             m = int(np.prod(vshape))
-            count = np.zeros((len(points), 1, n_bins + 1), dtype=np.int64)
-            s1 = np.zeros((len(points), m, n_bins + 1))
+            count = np.zeros((terms, 1, n_bins + 1), dtype=np.int64)
+            s1 = np.zeros((terms, m, n_bins + 1))
             s2 = np.zeros_like(s1)
             shift = np.zeros_like(s1)
-            pts = np.zeros((len(points), dim, n_bins + 1))
-        block_pts = [p[rows] for p in points]
+            pts = np.zeros((terms, dim, n_bins + 1))
         for chunk in row_chunks(len(vals), vals.shape[1]):
             v = vals[chunk].reshape(-1, m)
             for j, idx in enumerate(bins):
@@ -289,7 +283,7 @@ def _accumulate(config: EstimatorConfig, blocks,
                     np.subtract(v[:, c], dev, out=dev)
                     np.add.at(s2[j, c], idx, np.square(dev, out=dev))
                 for a in range(dim):
-                    np.add.at(pts[j, a], idx, block_pts[j][chunk, :, a].ravel())
+                    np.add.at(pts[j, a], idx, points[j][chunk, :, a].ravel())
     nz = count > 0
     mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
     cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)
@@ -301,7 +295,7 @@ def _accumulate(config: EstimatorConfig, blocks,
     se = np.sqrt(var / np.maximum(count, 1))
     count = count[:, 0, :n_bins]
     fields = []
-    for j in range(len(points)):
+    for j in range(terms):
         empty = count[j] < config.min_count
         mean_j, se_j, cond_j = (np.where(empty, np.nan, a[j, :, :n_bins]).T
                                 for a in (mean, se, cond_mean))
@@ -327,11 +321,8 @@ class LaggedSamples:
 
     The increment x_p(t_k + lag dt) - x_p(t_k) has its forward quotient
     conditioned on its early end (step k) and its backward quotient on its
-    late end (step k + lag).  No bin index is stored: each walk bins the
-    blocks of paths as it reaches them (:meth:`blocks`), and only that
-    binning runs on the block pool.  Increments, quotients, causal classes
-    and the values an average asks for are formed per block of paths on
-    the calling thread, in block order, and never for the whole ensemble.
+    late end (step k + lag).  Increments, quotients, causal classes and the
+    values an average asks for are formed per block of :meth:`blocks`.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: EstimatorConfig):
@@ -346,14 +337,15 @@ class LaggedSamples:
         self.dtau = config.lag * ensemble.dt
 
     def blocks(self):
-        """(rows, index) for each slice rows of :func:`path_blocks`, in
-        order: index[p, k] is the bin of sample (rows.start + p, k), the
-        overflow bin n_bins outside the grid.  Each index is a new array,
-        formed on the block pool at most BIN_WINDOW blocks ahead.
+        """(rows, paths, index) for each block (rows, paths) of the
+        ensemble's walk, in order: index[p, k] is the bin of sample
+        (rows.start + p, k), the overflow bin n_bins outside the grid.  Each
+        index is a new array, formed on the block pool at most BIN_WINDOW
+        blocks ahead.
         """
         ens, config = self.ensemble, self.config
-        return map_blocks(lambda rows: (rows, config.bin_index(ens.times, ens.paths[rows])),
-                          path_blocks(ens.n_paths), BIN_WINDOW)
+        return map_blocks(lambda block: (*block, config.bin_index(ens.times, block[1])),
+                          ens.blocks(), BIN_WINDOW)
 
     def ends(self, direction: str) -> tuple[slice, slice]:
         """Step slices of a direction's (conditioning, displaced) ends."""
@@ -364,19 +356,20 @@ class LaggedSamples:
             return late, early
         raise ParameterError(f"direction must be forward or backward, got '{direction}'")
 
-    def increments(self, rows: slice) -> np.ndarray:
-        """x(t + lag dt) - x(t) of the paths in rows, (B, K+1-lag, dim)."""
-        return _increments(self.ensemble.paths[rows], self.config.lag)
+    def increments(self, paths: np.ndarray) -> np.ndarray:
+        """x(t + lag dt) - x(t) of a block's paths (B, K+1, dim), (B, K+1-lag, dim)."""
+        return _increments(paths, self.config.lag)
 
-    def quotients(self, rows: slice) -> np.ndarray:
-        """The difference quotients of both directions for the paths in rows."""
-        return self.increments(rows) / self.dtau
+    def quotients(self, paths: np.ndarray) -> np.ndarray:
+        """The difference quotients of both directions for a block's paths."""
+        return self.increments(paths) / self.dtau
 
     def average(self, direction: str, values, split: str = "off") -> BinnedField:
         """Per-bin average of per-increment values over the bins of the
-        direction's conditioning end.  values(rows) gives the (B, K+1-lag,
-        ...) values of a slice of paths from :func:`path_blocks`; split keeps
-        only the increments of one causal class (timelike or spacelike)."""
+        direction's conditioning end.  values(rows, paths) gives the (B,
+        K+1-lag, ...) values of a block (rows, paths) of the ensemble's walk;
+        split keeps only the increments of one causal class (timelike or
+        spacelike)."""
         return self.averages(values, [(direction, split)])[0]
 
     def averages(self, values, terms) -> list[BinnedField]:
@@ -388,8 +381,8 @@ class LaggedSamples:
                     if any(split != "off" for _, split in terms) else None)
 
         def walk():
-            for rows, index in self.blocks():
-                norm2 = None if norm2_of is None else norm2_of(self.increments(rows))
+            for rows, paths, index in self.blocks():
+                norm2 = None if norm2_of is None else norm2_of(self.increments(paths))
                 bins = []
                 for near, split in terms:
                     idx = index[:, near]
@@ -397,15 +390,15 @@ class LaggedSamples:
                         keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
                         idx = np.where(keep, idx, n_bins)
                     bins.append(idx)
-                yield rows, bins, values(rows)
+                yield bins, [paths[:, near] for near, _ in terms], values(rows, paths)
 
-        return _accumulate(self.config, walk(),
-                           [self.ensemble.paths[:, near] for near, _ in terms])
+        return _accumulate(self.config, walk())
 
     def mean_derivative(self, direction: str) -> BinnedField:
         """The one-sided quotient average under the config's causal split;
         raises EstimationError when no bin reaches min_count."""
-        return _require_populated(self.average(direction, self.quotients,
+        return _require_populated(self.average(direction,
+                                               lambda rows, paths: self.quotients(paths),
                                                self.config.causal_split))
 
 
@@ -431,8 +424,9 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
     """
     samples = LaggedSamples(ensemble, config)
     fwd_time, bwd_space, bwd_time, fwd_space = samples.averages(
-        samples.quotients, [("forward", "timelike"), ("backward", "spacelike"),
-                            ("backward", "timelike"), ("forward", "spacelike")])
+        lambda rows, paths: samples.quotients(paths),
+        [("forward", "timelike"), ("backward", "spacelike"),
+         ("backward", "timelike"), ("forward", "spacelike")])
 
     def combine(a: BinnedField, b: BinnedField) -> BinnedField:
         count = np.minimum(a.count, b.count)
@@ -459,8 +453,8 @@ def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     if ensemble.n_steps < lag:
         raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
     norm2 = _minkowski_norm2(ensemble)
-    spacelike = sum(np.count_nonzero(norm2(_increments(ensemble.paths[rows], lag)) >= 0)
-                    for rows in path_blocks(ensemble.n_paths))
+    spacelike = sum(np.count_nonzero(norm2(_increments(paths, lag)) >= 0)
+                    for _, paths in ensemble.blocks())
     return spacelike / (ensemble.n_paths * (ensemble.n_steps + 1 - lag))
 
 
@@ -491,7 +485,7 @@ def estimate_velocity_fields(ensemble: PathEnsemble,
     once for both directions."""
     samples = LaggedSamples(ensemble, config)
     split = config.causal_split
-    forward, backward = samples.averages(samples.quotients,
+    forward, backward = samples.averages(lambda rows, paths: samples.quotients(paths),
                                          [("forward", split), ("backward", split)])
     return velocity_fields(_require_populated(forward), _require_populated(backward))
 
@@ -502,8 +496,8 @@ def quadratic_variation_matrix(ensemble: PathEnsemble, config: EstimatorConfig,
     values have shape config.shape + (dim, dim)."""
     samples = LaggedSamples(ensemble, config)
 
-    def outer(rows):
-        inc = samples.increments(rows)
+    def outer(rows, paths):
+        inc = samples.increments(paths)
         return inc[..., :, None] * inc[..., None, :] / samples.dtau
 
     return _require_populated(samples.average(direction, outer))

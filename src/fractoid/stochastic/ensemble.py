@@ -78,9 +78,9 @@ class PathEnsemble:
             raise ParameterError("times length must match the path grid")
         uniform_step(self.times, "times")
         # block by block, so the check holds no ensemble-sized mask
-        for rows in path_blocks(self.n_paths):
-            if not np.isfinite(self.paths[rows]).all():
-                p, k = np.argwhere(~np.isfinite(self.paths[rows]))[0, :2]
+        for rows, paths in self.blocks():
+            if not np.isfinite(paths).all():
+                p, k = np.argwhere(~np.isfinite(paths))[0, :2]
                 raise ParameterError("paths contain non-finite coordinates, first on "
                                      f"path {rows.start + p} at step {k}")
 
@@ -103,6 +103,11 @@ class PathEnsemble:
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
+
+    def blocks(self):
+        """(rows, self.paths[rows]) for each slice rows of :func:`path_blocks`,
+        in order, a view: the one walk every consumer reads the paths with."""
+        return ((rows, self.paths[rows]) for rows in path_blocks(self.n_paths))
 
     def restrict(self, k0: int, k1: int) -> "PathEnsemble":
         """Sub-ensemble over the step index range [k0, k1]."""

@@ -7,14 +7,13 @@ like delta_t^(1/D_f); the fitted log-log slope s therefore gives
 D_f = 1/(1 + s).  A rectifiable curve has s = 0 (D_f = 1), a Wiener path
 s = -1/2 (D_f = 2).
 
-The paths are read one block at a time through :func:`path_blocks`, as
-every ensemble consumer reads them, and each block in the row chunks of
-:func:`row_chunks`, whole paths of at most CHUNK_VALUES samples.  Each path
-leaves one entry per figure (its length at each scale, its displacement,
-its sum of squared centred increments), and each figure is one reduction
-over those entries, so the largest temporary is one chunk's increments,
-not the ensemble's or a block's, and no figure depends on the block or
-chunk size.  The diffusion coefficient divides by the elapsed time
+The paths are read through ``PathEnsemble.blocks()``, the walk every
+ensemble consumer reads them with (only the displacements read each path's
+ends from the whole array), and each block in the row chunks of
+:func:`row_chunks`.  Each path leaves one entry per figure (its length at
+each scale, its displacement, its sum of squared centred increments), and
+each figure is one reduction over those entries, so the largest temporary
+is one chunk's increments and no figure depends on the block or chunk size.  The diffusion coefficient divides by the elapsed time
 times[-1] - times[0], so a restricted ensemble that starts after t = 0
 reads the same coefficient.
 """
@@ -27,7 +26,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .ensemble import PathEnsemble
-from .integrator import path_blocks, row_chunks
+from .integrator import row_chunks
 
 MIN_SCALES = 4
 
@@ -58,22 +57,22 @@ def fractal_scaling(ensemble: PathEnsemble, scales, reference_time: float = 1.0)
     if not (np.isfinite(reference_time) and reference_time > 0):
         raise ParameterError(f"reference_time must be positive and finite, got {reference_time}")
     dt = ensemble.dt
-    paths = ensemble.paths
     n, dim = ensemble.n_paths, ensemble.dimension
 
     # The mean increment over all paths and steps, by telescoping each path.
-    disp = paths[:, -1, :] - paths[:, 0, :]
+    disp = ensemble.paths[:, -1, :] - ensemble.paths[:, 0, :]
     mean_inc = np.sum(disp, axis=0) / (n * K)
     per_path = np.empty((len(scales), n))      # path length at each scale
     sq_dev = np.empty(n)                       # squared centred increments
-    for block in path_blocks(n):
-        for rows in row_chunks(block, K + 1):
-            chunk = paths[rows]
+    for rows, paths in ensemble.blocks():
+        block_len, block_sq = per_path[:, rows], sq_dev[rows]   # views
+        for part in row_chunks(len(paths), K + 1):
+            chunk = paths[part]
             inc = np.diff(chunk, axis=1)
             for i, m in enumerate(scales):
                 step = inc if m == 1 else np.diff(chunk[:, ::m, :], axis=1)
-                per_path[i, rows] = np.sum(np.linalg.norm(step, axis=-1), axis=1)
-            sq_dev[rows] = np.sum((inc - mean_inc) ** 2, axis=(1, 2))
+                block_len[i, part] = np.sum(np.linalg.norm(step, axis=-1), axis=1)
+            block_sq[part] = np.sum((inc - mean_inc) ** 2, axis=(1, 2))
     lengths = np.array([np.mean(row) for row in per_path])
     delta_ts = np.array(scales) * dt
 

@@ -6,15 +6,15 @@ per-path noise, the non-finite check, reject-and-resample at chart
 boundaries and the reporting grid.
 
 Paths run one block of BLOCK_PATHS at a time, through :func:`path_blocks`,
-the walk every ensemble consumer reads the paths with, each block in the
-row chunks of :func:`row_chunks`; neither size changes a value.  Path p
-draws all K of its Wiener increments up front from the stream
-make_stream(seed, p), and a boundary retry continues that same stream, so
-every sampled value depends only on the seed and the path index.  The
-block's increments come from one generator re-keyed per path
-(rng.stream_normals); a path's first boundary retry rebuilds its stream on
-demand, skips the K rows already drawn and keeps the stream for the path's
-later retries in the block.
+each block in the row chunks of :func:`row_chunks`; neither size changes a
+value.  Every consumer reads them in the same blocks through
+``PathEnsemble.blocks()``, the one read of an ensemble's paths.  Path p draws
+all K of its Wiener increments up front from the stream make_stream(seed,
+p), and a boundary retry continues that same stream, so every sampled value
+depends only on the seed and the path index.  The block's increments come
+from one generator re-keyed per path (rng.stream_normals); a path's first
+boundary retry rebuilds its stream on demand, skips the K rows already drawn
+and keeps the stream for the path's later retries in the block.
 
 Work that needs no other block, such as a block's Feynman-Kac weights or
 its bin index, runs on one ordered thread pool, :func:`map_blocks`.  The
@@ -47,9 +47,8 @@ def row_chunks(rows, row_size: int = 1, budget: int | None = None):
 
 
 def path_blocks(n_paths: int):
-    """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time;
-    the one way the simulators, the estimators and their consumers group
-    paths."""
+    """Row slices that walk n_paths paths in order, BLOCK_PATHS at a time:
+    the simulators' blocks, and those PathEnsemble.blocks() yields."""
     return row_chunks(n_paths, budget=BLOCK_PATHS)
 
 

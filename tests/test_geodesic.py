@@ -1,6 +1,7 @@
 """Energy functionals, geodesic integration, Euler-Lagrange residuals,
 first variation, and the stochastic-geodesic criterion."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from fractoid.geodesic import (
 )
 from fractoid.geometry import get_chart
 from fractoid.meanderiv import EstimatorConfig
-from fractoid.stochastic import ItoProcessSpec, PathEnsemble, make_stream, simulate_ito
+from fractoid.stochastic import (ItoProcessSpec, PathEnsemble, integrator, make_stream,
+                                 simulate_ito)
 
 SEED = 4321
 E1 = get_chart("euclidean:1")
@@ -205,6 +207,26 @@ def test_stochastic_energy_deterministic_reduction():
     # the Euler path differs from the continuum curve at O(dt)
     assert abs(exact - (1.0 + 0.5 + 1.0 / 12.0)) < 5e-3
     assert abs(est - exact) < 0.02
+
+
+def test_stochastic_energy_memory_is_chunk_sized(monkeypatch):
+    """The integrand is formed in row chunks of whole paths, so the peak is
+    the forward estimate's block quotients, not several block-sized
+    integrand temporaries; tracemalloc peaks as multiples of the paths'
+    bytes.  2048-value chunks give the 400-path block 20 chunks."""
+    monkeypatch.setattr(integrator, "CHUNK_VALUES", 2048)
+    spec = ItoProcessSpec(drift=lambda t, x: np.full_like(x, 0.8),
+                          diffusion_const=1.0, dimension=1)
+    ens = simulate_ito(spec, 0.0, T=1.0, dt=0.01, N=400, seed=SEED + 3)
+    cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-3.0, 4.5), 15, min_count=20)
+    assert ens.n_paths <= integrator.BLOCK_PATHS
+    tracemalloc.start()
+    try:
+        stochastic_energy(ens, E1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * ens.paths.nbytes
 
 
 def test_stochastic_energy_additive_over_halves():

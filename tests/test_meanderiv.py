@@ -188,7 +188,8 @@ def test_standard_error_of_equal_samples_is_zero():
     # turn the shifted sum of squares negative and the se NaN unclamped
     cfg = EstimatorConfig.regular((0.0, 0.2), 4, (-0.6, 0.6), 6, min_count=2)
     samples = LaggedSamples(_walk_ensemble(300), cfg)
-    out = samples.average("forward", lambda rows: np.full_like(samples.increments(rows), 0.1))
+    out = samples.average("forward",
+                          lambda rows, paths: np.full_like(samples.increments(paths), 0.1))
     m = out.mask
     assert m.sum() >= 10 and np.any(out.values[m] != 0.1)
     assert np.all(np.isfinite(out.se[m])) and np.all(out.se[m] >= 0.0)
@@ -388,7 +389,8 @@ def test_estimator_sums_match_the_whole_ensemble_reference(case, blocks, monkeyp
         user = {"average": 0.0, "average-1e8": 1e8}
         vals = (np.full(quotients.shape[:2] + (2,), 0.1) if what == "average-equal"
                 else user[what] + rng.normal(0.0, 1.0, quotients.shape[:2] + (2,)))
-        _same_field(LaggedSamples(ens, cfg).average("forward", lambda rows: vals[rows], split),
+        _same_field(LaggedSamples(ens, cfg).average("forward", lambda rows, paths: vals[rows],
+                                                    split),
                     *_reference_terms(ens, cfg, vals, [("forward", split)]))
 
 
@@ -411,12 +413,15 @@ def test_estimator_reference_cases_reach_sparse_bins():
 def test_average_forms_each_block_of_values_once(monkeypatch):
     monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
     cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-0.6, 0.6), 4, min_count=2)
-    samples = LaggedSamples(_walk_ensemble(30), cfg)
+    ens = _walk_ensemble(30)
+    samples = LaggedSamples(ens, cfg)
     asked = []
 
-    def values(rows):
+    def values(rows, paths):
+        # the walk hands each block its own paths' bits
+        assert np.array_equal(paths, ens.paths[rows])
         asked.append((rows.start, rows.stop))
-        return samples.quotients(rows)
+        return samples.quotients(paths)
 
     samples.average("forward", values)
     blocks = [(rows.start, rows.stop) for rows in path_blocks(30)]
@@ -431,10 +436,10 @@ def test_values_error_shuts_the_block_pool_down(monkeypatch):
     samples = LaggedSamples(_walk_ensemble(30), cfg)
     threads = threading.active_count()
 
-    def values(rows):
+    def values(rows, paths):
         if rows.start == 14:
             raise ParameterError("block 3")
-        return samples.quotients(rows)
+        return samples.quotients(paths)
 
     with pytest.raises(ParameterError, match="^block 3$"):
         samples.average("forward", values)

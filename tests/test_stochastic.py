@@ -248,6 +248,19 @@ def test_row_chunks_walk_whole_rows_within_the_budget(monkeypatch):
                     == [(r.start, r.stop) for r in integrator.path_blocks(n)])
 
 
+def test_ensemble_blocks_are_views_in_path_block_order(monkeypatch):
+    # the one read of an ensemble's paths: path_blocks' slices, as views
+    monkeypatch.setattr(integrator, "BLOCK_PATHS", 7)
+    paths = np.random.default_rng(SEED).standard_normal((30, 5, 2))
+    ens = PathEnsemble(np.arange(5) * 0.1, paths, seed=1)
+    blocks = list(ens.blocks())
+    assert [rows for rows, _ in blocks] == list(integrator.path_blocks(30))
+    assert len(blocks) == 5
+    for rows, block in blocks:
+        assert np.shares_memory(block, ens.paths)
+        assert np.array_equal(block, paths[rows])
+
+
 def test_ito_deterministic_drift():
     spec = ItoProcessSpec(drift=lambda t, x: np.ones_like(x),
                           diffusion_const=0.0, dimension=1)
