@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..geometry import chart_from_json, get_chart
+from ..persistence import check_fields
 
 try:
     import tomllib
@@ -111,16 +112,16 @@ def load_config(path: str | None, overrides: list[str] | None = None,
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        text = p.read_text(encoding="utf8")
-        if p.suffix == ".toml":
-            if tomllib is None:
-                raise ConfigError("TOML configs need Python >= 3.11; use JSON")
-            data = tomllib.loads(text)
-        else:
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse config {path}: {exc}") from None
+        toml = p.suffix == ".toml"
+        if toml and tomllib is None:
+            raise ConfigError("TOML configs need Python >= 3.11; use JSON")
+        try:
+            text = p.read_text(encoding="utf8")
+            data = tomllib.loads(text) if toml else json.loads(text)
+        except (OSError, ValueError) as exc:
+            # bytes that are not UTF-8 and both parsers' errors are ValueErrors
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        check_fields(data, {}, f"config {path}")
     valid = {f.name: f for f in fields(ExperimentConfig)}
     for key in data:
         if key not in valid:

@@ -93,8 +93,8 @@ def klein_gordon_residual(p, m: float) -> float:
 
 def _on_shell(p_vec, m: float) -> np.ndarray:
     """The 4-momentum (p0, p_vec) with p0 = sqrt(|p_vec|^2 + m^2), m > 0."""
-    if m <= 0:
-        raise ParameterError("mass must be positive")
+    if not m > 0:
+        raise ParameterError(f"mass must be positive, got {m}")
     p_vec = np.asarray(p_vec, dtype=float)
     if p_vec.shape != (3,):
         raise ParameterError("p_vec must be a 3-vector")

@@ -100,8 +100,8 @@ class LagrangianSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ParameterError("mass must be positive")
+        if not self.mass > 0:
+            raise ParameterError(f"mass must be positive, got {self.mass}")
 
 
 def energy_functional(chart: MetricChart, curve: PathCurve) -> float:

@@ -39,8 +39,9 @@ class WaveFunctionGrid:
         for i, a in enumerate(self.axes):
             uniform_step(a, f"grid axis {i}")
         self.values = np.asarray(self.values, dtype=complex)
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ParameterError("hbar and mass must be positive")
+        if not (self.hbar > 0 and self.mass > 0):
+            raise ParameterError(f"hbar and mass must be positive, got hbar={self.hbar}, "
+                                 f"mass={self.mass}")
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise ParameterError("values shape must match the grid axes")
         if not np.all(np.isfinite(self.values)):
@@ -188,7 +189,11 @@ def make_wavefunction(name: str, axes, hbar: float = 1.0,
     if not m:
         raise ConfigError(f"bad wavefunction name '{name}'; expected form name(args)")
     kind, argstr = m.group(1), m.group(2)
-    args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
+    try:
+        args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
+    except ValueError:
+        raise ConfigError(f"wavefunction '{name}': arguments must be numbers, "
+                          f"got '{argstr}'") from None
     axes = tuple(np.asarray(a, dtype=float) for a in np.atleast_2d(axes)) \
         if not isinstance(axes, (tuple, list)) else tuple(np.asarray(a) for a in axes)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

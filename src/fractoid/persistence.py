@@ -48,8 +48,8 @@ def check_fields(obj, schema: dict, where) -> dict:
     value of its type: str, int, NUMBER, bool, list or dict.  A boolean is
     neither an integer nor a number here.  where names obj in the error."""
     if not isinstance(obj, dict) or not schema.keys() <= obj.keys():
-        raise ParameterError(f"{where} must hold a JSON object with the keys "
-                             + ", ".join(schema))
+        raise ParameterError(f"{where} must hold a JSON object"
+                             + (" with the keys " + ", ".join(schema) if schema else ""))
     for key, kind in schema.items():
         value = obj[key]
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
@@ -62,6 +62,8 @@ def read_manifest(path, schema: dict) -> dict:
     """The JSON object in path, checked against schema as by check_fields."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf8"))
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
     return check_fields(manifest, schema, path)

@@ -53,9 +53,11 @@ def path_blocks(n_paths: int):
 
 
 def step_count(span: float, step: float, names=("T", "dt")) -> int:
-    """The number of steps of size step in span, which must be a whole
-    number of them (to 1e-9 relative) and at least one; names label the two
-    in the ParameterError."""
+    """The number of steps of size step in span, which must both be finite,
+    span a whole number of steps (to 1e-9 relative) and at least one; names
+    label the two in the ParameterError."""
+    if not (np.isfinite(span) and np.isfinite(step)):
+        raise ParameterError(f"{names[0]}={span} and {names[1]}={step} must be finite")
     n = int(round(span / step))
     if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, span):
         raise ParameterError(f"{names[0]}={span} is not an integer multiple of "

@@ -62,7 +62,7 @@ def wiener_increments(n_steps: int, dt: float, dimension: int,
 
     Identical (seed, stream) gives bit-identical output.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     if n_steps < 0 or dimension < 1:
         raise ParameterError("n_steps must be >= 0 and dimension >= 1")

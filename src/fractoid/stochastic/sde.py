@@ -29,8 +29,8 @@ class ItoProcessSpec:
     dimension: int
 
     def __post_init__(self):
-        if self.diffusion_const < 0:
-            raise ParameterError("diffusion_const must be >= 0")
+        if not self.diffusion_const >= 0:
+            raise ParameterError(f"diffusion_const must be >= 0, got {self.diffusion_const}")
         if self.dimension < 1:
             raise ParameterError("dimension must be >= 1")
 

@@ -211,7 +211,11 @@ def make_test_function(name: str):
     if not m:
         raise ConfigError(f"bad test function name '{name}'")
     kind, argstr = m.group(1), m.group(2)
-    args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
+    try:
+        args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
+    except ValueError:
+        raise ConfigError(f"test function '{name}': arguments must be numbers, "
+                          f"got '{argstr}'") from None
     if kind == "bump":
         center = args[0] if args else 0.0
         width = args[1] if len(args) > 1 else 0.2

@@ -444,3 +444,33 @@ def test_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, cli_inputs, com
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot make output directory '{out}': ")
     assert "Traceback" not in err
+
+
+_UNREADABLE = {
+    # a traceback and exit 1 before
+    "config-directory": ("run.json", lambda p: p.mkdir()),
+    "config-not-utf8": ("run.json", lambda p: p.write_bytes(b'{"seed": 1, \xff}')),
+    "config-bad-toml": ("run.toml", lambda p: p.write_text("seed = [\n")),
+    "config-number": ("run.json", lambda p: p.write_text("5")),
+    "config-null": ("run.json", lambda p: p.write_text("null")),
+    # exit 2, but a false "unknown config key" message before
+    "config-list": ("run.json", lambda p: p.write_text("[1]")),
+    "config-string": ("run.json", lambda p: p.write_text('"seed"')),
+    # a report-*.json that is a directory: a traceback and exit 1 before
+    "report-directory": ("report-x.json", lambda p: p.mkdir()),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_unreadable_config_or_report_exit_2(tmp_path, capsys, case):
+    name, make = _UNREADABLE[case]
+    path = tmp_path / name
+    make(path)
+    if case.startswith("report"):
+        argv = ["report", "--dir", str(tmp_path), "--seed", "1"]
+    else:
+        argv = ["dirac", "--seed", "1", "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(path) in err
+    assert "Traceback" not in err

@@ -1,0 +1,62 @@
+"""A NaN or infinite number where a parameter needs a finite one, and a
+registry argument that is not a number, raise an error naming them, not a
+bare numpy or Python error and not a silently accepted value."""
+
+import numpy as np
+import pytest
+
+from fractoid.dirac import build_gammas, dirac_plane_wave
+from fractoid.errors import ConfigError, ParameterError
+from fractoid.geodesic import LagrangianSpec, classical_geodesic
+from fractoid.geometry import get_chart
+from fractoid.nelson.feynman_kac import feynman_kac_semigroup
+from fractoid.nelson.wavefunctions import WaveFunctionGrid, make_wavefunction
+from fractoid.stochastic import ItoProcessSpec, simulate_ito, wiener_increments
+from fractoid.whitenoise import SpaceTimeLattice, make_test_function
+
+NAN, INF = float("nan"), float("inf")
+AXIS = np.linspace(-1.0, 1.0, 5)
+SPEC = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x), diffusion_const=1.0, dimension=1)
+ONE = lambda x: np.ones(len(x))
+
+CASES = {
+    # accepted silently before
+    "lagrangian-mass-nan": (lambda: LagrangianSpec(None, mass=NAN),
+                            ParameterError, r"^mass must be positive, got nan$"),
+    "wiener-dt-nan": (lambda: wiener_increments(3, NAN, 1, seed=1),
+                      ParameterError, r"^dt must be positive, got nan$"),
+    "wavefunction-hbar-nan": (lambda: WaveFunctionGrid((AXIS,), np.ones(5), hbar=NAN),
+                              ParameterError, r"hbar=nan"),
+    "ito-diffusion-nan": (lambda: ItoProcessSpec(lambda t, x: x, NAN, 1),
+                          ParameterError, r"^diffusion_const must be >= 0, got nan$"),
+    # a bare ValueError or OverflowError from the step count before
+    "ito-T-nan": (lambda: simulate_ito(SPEC, 0.0, T=NAN, dt=0.1, N=2, seed=1),
+                  ParameterError, r"^T=nan and dt=0.1 must be finite$"),
+    "ito-T-inf": (lambda: simulate_ito(SPEC, 0.0, T=INF, dt=0.1, N=2, seed=1),
+                  ParameterError, r"^T=inf and dt=0.1 must be finite$"),
+    "lattice-dt-nan": (lambda: SpaceTimeLattice(1.0, NAN, 1.0, 0.25, d=1),
+                       ParameterError, r"dt=nan must be finite"),
+    "lattice-half-width-inf": (lambda: SpaceTimeLattice(1.0, 0.125, INF, 0.25, d=1),
+                               ParameterError, r"2\*half_width=inf"),
+    "feynman-kac-t-nan": (lambda: feynman_kac_semigroup(lambda x: np.zeros(len(x)), ONE,
+                                                        NAN, 0.0, 10, seed=1),
+                          ParameterError, r"^t=nan and dt=0.001 must be finite$"),
+    "geodesic-dt-nan": (lambda: classical_geodesic(get_chart("euclidean:1"), [0.0], [1.0],
+                                                   T=1.0, dt=NAN),
+                        ParameterError, r"dt=nan must be finite"),
+    # numpy's LinAlgError before
+    "plane-wave-mass-nan": (lambda: dirac_plane_wave([0.1, 0.2, 0.3], NAN, build_gammas()),
+                            ParameterError, r"^mass must be positive, got nan$"),
+    # a bare ValueError from float() before
+    "wavefunction-argument": (lambda: make_wavefunction("ho-ground(x)", AXIS),
+                              ConfigError, r"'ho-ground\(x\)'.*got 'x'$"),
+    "test-function-argument": (lambda: make_test_function("bump(a)"),
+                               ConfigError, r"'bump\(a\)'.*got 'a'$"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_non_finite_or_non_number_parameter_is_named(case):
+    call, error, match = CASES[case]
+    with pytest.raises(error, match=match):
+        call()
