@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FractoidError, ParameterError, call_checked
+from .errors import FractoidError, ParameterError, call_checked, check_positive
 from .geometry import central_difference
 
 NULLSPACE_RTOL = 1e-10
@@ -93,8 +93,7 @@ def klein_gordon_residual(p, m: float) -> float:
 
 def _on_shell(p_vec, m: float) -> np.ndarray:
     """The 4-momentum (p0, p_vec) with p0 = sqrt(|p_vec|^2 + m^2), m > 0."""
-    if not m > 0:
-        raise ParameterError(f"mass must be positive, got {m}")
+    check_positive("mass", m)
     p_vec = np.asarray(p_vec, dtype=float)
     if p_vec.shape != (3,):
         raise ParameterError("p_vec must be a 3-vector")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, call_checked
+from .errors import DomainError, ParameterError, call_checked, check_positive
 from .geometry import (
     MetricChart,
     central_difference,
@@ -100,8 +100,7 @@ class LagrangianSpec:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ParameterError(f"mass must be positive, got {self.mass}")
+        check_positive("mass", self.mass)
 
 
 def energy_functional(chart: MetricChart, curve: PathCurve) -> float:

@@ -49,11 +49,11 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     """Estimate (exp(-tS) phi)(x) = E[exp(-int V(x+W_s) ds) phi(x+W_t)].
 
     V and phi map points of shape (B, dim) to values of shape (B,); another
-    shape is a ParameterError, and so is a dt that does not divide t
-    (integrator.step_count, the integrator's rule).  The time integral uses
-    the trapezoid rule along each Brownian path; paths are drawn in blocks
-    of BLOCK_SIZE with one counter stream per block, so the result depends
-    only on the seed.
+    shape is a ParameterError, and so are a t and dt that
+    integrator.step_count, the integrator's rule, rejects.  The time
+    integral uses the trapezoid rule along each Brownian path; paths are
+    drawn in blocks of BLOCK_SIZE with one counter stream per block, so the
+    result depends only on the seed.
     The blocks run on the block pool, stochastic.integrator.map_blocks,
     with one thread per CPU the process may use, so V and phi are called
     concurrently on different blocks and must not mutate shared state; the
@@ -63,12 +63,10 @@ def feynman_kac_semigroup(V: PotentialField, phi, t: float, x, N: int, seed: int
     sums squares about a fixed shift, the first weight drawn, in one pass
     over the blocks, which keeps the spread when the mean dwarfs it.
     """
-    if t <= 0 or dt <= 0:
-        raise ParameterError("t and dt must be positive")
+    n_steps = integrator.step_count(t, dt, ("t", "dt"))
     if N < 2:
         raise ParameterError("N must be >= 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_steps = integrator.step_count(t, dt, ("t", "dt"))
 
     sums, s2 = [], 0.0
     for w in integrator.map_blocks(

@@ -7,14 +7,13 @@ gradient of psi divided by psi, which avoids phase-unwrapping artifacts.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, ParameterError
+from ..errors import ConfigError, ParameterError, check_positive, parse_registry_name
 from ..persistence import (NUMBER, manifest_for, read_manifest, read_table,
                            write_manifest, write_table)
 from ..stochastic.ensemble import uniform_step
@@ -39,9 +38,8 @@ class WaveFunctionGrid:
         for i, a in enumerate(self.axes):
             uniform_step(a, f"grid axis {i}")
         self.values = np.asarray(self.values, dtype=complex)
-        if not (self.hbar > 0 and self.mass > 0):
-            raise ParameterError(f"hbar and mass must be positive, got hbar={self.hbar}, "
-                                 f"mass={self.mass}")
+        check_positive("hbar", self.hbar)
+        check_positive("mass", self.mass)
         if self.values.shape != tuple(len(a) for a in self.axes):
             raise ParameterError("values shape must match the grid axes")
         if not np.all(np.isfinite(self.values)):
@@ -179,21 +177,10 @@ def drift_from_wavefunction(psi: WaveFunctionGrid) -> NelsonProcessSpec:
 
 # --- named analytic wavefunctions -------------------------------------------
 
-_NAME_RE = re.compile(r"^([a-z\-]+)\(([^)]*)\)$")
-
-
 def make_wavefunction(name: str, axes, hbar: float = 1.0,
                       mass: float = 1.0) -> WaveFunctionGrid:
     """Registry: "ho-ground(omega)", "plane-wave(k)", "gaussian-packet(sigma)"."""
-    m = _NAME_RE.match(name.strip())
-    if not m:
-        raise ConfigError(f"bad wavefunction name '{name}'; expected form name(args)")
-    kind, argstr = m.group(1), m.group(2)
-    try:
-        args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
-    except ValueError:
-        raise ConfigError(f"wavefunction '{name}': arguments must be numbers, "
-                          f"got '{argstr}'") from None
+    kind, args = parse_registry_name(name, "wavefunction")
     axes = tuple(np.asarray(a, dtype=float) for a in np.atleast_2d(axes)) \
         if not isinstance(axes, (tuple, list)) else tuple(np.asarray(a) for a in axes)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_positive
 from .ensemble import PathEnsemble
 from .integrator import row_chunks
 
@@ -54,8 +54,7 @@ def fractal_scaling(ensemble: PathEnsemble, scales, reference_time: float = 1.0)
     for m in scales:
         if m < 1 or m > K // 2:
             raise ParameterError(f"scale {m} must be in [1, K/2] for K={K} steps")
-    if not (np.isfinite(reference_time) and reference_time > 0):
-        raise ParameterError(f"reference_time must be positive and finite, got {reference_time}")
+    check_positive("reference_time", reference_time)
     dt = ensemble.dt
     n, dim = ensemble.n_paths, ensemble.dimension
 

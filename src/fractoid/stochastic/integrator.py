@@ -53,11 +53,14 @@ def path_blocks(n_paths: int):
 
 
 def step_count(span: float, step: float, names=("T", "dt")) -> int:
-    """The number of steps of size step in span, which must both be finite,
-    span a whole number of steps (to 1e-9 relative) and at least one; names
-    label the two in the ParameterError."""
+    """The number of steps of size step in span: both finite and positive
+    (errors.check_positive's rule, for the pair), span a whole number of
+    steps (to 1e-9 relative) and at least one; names label the two in the
+    ParameterError."""
     if not (np.isfinite(span) and np.isfinite(step)):
         raise ParameterError(f"{names[0]}={span} and {names[1]}={step} must be finite")
+    if not (span > 0 and step > 0):
+        raise ParameterError(f"{names[0]}={span} and {names[1]}={step} must be positive")
     n = int(round(span / step))
     if n < 1 or abs(n * step - span) > 1e-9 * max(1.0, span):
         raise ParameterError(f"{names[0]}={span} is not an integer multiple of "
@@ -134,8 +137,6 @@ class Integrator:
 
     def __init__(self, name: str, T: float, dt: float, seed: int, n_noise: int,
                  chart=None):
-        if T <= 0 or dt <= 0:
-            raise ParameterError("T and dt must be positive")
         K = step_count(T, dt)
         self.name = name
         self.K = K

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InstabilityError, ParameterError, call_checked
+from ..errors import InstabilityError, ParameterError, call_checked, check_positive
 from ..geometry import (
     MetricChart,
     christoffel_batch,
@@ -49,9 +49,6 @@ class FrameState:
 
     base_point: np.ndarray
     frame: np.ndarray
-
-    def orthonormality_defect(self, chart: MetricChart) -> float:
-        return frame_defect(chart, self.base_point, self.frame)
 
 
 @dataclass
@@ -104,15 +101,17 @@ def simulate_manifold_diffusion(chart: MetricChart, w, x0, T: float, dt: float,
                                 N: int, seed: int, epsilon: float = 1.0) -> PathEnsemble:
     """Euler steps of the chart diffusion with reject-and-resample boundaries.
 
-    w is a drift field (t, x) -> (B, n), or None for zero drift.  Steps that
-    would leave the valid region are redrawn from the same per-path stream,
-    up to MAX_BOUNDARY_RETRIES, then a BoundaryError reports the location.
+    w is a drift field (t, x) -> (B, n), or None for zero drift, and epsilon
+    a finite number >= 0, else ParameterError.  Steps that would leave the
+    valid region are redrawn from the same per-path stream, up to
+    MAX_BOUNDARY_RETRIES, then a BoundaryError reports the location.
 
     On Lorentzian charts coordinate time is the evolution parameter: the
     leading (negative-signature) coordinates advance deterministically by dt
     and only the spatial block diffuses, so increments satisfy the
     diffusive-scaling diagnostics.
     """
+    check_positive("epsilon", epsilon, zero=True)
     n = chart.dimension
     n_time = chart.signature[0]
     core = Integrator("manifold-euler", T, dt, seed, n_noise=n, chart=chart)
@@ -273,17 +272,19 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
     """Horizontal lift: base point driven by frame columns times Wiener
     increments, frame parallel-transported along its own base path.
 
-    Frames are re-orthonormalized (Gram-Schmidt against g) every
-    ``report_every`` integration steps, which is also the reporting grid, so
-    every reported frame meets the orthonormality contract.  If the defect
-    exceeds FRAME_DRIFT_LIMIT before a renormalization the run aborts with a
-    suggestion to reduce dt.
+    frame0.frame must be g-orthonormal at every start x0, else
+    ParameterError.  Frames are re-orthonormalized (Gram-Schmidt against g)
+    every ``report_every`` integration steps, which is also the reporting
+    grid, so every reported frame meets the orthonormality contract.  If the
+    defect exceeds FRAME_DRIFT_LIMIT before a renormalization the run aborts
+    with a suggestion to reduce dt.
     """
     n = chart.dimension
     starts = initial_points(x0, N, n, chart)
-    defect = frame0.orthonormality_defect(chart)
+    frames0 = np.broadcast_to(frame0.frame, (len(starts), n, n))
+    defect = frame_defect(chart, starts, frames0)
     if not defect <= FRAME_TOL:  # a NaN defect fails too
-        raise ParameterError(f"frame0 is not g-orthonormal (defect {defect:.2e})")
+        raise ParameterError(f"frame0 is not g-orthonormal at x0 (defect {defect:.2e})")
     core = Integrator("frame-bundle-heun", T, dt, seed, n_noise=n, chart=chart)
 
     def transport(x_from, x_to):
@@ -313,7 +314,6 @@ def frame_bundle_simulate(chart: MetricChart, x0, frame0: FrameState, T: float,
                 f"renormalization; reduce dt (currently {dt})")
         return x, gram_schmidt(chart, x, e)
 
-    frames0 = np.broadcast_to(frame0.frame, (len(starts), n, n))
     times, (base, frames) = core.run(frame_heun, starts, frames0,
                                      report_every=report_every, at_report=renormalize)
     return FrameBundleEnsemble(times, base, frames, seed=seed, chart_name=chart.name)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, check_positive
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -62,8 +62,7 @@ def wiener_increments(n_steps: int, dt: float, dimension: int,
 
     Identical (seed, stream) gives bit-identical output.
     """
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    check_positive("dt", dt)
     if n_steps < 0 or dimension < 1:
         raise ParameterError("n_steps must be >= 0 and dimension >= 1")
     gen = make_stream(seed, stream)

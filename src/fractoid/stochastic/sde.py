@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ParameterError, call_checked
+from ..errors import ParameterError, call_checked, check_positive
 from .ensemble import PathEnsemble
 from .integrator import Integrator, initial_points
 
@@ -29,8 +29,7 @@ class ItoProcessSpec:
     dimension: int
 
     def __post_init__(self):
-        if not self.diffusion_const >= 0:
-            raise ParameterError(f"diffusion_const must be >= 0, got {self.diffusion_const}")
+        check_positive("diffusion_const", self.diffusion_const, zero=True)
         if self.dimension < 1:
             raise ParameterError("dimension must be >= 1")
 

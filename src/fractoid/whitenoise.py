@@ -12,13 +12,12 @@ signature form is exposed separately as :func:`signature_inner_product`
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ResourceError, call_checked
+from .errors import ConfigError, ParameterError, ResourceError, call_checked, parse_registry_name
 from .persistence import manifest_for, read_manifest, write_manifest
 from .stochastic import make_stream, stream_normals
 from .stochastic.integrator import row_chunks, step_count
@@ -38,12 +37,10 @@ class SpaceTimeLattice:
     cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self):
-        if self.dt <= 0 or self.dx <= 0:
-            raise ParameterError("dt and dx must be positive")
-        if self.t_extent <= 0 or self.half_width <= 0 or self.d < 1:
-            raise ParameterError("extents must be positive and d >= 1")
-        # each raises unless its step divides its extent: rounded counts
-        # would give cells that do not cover the box
+        if self.d < 1:
+            raise ParameterError("d must be >= 1")
+        # each raises unless its extent and step are positive and the step
+        # divides the extent: rounded counts would leave part of the box out
         self.n_t, self.n_x
 
     @property
@@ -201,21 +198,10 @@ def signature_inner_product(v, w, z_star: int) -> float:
 
 # --- named test functions ----------------------------------------------------
 
-_NAME_RE = re.compile(r"^([a-z\-]+)\((.*)\)$")
-
-
 def make_test_function(name: str):
     """Registry: "bump(center,width)" (Gaussian bump, same center each axis)
     and "indicator(lo,hi)" (box indicator per axis)."""
-    m = _NAME_RE.match(name.strip())
-    if not m:
-        raise ConfigError(f"bad test function name '{name}'")
-    kind, argstr = m.group(1), m.group(2)
-    try:
-        args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
-    except ValueError:
-        raise ConfigError(f"test function '{name}': arguments must be numbers, "
-                          f"got '{argstr}'") from None
+    kind, args = parse_registry_name(name, "test function")
     if kind == "bump":
         center = args[0] if args else 0.0
         width = args[1] if len(args) > 1 else 0.2

@@ -89,6 +89,15 @@ def test_simulate_zero_paths_exit_2(tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+def test_simulate_negative_epsilon_on_chart_exit_2(tmp_path, capsys):
+    code = main(["simulate", "--out", str(tmp_path), "--seed", "1",
+                 "--set", "chart=sphere2", "--set", "epsilon=-1",
+                 "--set", "n_paths=5", "--set", "t_final=0.1"])
+    assert code == 2
+    assert "epsilon must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "ensemble.csv").exists()
+
+
 @pytest.mark.parametrize("argv,key", [
     (["simulate", "--seed", "1", "--set", "n_paths=1.5"], "n_paths"),
     (["estimate", "--seed", "1", "--set", "est_x_bins=2.5"], "est_x_bins"),

@@ -188,6 +188,15 @@ def test_frame_bundle_rejects_nan_frame():
                               T=0.1, dt=0.01, N=2, seed=SEED)
 
 
+def test_frame_bundle_checks_frame_at_its_start():
+    # orthonormal at the equator, not at x0: a bad input, not an instability
+    chart = get_chart("sphere2")
+    equator = np.array([np.pi / 2, 0.0])
+    fs = FrameState(equator, orthonormal_frame(chart, equator))
+    with pytest.raises(ParameterError, match="frame0 is not g-orthonormal at x0"):
+        frame_bundle_simulate(chart, [0.5, 0.0], fs, T=0.1, dt=0.01, N=2, seed=SEED)
+
+
 def test_bad_start_or_drift_shape_raise_library_errors():
     chart = get_chart("sphere2")
     x0 = np.array([1.0, 0.0])

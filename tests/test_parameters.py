@@ -1,6 +1,8 @@
-"""A NaN or infinite number where a parameter needs a finite one, and a
-registry argument that is not a number, raise an error naming them, not a
-bare numpy or Python error and not a silently accepted value."""
+"""A NaN, infinite or out-of-range number where a parameter needs a finite
+positive one (errors.check_positive, or step_count for a span and its
+step), and a registry argument that is not a number, raise an error naming
+them, not a bare numpy or Python error, a false message or a silently
+accepted value."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from fractoid.geodesic import LagrangianSpec, classical_geodesic
 from fractoid.geometry import get_chart
 from fractoid.nelson.feynman_kac import feynman_kac_semigroup
 from fractoid.nelson.wavefunctions import WaveFunctionGrid, make_wavefunction
-from fractoid.stochastic import ItoProcessSpec, simulate_ito, wiener_increments
+from fractoid.stochastic import (ItoProcessSpec, simulate_ito, simulate_manifold_diffusion,
+                                 wiener_increments)
 from fractoid.whitenoise import SpaceTimeLattice, make_test_function
 
 NAN, INF = float("nan"), float("inf")
@@ -26,9 +29,22 @@ CASES = {
     "wiener-dt-nan": (lambda: wiener_increments(3, NAN, 1, seed=1),
                       ParameterError, r"^dt must be positive, got nan$"),
     "wavefunction-hbar-nan": (lambda: WaveFunctionGrid((AXIS,), np.ones(5), hbar=NAN),
-                              ParameterError, r"hbar=nan"),
+                              ParameterError, r"^hbar must be positive, got nan$"),
     "ito-diffusion-nan": (lambda: ItoProcessSpec(lambda t, x: x, NAN, 1),
                           ParameterError, r"^diffusion_const must be >= 0, got nan$"),
+    "lagrangian-mass-inf": (lambda: LagrangianSpec(None, mass=INF),
+                            ParameterError, r"^mass must be finite, got inf$"),
+    "wiener-dt-inf": (lambda: wiener_increments(3, INF, 1, seed=1),
+                      ParameterError, r"^dt must be finite, got inf$"),
+    "wavefunction-hbar-inf": (lambda: WaveFunctionGrid((AXIS,), np.ones(5), hbar=INF),
+                              ParameterError, r"^hbar must be finite, got inf$"),
+    "manifold-epsilon-negative": (
+        lambda: simulate_manifold_diffusion(get_chart("sphere2"), None, [1.0, 0.0], T=0.1,
+                                            dt=0.05, N=2, seed=1, epsilon=-1.0),
+        ParameterError, r"^epsilon must be >= 0, got -1.0$"),
+    # a SimulationError at step 1 before
+    "ito-diffusion-inf": (lambda: ItoProcessSpec(lambda t, x: x, INF, 1),
+                          ParameterError, r"^diffusion_const must be finite, got inf$"),
     # a bare ValueError or OverflowError from the step count before
     "ito-T-nan": (lambda: simulate_ito(SPEC, 0.0, T=NAN, dt=0.1, N=2, seed=1),
                   ParameterError, r"^T=nan and dt=0.1 must be finite$"),
@@ -47,6 +63,12 @@ CASES = {
     # numpy's LinAlgError before
     "plane-wave-mass-nan": (lambda: dirac_plane_wave([0.1, 0.2, 0.3], NAN, build_gammas()),
                             ParameterError, r"^mass must be positive, got nan$"),
+    "plane-wave-mass-inf": (lambda: dirac_plane_wave([0.1, 0.2, 0.3], INF, build_gammas()),
+                            ParameterError, r"^mass must be finite, got inf$"),
+    # "times of the curve must be strictly increasing" before
+    "geodesic-negative-span": (lambda: classical_geodesic(get_chart("euclidean:1"), [0.0],
+                                                          [1.0], T=-1.0, dt=-0.01),
+                               ParameterError, r"^T=-1.0 and dt=-0.01 must be positive$"),
     # a bare ValueError from float() before
     "wavefunction-argument": (lambda: make_wavefunction("ho-ground(x)", AXIS),
                               ConfigError, r"'ho-ground\(x\)'.*got 'x'$"),
