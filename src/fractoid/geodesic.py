@@ -219,7 +219,7 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
     per_path, finite = np.empty(n), 0
     for rows, paths, index in samples.blocks():
         out = per_path[rows]
-        for chunk in row_chunks(len(paths), ensemble.n_steps + 1 - config.lag):
+        for chunk in row_chunks(len(paths), samples.n_increments):
             bins = index[chunk, near]
             gdiag = chart.diag(paths[chunk, near])
             vals = vals_of[bins]
@@ -229,7 +229,7 @@ def stochastic_energy(ensemble: PathEnsemble, chart: MetricChart,
             integrand = np.where(known_of[bins], norm2 - corr, np.nan)
             out[chunk] = np.nansum(integrand, axis=1) * ensemble.dt
             finite += int(np.count_nonzero(np.isfinite(integrand)))
-    frac = finite / (n * (ensemble.n_steps + 1 - config.lag))
+    frac = finite / (n * samples.n_increments)
     if frac < 1.0:
         per_path = per_path / max(frac, 1e-12)   # renormalize for excluded bins
     est = float(np.mean(per_path))

@@ -2,9 +2,10 @@
 
 The Monte Carlo route transports the field value at the displaced time back
 to the conditioning point before differencing.  Its quotients are formed
-per block of paths inside the function the bin average calls, one time step
-at a time, so neither the field values nor the transport's Christoffel
-symbols are held for the whole ensemble.  The analytic route evaluates
+per row chunk of paths inside the function the bin average calls, one time
+step at a time, so neither the field values nor the transport's Christoffel
+symbols are held for more than one chunk of paths.  The analytic route
+evaluates
 
     forward:  dX/dt + grad_drift X + (eps^2/2) lap X
     backward: dX/dt + grad_drift X - (eps^2/2) lap X
@@ -74,8 +75,8 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
     """Transported difference-quotient estimator plus the analytic form.
 
     X(t, x) maps points (B, n) to (B, n), else ParameterError: each call is
-    one time step of one block of paths.  epsilon defaults to the
-    ensemble's recorded diffusion constant.
+    one time step of one row chunk of paths (:meth:`LaggedSamples.average`).
+    epsilon defaults to the ensemble's recorded diffusion constant.
     """
     if epsilon is None:
         epsilon = float(ensemble.meta.get("epsilon", 1.0))
@@ -88,8 +89,8 @@ def covariant_mean_derivative(chart: MetricChart, ensemble: PathEnsemble, X,
         return call_checked(X, "X", paths[:, k].shape, float(ensemble.times[k]), paths[:, k])
 
     def quotient(paths, near, far):
-        """X at step far of paths (B, K+1, dim), transported one step at a
-        time to step near, differenced with X at step near."""
+        """X at step far of a chunk's paths (B, K+1, dim), transported one
+        step at a time to step near, differenced with X at step near."""
         vec = field_at(paths, far)
         hop = 1 if near > far else -1
         for k in (() if flat else range(far, near, hop)):

@@ -20,14 +20,15 @@ walk reaches it.  Only that binning runs on the block pool
 (``stochastic.map_blocks``), a window of blocks ahead; everything else runs
 on the calling thread in block order, so user fields and covariant
 transport are never called concurrently.  The accumulator walks the blocks
-once.  It forms each block's values once for every average that reads them
-(both directions of a velocity field, the four causal terms of the
-relativistic sums), and sums per bin the counts, the values, the
-conditioning points and the squares of the values about a fixed shift, the
-bin's first sample, in the row chunks of ``integrator.row_chunks``, whole
-paths of at most CHUNK_VALUES samples, so its temporaries are chunk-sized.
-A sample a causal split drops goes to the overflow bin of its block.  Sums
-run in path-major order, so no result depends on the block or chunk size.
+once, each in the row chunks of ``integrator.row_chunks``, whole paths of
+at most CHUNK_VALUES increments.  It forms each chunk's values once for
+every average that reads them (both directions of a velocity field, the
+four causal terms of the relativistic sums), and sums per bin the counts,
+the values, the conditioning points and the squares of the values about a
+fixed shift, the bin's first sample, so no value, increment or causal
+class is formed for more than one chunk at a time.  A sample a causal
+split drops goes to the overflow bin.  Sums run in path-major order, so no
+result depends on the block or chunk size.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ BIN_WINDOW = 2
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Rectangular (t, x) bin specification for conditional averages; each
-    axis's edges are a grid (:func:`fractoid.stochastic.ensemble.check_grid`)."""
+    axis's edges are a grid (:func:`fractoid.stochastic.ensemble.check_grid`),
+    and min_count and lag are integers (Python or NumPy, not bool)."""
 
     time_edges: np.ndarray
     space_edges: tuple[np.ndarray, ...]
@@ -65,6 +67,12 @@ class EstimatorConfig:
         object.__setattr__(self, "space_edges",
                            tuple(check_grid(e, f"space edges of axis {a}")
                                  for a, e in enumerate(self.space_edges)))
+        for key in ("min_count", "lag"):
+            value = getattr(self, key)
+            # a bool is not a count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.min_count < 2:
             raise ParameterError("min_count must be >= 2")
         if self.lag < 1:
@@ -236,27 +244,26 @@ def _minkowski_norm2(ensemble: PathEnsemble) -> Callable[[np.ndarray], np.ndarra
     return lambda inc: np.einsum("...i,i,...i->...", inc, eta, inc)
 
 
-def _accumulate(config: EstimatorConfig, blocks) -> list[BinnedField]:
+def _accumulate(config: EstimatorConfig, chunks) -> list[BinnedField]:
     """Per-bin count, mean, standard error and conditioning mean, per term.
 
-    Every term averages the same per-sample values.  blocks yields, for each
-    block of B paths of the ensemble's walk in order, (bins (B, M) per term,
-    conditioning points (B, M, dim) per term, values (B, M, ...)), with the
-    overflow bin n_bins for samples a term does not take, so each block's
-    values are formed once for all terms.  One walk sums counts (exact
-    integers), values, points and the squares of the values about a per-bin
-    shift, the bin's first sample in path-major order; the squared
-    deviations from the bin mean follow as s2 - n (mean - shift)^2.  Each
-    block is summed in the chunks of whole paths of :func:`row_chunks`, in
-    path order, so np.add.at adds samples in path-major order, as one
-    bincount over the whole ensemble would, and the result is bit-identical
-    for every block size, chunk size and worker count.
+    Every term averages the same per-sample values.  chunks yields, for each
+    row chunk of B paths of the ensemble's walk in path order, (bins (B, M)
+    per term, conditioning points (B, M, dim) per term, values (B, M, ...)),
+    with the overflow bin n_bins for samples a term does not take, so each
+    chunk's values are formed once for all terms.  One walk sums counts
+    (exact integers), values, points and the squares of the values about a
+    per-bin shift, the bin's first sample in path-major order; the squared
+    deviations from the bin mean follow as s2 - n (mean - shift)^2.  The
+    chunks come in path order, so np.add.at adds samples in path-major
+    order, as one bincount over the whole ensemble would, and the result is
+    bit-identical for every block size, chunk size and worker count.
     """
     n_bins = config.n_bins
     count = None
-    for bins, points, vals in blocks:
+    for bins, points, vals in chunks:
         if count is None:
-            # the value and point shapes, from the first block; (term, value
+            # the value and point shapes, from the first chunk; (term, value
             # component, bin), and count's unit axis broadcasts over values
             vshape, dim, terms = vals.shape[2:], points[0].shape[2], len(bins)
             m = int(np.prod(vshape))
@@ -265,25 +272,24 @@ def _accumulate(config: EstimatorConfig, blocks) -> list[BinnedField]:
             s2 = np.zeros_like(s1)
             shift = np.zeros_like(s1)
             pts = np.zeros((terms, dim, n_bins + 1))
-        for chunk in row_chunks(len(vals), vals.shape[1]):
-            v = vals[chunk].reshape(-1, m)
-            for j, idx in enumerate(bins):
-                idx = idx[chunk].ravel()
-                seen = np.bincount(idx, minlength=n_bins + 1)
-                new = (seen > 0) & (count[j, 0] == 0)
-                if new.any():
-                    # a bin's shift is its first sample in path-major order
-                    first = np.full(n_bins + 1, idx.size)
-                    np.minimum.at(first, idx, np.arange(idx.size))
-                    shift[j][:, new] = v[first[new]].T
-                count[j, 0] += seen
-                for c in range(m):
-                    np.add.at(s1[j, c], idx, v[:, c])
-                    dev = shift[j, c][idx]
-                    np.subtract(v[:, c], dev, out=dev)
-                    np.add.at(s2[j, c], idx, np.square(dev, out=dev))
-                for a in range(dim):
-                    np.add.at(pts[j, a], idx, points[j][chunk, :, a].ravel())
+        v = vals.reshape(-1, m)
+        for j, idx in enumerate(bins):
+            idx = idx.ravel()
+            seen = np.bincount(idx, minlength=n_bins + 1)
+            new = (seen > 0) & (count[j, 0] == 0)
+            if new.any():
+                # a bin's shift is its first sample in path-major order
+                first = np.full(n_bins + 1, idx.size)
+                np.minimum.at(first, idx, np.arange(idx.size))
+                shift[j][:, new] = v[first[new]].T
+            count[j, 0] += seen
+            for c in range(m):
+                np.add.at(s1[j, c], idx, v[:, c])
+                dev = shift[j, c][idx]
+                np.subtract(v[:, c], dev, out=dev)
+                np.add.at(s2[j, c], idx, np.square(dev, out=dev))
+            for a in range(dim):
+                np.add.at(pts[j, a], idx, points[j][..., a].ravel())
     nz = count > 0
     mean = np.where(nz, s1 / np.maximum(count, 1), np.nan)
     cond_mean = np.where(nz, pts / np.maximum(count, 1), np.nan)
@@ -322,7 +328,8 @@ class LaggedSamples:
     The increment x_p(t_k + lag dt) - x_p(t_k) has its forward quotient
     conditioned on its early end (step k) and its backward quotient on its
     late end (step k + lag).  Increments, quotients, causal classes and the
-    values an average asks for are formed per block of :meth:`blocks`.
+    values an average asks for are formed per row chunk of each block of
+    :meth:`blocks`: whole paths, at most CHUNK_VALUES increments.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: EstimatorConfig):
@@ -335,6 +342,7 @@ class LaggedSamples:
         self.ensemble = ensemble
         self.config = config
         self.dtau = config.lag * ensemble.dt
+        self.n_increments = ensemble.n_steps + 1 - config.lag   # per path
 
     def blocks(self):
         """(rows, paths, index) for each block (rows, paths) of the
@@ -357,24 +365,25 @@ class LaggedSamples:
         raise ParameterError(f"direction must be forward or backward, got '{direction}'")
 
     def increments(self, paths: np.ndarray) -> np.ndarray:
-        """x(t + lag dt) - x(t) of a block's paths (B, K+1, dim), (B, K+1-lag, dim)."""
+        """x(t + lag dt) - x(t) of paths (B, K+1, dim), (B, K+1-lag, dim)."""
         return _increments(paths, self.config.lag)
 
     def quotients(self, paths: np.ndarray) -> np.ndarray:
-        """The difference quotients of both directions for a block's paths."""
+        """The difference quotients of both directions for paths (B, K+1, dim)."""
         return self.increments(paths) / self.dtau
 
     def average(self, direction: str, values, split: str = "off") -> BinnedField:
         """Per-bin average of per-increment values over the bins of the
         direction's conditioning end.  values(rows, paths) gives the (B,
-        K+1-lag, ...) values of a block (rows, paths) of the ensemble's walk;
-        split keeps only the increments of one causal class (timelike or
-        spacelike)."""
+        K+1-lag, ...) values of a row chunk (rows, paths) of the ensemble's
+        walk: B whole paths, B at most max(1, CHUNK_VALUES // (K+1-lag)),
+        the chunks in path order; split keeps only the increments of one
+        causal class (timelike or spacelike)."""
         return self.averages(values, [(direction, split)])[0]
 
     def averages(self, values, terms) -> list[BinnedField]:
         """:meth:`average` of the same values for each (direction, split)
-        term, from one pass that forms each block's values once."""
+        term, from one pass that forms each chunk's values once."""
         terms = [(self.ends(direction)[0], split) for direction, split in terms]
         n_bins = self.config.n_bins
         norm2_of = (_minkowski_norm2(self.ensemble)
@@ -382,15 +391,18 @@ class LaggedSamples:
 
         def walk():
             for rows, paths, index in self.blocks():
-                norm2 = None if norm2_of is None else norm2_of(self.increments(paths))
-                bins = []
-                for near, split in terms:
-                    idx = index[:, near]
-                    if split != "off":
-                        keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
-                        idx = np.where(keep, idx, n_bins)
-                    bins.append(idx)
-                yield bins, [paths[:, near] for near, _ in terms], values(rows, paths)
+                for chunk in row_chunks(rows, self.n_increments):
+                    local = slice(chunk.start - rows.start, chunk.stop - rows.start)
+                    x, index_x = paths[local], index[local]
+                    norm2 = None if norm2_of is None else norm2_of(self.increments(x))
+                    bins = []
+                    for near, split in terms:
+                        idx = index_x[:, near]
+                        if split != "off":
+                            keep = norm2 <= 0 if split == "timelike" else norm2 >= 0
+                            idx = np.where(keep, idx, n_bins)
+                        bins.append(idx)
+                    yield bins, [x[:, near] for near, _ in terms], values(chunk, x)
 
         return _accumulate(self.config, walk())
 
@@ -449,13 +461,15 @@ def relativistic_mean_derivatives(ensemble: PathEnsemble,
 def spacelike_fraction(ensemble: PathEnsemble, lag: int = 1) -> float:
     """Diagnostic: fraction of forward increments with non-negative
     Minkowski norm; tends to 1 as dt -> 0 (diffusive scaling dominates c dt).
+    The increments are formed one row chunk of each block at a time.
     """
     if ensemble.n_steps < lag:
         raise ParameterError(f"ensemble has {ensemble.n_steps} steps, need >= lag={lag}")
-    norm2 = _minkowski_norm2(ensemble)
-    spacelike = sum(np.count_nonzero(norm2(_increments(paths, lag)) >= 0)
-                    for _, paths in ensemble.blocks())
-    return spacelike / (ensemble.n_paths * (ensemble.n_steps + 1 - lag))
+    norm2, per_path = _minkowski_norm2(ensemble), ensemble.n_steps + 1 - lag
+    spacelike = sum(np.count_nonzero(norm2(_increments(paths[chunk], lag)) >= 0)
+                    for _, paths in ensemble.blocks()
+                    for chunk in row_chunks(len(paths), per_path))
+    return spacelike / (ensemble.n_paths * per_path)
 
 
 def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivativeField:
@@ -481,7 +495,7 @@ def velocity_fields(forward: BinnedField, backward: BinnedField) -> MeanDerivati
 def estimate_velocity_fields(ensemble: PathEnsemble,
                              config: EstimatorConfig) -> MeanDerivativeField:
     """Convenience pipeline: forward + backward + derived fields, from one
-    binning of the ensemble and one pass that forms each block's quotients
+    binning of the ensemble and one pass that forms each chunk's quotients
     once for both directions."""
     samples = LaggedSamples(ensemble, config)
     split = config.causal_split

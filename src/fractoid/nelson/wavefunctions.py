@@ -122,6 +122,8 @@ class NelsonProcessSpec:
     mass: float = 1.0
 
     def __post_init__(self):
+        for name in ("epsilon", "hbar", "mass"):
+            check_positive(name, getattr(self, name))
         if abs(self.epsilon**2 - self.hbar / self.mass) > EPSILON_CONSISTENCY_TOL:
             raise ParameterError(
                 f"epsilon^2 = {self.epsilon**2!r} must equal hbar/m = "

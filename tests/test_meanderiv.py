@@ -507,11 +507,12 @@ def test_estimator_peak_memory_within_twice_the_ensemble(case, large_ensembles):
     assert peak <= 2 * ens.paths.nbytes
 
 
-def test_one_block_estimate_peak_memory_within_three_times_the_ensemble():
-    # sphere-io's estimate: one block of sphere2 paths, N = 1000, K = 1000.
-    # The peak is the block's quotients and its bin index; the sums run
-    # over path chunks of at most CHUNK_VALUES samples and add nothing of the
-    # block's size
+def test_value_chunk_estimate_peak_memory_below_8_mib():
+    # sphere-io's estimate: one block of sphere2 paths, N = 1000, K = 1000,
+    # 15.3 MiB of paths.  The quotients are formed and summed one row chunk
+    # of at most CHUNK_VALUES samples at a time, so the peak is the block's
+    # 1.9 MiB bin index and chunk-sized temporaries, not a block of
+    # quotients (another 15.3 MiB)
     ens = simulate_manifold_diffusion(get_chart("sphere2"), None, [np.pi / 2, 0.0],
                                       T=5.0, dt=0.005, N=1000, seed=SEED)
     assert ens.n_paths <= integrator.BLOCK_PATHS and ens.n_steps == 1000
@@ -522,7 +523,67 @@ def test_one_block_estimate_peak_memory_within_three_times_the_ensemble():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * ens.paths.nbytes
+    assert peak < 8 * 2**20
+
+
+VALUE_ROUTES = {
+    "average": lambda ens, cfg, X: LaggedSamples(ens, cfg).average(
+        "forward", lambda rows, paths: paths[:, cfg.lag:] - paths[:, :-cfg.lag]),
+    "qv": lambda ens, cfg, X: quadratic_variation_matrix(ens, cfg, "backward"),
+    "covariant": lambda ens, cfg, X: covariant_mean_derivative(
+        get_chart("euclidean:1"), ens, X, cfg, "backward"),
+}
+
+
+@pytest.mark.parametrize("n_paths, sizes", [(4000, None), (30, (7, 64)), (30, (7, 1))],
+                         ids=["default", "7-path blocks, 3-path chunks",
+                              "7-path blocks, 1-path chunks"])
+@pytest.mark.parametrize("route", sorted(VALUE_ROUTES))
+def test_value_chunk_calls_tile_the_paths(route, n_paths, sizes, monkeypatch):
+    # every value function, and covariant's X inside one, sees one row chunk
+    # of whole paths at a time, and each walk's chunks tile the paths in order
+    if sizes is not None:
+        monkeypatch.setattr(integrator, "BLOCK_PATHS", sizes[0])
+        monkeypatch.setattr(integrator, "CHUNK_VALUES", sizes[1])
+    ens = _walk_ensemble(n_paths)
+    cfg = EstimatorConfig.regular((0.0, 0.2), 2, (-0.6, 0.6), 4, min_count=2, lag=2)
+    per = max(1, integrator.CHUNK_VALUES // (ens.n_steps + 1 - cfg.lag))
+    walks, field_sizes, in_values = [], [], []
+    averages = LaggedSamples.averages
+
+    def spied(self, values, terms):
+        calls = []
+        walks.append(calls)
+
+        def recorded(rows, paths):
+            assert np.array_equal(paths, ens.paths[rows])
+            calls.append(rows)
+            in_values.append(True)
+            try:
+                return values(rows, paths)
+            finally:
+                in_values.pop()
+
+        return averages(self, recorded, terms)
+
+    def X(t, x):
+        if in_values:                  # the Monte Carlo route, not the analytic one
+            field_sizes.append(len(x))
+        return np.sin(x) + t
+
+    monkeypatch.setattr(LaggedSamples, "averages", spied)
+    VALUE_ROUTES[route](ens, cfg, X)
+    assert walks
+    for calls in walks:
+        assert all(rows.stop - rows.start <= per for rows in calls)
+        assert [rows.start for rows in calls] == [0] + [rows.stop for rows in calls[:-1]]
+        assert calls[-1].stop == n_paths
+    if n_paths > per:
+        assert len(walks[0]) > 1
+    if route == "covariant":
+        # X at both ends of every increment of every path, one chunk a call
+        assert max(field_sizes) <= per
+        assert sum(field_sizes) == 2 * n_paths * (ens.n_steps + 1 - cfg.lag)
 
 
 def test_no_populated_bins_raises(wiener_ensemble):
@@ -714,6 +775,23 @@ def test_mean_acceleration_on_nonuniform_space_edges():
 def test_estimator_config_rejects_non_finite_edges(time_edges, space_edges, match):
     with pytest.raises(ParameterError, match=match):
         EstimatorConfig(time_edges, (space_edges,))
+
+
+@pytest.mark.parametrize("key, value", [("lag", 1.5), ("min_count", float("nan")),
+                                        ("lag", True), ("min_count", "200")],
+                         ids=["lag-float", "min_count-nan", "lag-bool", "min_count-str"])
+def test_estimator_config_requires_integer_counts(key, value):
+    # lag=1.5 ended in a slice TypeError and min_count=nan in a false "no
+    # bins reached min_count=nan" at estimate time
+    with pytest.raises(ParameterError, match=f"^{key} must be an integer, got "):
+        EstimatorConfig.regular((0.0, 1.0), 1, (-1.0, 1.0), 4, **{key: value})
+
+
+def test_estimator_config_takes_numpy_integer_counts():
+    cfg = EstimatorConfig.regular((0.0, 1.0), 1, (-1.0, 1.0), 4,
+                                  min_count=np.int64(20), lag=np.uint8(2))
+    assert (cfg.min_count, cfg.lag) == (20, 2)
+    assert type(cfg.min_count) is int and type(cfg.lag) is int
 
 
 def test_acceleration_decomposed_outside_chart_fully_masked():

@@ -12,7 +12,8 @@ from fractoid.errors import ConfigError, ParameterError
 from fractoid.geodesic import LagrangianSpec, classical_geodesic
 from fractoid.geometry import get_chart
 from fractoid.nelson.feynman_kac import feynman_kac_semigroup
-from fractoid.nelson.wavefunctions import WaveFunctionGrid, make_wavefunction
+from fractoid.nelson.wavefunctions import (NelsonProcessSpec, WaveFunctionGrid,
+                                           make_wavefunction)
 from fractoid.stochastic import (ItoProcessSpec, simulate_ito, simulate_manifold_diffusion,
                                  wiener_increments)
 from fractoid.whitenoise import SpaceTimeLattice, make_test_function
@@ -21,6 +22,12 @@ NAN, INF = float("nan"), float("inf")
 AXIS = np.linspace(-1.0, 1.0, 5)
 SPEC = ItoProcessSpec(drift=lambda t, x: np.zeros_like(x), diffusion_const=1.0, dimension=1)
 ONE = lambda x: np.ones(len(x))
+ZERO_FIELD = lambda t, x: np.zeros_like(x)
+
+
+def nelson_spec(epsilon=1.0, hbar=1.0, mass=1.0):
+    return NelsonProcessSpec(ZERO_FIELD, ZERO_FIELD, epsilon, hbar=hbar, mass=mass)
+
 
 CASES = {
     # accepted silently before
@@ -42,6 +49,16 @@ CASES = {
         lambda: simulate_manifold_diffusion(get_chart("sphere2"), None, [1.0, 0.0], T=0.1,
                                             dt=0.05, N=2, seed=1, epsilon=-1.0),
         ParameterError, r"^epsilon must be >= 0, got -1.0$"),
+    "nelson-epsilon-hbar-nan": (lambda: nelson_spec(epsilon=NAN, hbar=NAN),
+                                ParameterError, r"^epsilon must be positive, got nan$"),
+    "nelson-epsilon-hbar-inf": (lambda: nelson_spec(epsilon=INF, hbar=INF),
+                                ParameterError, r"^epsilon must be finite, got inf$"),
+    # epsilon^2 = hbar/m holds for the negative root
+    "nelson-epsilon-negative": (lambda: nelson_spec(epsilon=-1.0),
+                                ParameterError, r"^epsilon must be positive, got -1.0$"),
+    # a bare ZeroDivisionError before
+    "nelson-mass-zero": (lambda: nelson_spec(mass=0.0),
+                         ParameterError, r"^mass must be positive, got 0.0$"),
     # a SimulationError at step 1 before
     "ito-diffusion-inf": (lambda: ItoProcessSpec(lambda t, x: x, INF, 1),
                           ParameterError, r"^diffusion_const must be finite, got inf$"),

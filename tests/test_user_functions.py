@@ -67,9 +67,11 @@ ROWS = {
         ParameterError, "test function returned shape (4, 4, 4, 1) for points of "
         "shape (4, 4, 4, 3); expected (4, 4, 4)",
         lambda ens: lattice_inner_product(LAT, lambda m: m[..., :1], np.ones(LAT.shape))),
+    # X sees one row chunk of paths: CHUNK_VALUES // 100 of the 100-step
+    # ensemble's paths
     "covariant_mean_derivative-X": (
-        ParameterError, "X returned shape (4096,) for points of shape (4096, 1); "
-        "expected (4096, 1)",
+        ParameterError, "X returned shape (655,) for points of shape (655, 1); "
+        "expected (655, 1)",
         lambda ens: covariant_mean_derivative(E1, ens, lambda t, x: x[:, 0], CFG)),
     # the (6,) force broadcast against the (6, 1) Ricci term to a (6, 6)
     # target with no error: a median relative residual of 1.27, not 0.084
